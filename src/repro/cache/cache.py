@@ -29,8 +29,7 @@ from repro.core.config import CacheConfig
 from repro.core.stats import CacheStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.observer import Observer
-    from repro.sanitize.sanitizer import Sanitizer
+    from repro.core.probe import Probe
 
 __all__ = ["CacheLine", "SetAssociativeCache"]
 
@@ -62,8 +61,7 @@ class SetAssociativeCache:
         "_tags",
         "_insert_index",
         "last_was_prefetched",
-        "_obs",
-        "_san",
+        "_probe",
         "_level",
     )
 
@@ -72,17 +70,13 @@ class SetAssociativeCache:
         config: CacheConfig,
         stats: CacheStats,
         prefetch_outcome: Optional[Callable[[bool], None]] = None,
-        obs: "Optional[Observer]" = None,
-        san: "Optional[Sanitizer]" = None,
+        probe: "Optional[Probe]" = None,
         level: str = "cache",
     ) -> None:
         self.config = config
         self.stats = stats
-        #: optional observer; ``None`` keeps every fill at one falsy check.
-        self._obs = obs
-        #: optional sanitizer; hooks re-verify the set structure after
-        #: every mutation (see :mod:`repro.sanitize.cache`).
-        self._san = san
+        #: optional event consumer (:mod:`repro.core.probe`).
+        self._probe = probe
         self._level = level
         #: callback invoked with True (useful) / False (evicted unused)
         #: for each prefetched line's final outcome; feeds the engine's
@@ -102,8 +96,8 @@ class SetAssociativeCache:
         }
         #: set by :meth:`access`: the last hit consumed a prefetched line.
         self.last_was_prefetched = False
-        if san is not None:
-            san.register_cache(level, self)
+        if probe is not None:
+            probe.register_cache(level, self)
 
     # -- lookups -----------------------------------------------------------------
 
@@ -144,20 +138,20 @@ class SetAssociativeCache:
         stats.accesses += 1
         self.last_was_prefetched = False
         block, index, line = self._find(addr)
-        san = self._san
+        probe = self._probe
         if line is None:
             stats.misses += 1
-            if san is not None:
-                san.cache_miss(self._level, index)
+            if probe is not None:
+                probe.cache_miss(self._level, index)
             return None
         lines = self._sets[index]
         if lines[0] is not line:
             lines.remove(line)
             lines.insert(0, line)
-        if san is not None:
-            # Hook before the dirty mutation: the checker needs to see
+        if probe is not None:
+            # Hook before the dirty mutation: the sanitizer needs to see
             # the clean→dirty transition to keep its conservation count.
-            san.cache_access(self._level, index, is_write and not line.dirty)
+            probe.cache_access(self._level, index, is_write and not line.dirty)
         if is_write:
             line.dirty = True
         if line.prefetched:
@@ -195,10 +189,10 @@ class SetAssociativeCache:
         evicted.
         """
         block, index, line = self._find(addr)
-        san = self._san
+        probe = self._probe
         if line is not None:
-            if san is not None:
-                san.cache_fill_merge(
+            if probe is not None:
+                probe.cache_fill_merge(
                     self._level, index, ready_time, dirty and not line.dirty
                 )
             line.dirty = line.dirty or dirty
@@ -221,18 +215,8 @@ class SetAssociativeCache:
         line = CacheLine(block, dirty, prefetched, ready_time)
         lines.insert(min(slot, len(lines)), line)
         tags[block] = line
-        if san is not None:
-            san.cache_fill(self._level, index, ready_time, dirty, victim)
-        obs = self._obs
-        if obs is not None:
-            obs.cache_fill(
-                self._level,
-                ready_time,
-                block,
-                prefetched,
-                victim.addr if victim is not None else None,
-                victim.prefetched if victim is not None else False,
-            )
+        if probe is not None:
+            probe.cache_fill(self._level, index, line, victim)
         return victim
 
     def invalidate(self, addr: int) -> Optional[CacheLine]:
@@ -242,8 +226,8 @@ class SetAssociativeCache:
             return None
         self._sets[index].remove(line)
         del self._tags[index][block]
-        if self._san is not None:
-            self._san.cache_invalidate(self._level, index, line)
+        if self._probe is not None:
+            self._probe.cache_invalidate(self._level, index, line)
         return line
 
     # -- diagnostics ----------------------------------------------------------------

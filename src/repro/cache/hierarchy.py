@@ -22,8 +22,7 @@ from repro.core.stats import SimStats
 from repro.dram.controller import MemoryController
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.observer import Observer
-    from repro.sanitize.sanitizer import Sanitizer
+    from repro.core.probe import Probe
 
 __all__ = ["AccessKind", "MemoryHierarchy"]
 
@@ -55,42 +54,33 @@ class MemoryHierarchy:
         "_perfect_memory",
         "_perfect_l2",
         "_l2_hit_latency",
-        "_obs",
-        "_san",
+        "_probe",
     )
 
     def __init__(
         self,
         config: SystemConfig,
         stats: SimStats,
-        obs: "Optional[Observer]" = None,
-        san: "Optional[Sanitizer]" = None,
+        probe: "Optional[Probe]" = None,
     ) -> None:
         self.config = config
         self.stats = stats
-        self._obs = obs
-        self._san = san
-        self.l1i = SetAssociativeCache(
-            config.l1i, stats.l1i, obs=obs, san=san, level="l1i"
-        )
-        self.l1d = SetAssociativeCache(
-            config.l1d, stats.l1d, obs=obs, san=san, level="l1d"
-        )
+        self._probe = probe
+        self.l1i = SetAssociativeCache(config.l1i, stats.l1i, probe=probe, level="l1i")
+        self.l1d = SetAssociativeCache(config.l1d, stats.l1d, probe=probe, level="l1d")
         self.controller = MemoryController(
             config.dram,
             config.core,
             stats,
             prefetch=config.prefetch,
             block_bytes=config.l2.block_bytes,
-            obs=obs,
-            san=san,
+            probe=probe,
         )
         self.l2 = SetAssociativeCache(
             config.l2,
             stats.l2,
             prefetch_outcome=self._prefetch_outcome,
-            obs=obs,
-            san=san,
+            probe=probe,
             level="l2",
         )
         self.controller.connect_l2(self._prefetch_fill, self.l2.contains)
@@ -144,37 +134,16 @@ class MemoryHierarchy:
         l1 = self.l1i if kind == AccessKind.IFETCH else self.l1d
 
         line = l1.access(addr, kind == AccessKind.STORE)
-        obs = self._obs
+        if self._probe is not None:
+            self._probe.l1_access(time, addr, kind, line)
         if line is not None:
             hit_done = time + l1_latency
             ready = line.ready_time
             if ready > time:
                 l1.stats.delayed_hits += 1
-                if obs is not None:
-                    # A hit on an in-flight fill: the MSHR-style merge.
-                    obs.instant(
-                        "l1i-mshr-merge" if kind == AccessKind.IFETCH else "l1d-mshr-merge",
-                        time,
-                        obs.MSHR,
-                        {"addr": addr},
-                    )
                 return (ready if ready > hit_done else hit_done), False
-            if obs is not None:
-                obs.instant(
-                    "l1i-hit" if kind == AccessKind.IFETCH else "l1d-hit",
-                    time,
-                    obs.CACHE,
-                    {"addr": addr},
-                )
             return hit_done, False
 
-        if obs is not None:
-            obs.instant(
-                "l1i-miss" if kind == AccessKind.IFETCH else "l1d-miss",
-                time,
-                obs.CACHE,
-                {"addr": addr, "kind": AccessKind.NAMES[kind]},
-            )
         # L1 miss: the L2 sees the request after the L1 lookup.
         t2 = time + l1_latency
         data_ready = self._l2_access(t2, addr, pc)
@@ -193,36 +162,28 @@ class MemoryHierarchy:
             self.stats.l2.hits += 1
             return t2 + l2_latency
         line = self.l2.access(addr, is_write=False)
-        obs = self._obs
+        probe = self._probe
         if line is not None:
             # Hit: the access needs no channel time, so the prefetch
             # engine may use the idle interval up to now.  (On a miss
             # the demand is scheduled *first* — the access prioritizer
             # never starts a prefetch while a demand is pending.)
             self.controller.advance(t2)
-            if obs is not None:
-                obs.instant("l2-hit", t2, obs.CACHE, {"addr": addr})
-                if self.l2.last_was_prefetched:
-                    obs.prefetch_first_use(t2, self.l2.block_address(addr))
+            if probe is not None:
+                probe.l2_hit(t2, addr, line, self.l2.last_was_prefetched)
             if line.ready_time > t2:
                 self.stats.l2.delayed_hits += 1
                 if self.l2.last_was_prefetched:
                     self.stats.prefetches_late += 1
-                    if obs is not None:
-                        obs.instant(
-                            "prefetch-late", t2, obs.PREFETCH, {"addr": addr}
-                        )
                 return max(t2 + l2_latency, line.ready_time)
             return t2 + l2_latency
 
         block = self.l2.block_address(addr)
-        if obs is not None:
-            obs.instant("l2-miss", t2, obs.CACHE, {"addr": addr})
+        if probe is not None:
+            probe.l2_miss(t2, addr)
         completion = self.controller.demand_fetch(t2, block, pc=pc)
         self.stats.l2_demand_fetches += 1
         self.stats.l2_miss_latency_sum += completion - t2
-        if obs is not None:
-            obs.record("l2_miss_latency.demand", completion - t2)
         victim = self.l2.fill(block, ready_time=completion, dirty=False, insertion="mru")
         if victim is not None and victim.dirty:
             self.controller.writeback(completion, victim.addr)
@@ -232,10 +193,10 @@ class MemoryHierarchy:
         """An L1 victim's dirty data moves into the L2 (or to memory)."""
         line = self.l2.peek(victim_addr)
         if line is not None:
-            if self._san is not None and not line.dirty:
+            if self._probe is not None and not line.dirty:
                 # In-place dirty transition outside the cache's own
                 # mutation paths: keep the conservation count in step.
-                self._san.cache_dirtied("l2")
+                self._probe.cache_dirtied("l2")
             line.dirty = True
             return
         if self._perfect_l2:

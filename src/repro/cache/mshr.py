@@ -13,8 +13,7 @@ import heapq
 from typing import TYPE_CHECKING, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.observer import Observer
-    from repro.sanitize.sanitizer import Sanitizer
+    from repro.core.probe import Probe
 
 __all__ = ["MSHRFile"]
 
@@ -22,14 +21,10 @@ __all__ = ["MSHRFile"]
 class MSHRFile:
     """Bounded set of outstanding fills, tracked as completion times."""
 
-    __slots__ = ("entries", "_completions", "stalls", "_obs", "_san", "_level")
+    __slots__ = ("entries", "_completions", "stalls", "_probe", "_level")
 
     def __init__(
-        self,
-        entries: int,
-        obs: "Optional[Observer]" = None,
-        san: "Optional[Sanitizer]" = None,
-        level: str = "l1d",
+        self, entries: int, probe: "Optional[Probe]" = None, level: str = "l1d"
     ) -> None:
         if entries < 1:
             raise ValueError("MSHR file needs at least one entry")
@@ -37,8 +32,7 @@ class MSHRFile:
         self._completions: List[float] = []
         #: number of times a miss had to wait for a free MSHR.
         self.stalls = 0
-        self._obs = obs
-        self._san = san
+        self._probe = probe
         self._level = level
 
     def __len__(self) -> int:
@@ -49,40 +43,35 @@ class MSHRFile:
         heap = self._completions
         while heap and heap[0] <= now:
             heapq.heappop(heap)
-        san = self._san
-        if len(heap) < self.entries:
-            if san is not None:
-                san.mshr_acquire(self._level, now, now, len(heap), self.entries)
-            return now
-        self.stalls += 1
-        if san is not None:
-            san.mshr_acquire(self._level, now, heap[0], len(heap), self.entries)
-        wait_until = heapq.heappop(heap)
-        obs = self._obs
-        if obs is not None:
-            obs.instant(
-                f"{self._level}-mshr-stall",
-                now,
-                obs.MSHR,
-                {"until": wait_until, "outstanding": self.entries},
+        outstanding = len(heap)
+        if outstanding < self.entries:
+            granted = now
+        else:
+            self.stalls += 1
+            granted = heapq.heappop(heap)
+            # Entries completing at the same instant free together.
+            while heap and heap[0] <= granted:
+                heapq.heappop(heap)
+        if self._probe is not None:
+            self._probe.mshr_acquire(
+                self._level, now, granted, outstanding, self.entries
             )
-        # Entries completing at the same instant free together.
-        while heap and heap[0] <= wait_until:
-            heapq.heappop(heap)
-        return wait_until
+        return granted
 
-    def commit(self, completion: float) -> None:
-        """Record a newly issued fill that completes at ``completion``."""
+    def commit(self, completion: float, granted: float = 0.0, addr: int = 0) -> None:
+        """Record a newly issued fill that completes at ``completion``;
+        ``granted`` (the MSHR's allocation time) and ``addr`` only
+        describe the fill to the probe."""
         heapq.heappush(self._completions, completion)
-        if self._san is not None:
-            self._san.mshr_commit(
-                self._level, completion, len(self._completions), self.entries
+        if self._probe is not None:
+            self._probe.mshr_commit(
+                self._level, granted, completion, addr, len(self._completions), self.entries
             )
 
     def quiesce(self, finish: float) -> None:
         """End of run: every outstanding fill must drain by ``finish``."""
-        if self._san is not None:
-            self._san.mshr_quiesce(self._level, self._completions, finish)
+        if self._probe is not None:
+            self._probe.mshr_quiesce(self._level, self._completions, finish)
 
     def reset(self) -> None:
         self._completions.clear()

@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, Optional, Union
 
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.core.config import SystemConfig
+from repro.core.probe import Probes
 from repro.core.stats import SimStats
 from repro.cpu.core import OutOfOrderCore
 from repro.cpu.trace import Trace
@@ -31,16 +32,19 @@ class System:
     state persist across :meth:`run` calls (useful for warm-up phases);
     construct a fresh instance for an independent experiment.
 
-    ``obs`` threads an optional :class:`repro.obs.Observer` through
-    every component; observability never changes the simulation — the
+    ``obs`` attaches an optional :class:`repro.obs.Observer` to every
+    component; observability never changes the simulation — the
     statistics are byte-identical with it on or off.
 
-    ``sanitize`` threads an optional :class:`repro.sanitize.Sanitizer`
-    through the same seams: pass ``True`` to build one, or an existing
-    instance to share it.  Like observability it never changes the
-    simulation; it only *checks* it, raising
-    :class:`repro.sanitize.SanitizerError` on the first violated
-    invariant.
+    ``sanitize`` attaches an optional :class:`repro.sanitize.Sanitizer`
+    the same way: pass ``True`` to build one, or an existing instance to
+    share it.  Like observability it never changes the simulation; it
+    only *checks* it, raising :class:`repro.sanitize.SanitizerError` on
+    the first violated invariant.
+
+    Both are probes (:mod:`repro.core.probe`): the components see one
+    ``probe`` — None, whichever consumer is on, or a
+    :class:`~repro.core.probe.Probes` fan-out when both are.
     """
 
     def __init__(
@@ -59,8 +63,9 @@ class System:
         else:
             san = sanitize or None
         self.san = san
-        self.hierarchy = MemoryHierarchy(config, self.stats, obs=obs, san=san)
-        self.core = OutOfOrderCore(config, self.hierarchy, self.stats, obs=obs, san=san)
+        self.probe = Probes(obs, san) if obs and san else obs or san
+        self.hierarchy = MemoryHierarchy(config, self.stats, probe=self.probe)
+        self.core = OutOfOrderCore(config, self.hierarchy, self.stats, probe=self.probe)
         self._clock = 0.0
 
     def run(self, trace: Trace, columns=None) -> SimStats:
@@ -70,25 +75,26 @@ class System:
         (``CompiledTrace.base_columns()``) through to the core loop.
         """
         self._clock = self.core.run(trace, start_time=self._clock, columns=columns)
-        if self.san is not None:
-            # End-of-run structural sweep: tag/recency mirrors,
+        if self.probe is not None:
+            # The sanitizer's end-of-run sweep: tag/recency mirrors,
             # conservation counts, shadow-vs-real DRAM bank state.
-            self.san.quiesce(self._clock)
+            self.probe.quiesce(self._clock)
         return self.stats
 
     def warmup(self, trace: Trace, columns=None) -> None:
         """Run ``trace`` to warm caches and DRAM state, then zero the
         statistics; the simulated clock keeps advancing so utilization
-        accounting stays consistent.  Observability is muted for the
-        duration — like the statistics, recorded traces and histograms
-        cover only the measured window."""
-        if self.obs is not None:
-            self.obs.mute()
+        accounting stays consistent.  The probe is told, so the observer
+        mutes for the duration — like the statistics, recorded traces and
+        histograms cover only the measured window."""
+        probe = self.probe
+        if probe is not None:
+            probe.warmup_begin()
         try:
             self.run(trace, columns=columns)
         finally:
-            if self.obs is not None:
-                self.obs.unmute()
+            if probe is not None:
+                probe.warmup_end()
         self.stats.reset()
 
 
@@ -114,22 +120,15 @@ def simulate(
     kernel produces byte-identical statistics; the reference kernel
     remains authoritative and is always used when observability or
     sanitizing is requested, or for geometries the fast kernel does
-    not specialize.
+    not specialize.  This is the one place that choice is made.
     """
     if obs is None and not sanitize:
-        # Imported lazily: repro.kernel pulls in the full component
-        # stack, and most simulate() callers never opt in.
-        from repro.kernel.fastcore import FastSystem, fast_enabled, kernel_supports
+        # Imported lazily: repro.kernel imports this module.
+        from repro.kernel.batch import simulate_fast
+        from repro.kernel.fastcore import fast_enabled, kernel_supports
 
-        if fast is None:
-            fast = fast_enabled()
-        if fast and kernel_supports(config):
-            from repro.kernel.compiled import compile_trace
-
-            fast_system = FastSystem(config)
-            if warmup_trace is not None:
-                fast_system.warmup(compile_trace(warmup_trace))
-            return fast_system.run(compile_trace(trace))
+        if (fast_enabled() if fast is None else fast) and kernel_supports(config):
+            return simulate_fast(trace, config, warmup_trace=warmup_trace)
     system = System(config, obs=obs, sanitize=sanitize)
     if warmup_trace is not None:
         system.warmup(warmup_trace)

@@ -33,8 +33,7 @@ from repro.core.stats import SimStats
 from repro.cpu.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.observer import Observer
-    from repro.sanitize.sanitizer import Sanitizer
+    from repro.core.probe import Probe
 
 __all__ = ["OutOfOrderCore"]
 
@@ -51,14 +50,12 @@ class OutOfOrderCore:
         config: SystemConfig,
         hierarchy: MemoryHierarchy,
         stats: SimStats,
-        obs: "Optional[Observer]" = None,
-        san: "Optional[Sanitizer]" = None,
+        probe: "Optional[Probe]" = None,
     ) -> None:
         self.config = config
         self.hierarchy = hierarchy
         self.stats = stats
-        self._obs = obs
-        self._san = san
+        self._probe = probe
 
     def run(self, trace: Trace, start_time: float = 0.0, columns=None) -> float:
         """Simulate the whole trace starting at ``start_time``.
@@ -90,10 +87,8 @@ class OutOfOrderCore:
         lsq_size = cfg.lsq_size
         use_swpf = self.config.software_prefetch
 
-        obs = self._obs  # None in normal runs: one falsy check per event site
-        san = self._san
-        d_mshrs = MSHRFile(self.config.l1d.mshrs, obs=obs, san=san, level="l1d")
-        i_mshrs = MSHRFile(self.config.l1i.mshrs, obs=obs, san=san, level="l1i")
+        d_mshrs = MSHRFile(self.config.l1d.mshrs, probe=self._probe, level="l1d")
+        i_mshrs = MSHRFile(self.config.l1i.mshrs, probe=self._probe, level="l1i")
         d_acquire = d_mshrs.acquire
         d_commit = d_mshrs.commit
         i_acquire = i_mshrs.acquire
@@ -154,10 +149,8 @@ class OutOfOrderCore:
                 ready = i_acquire(dispatch)
                 completion, missed = access(ready, addr, IFETCH, pc)
                 if missed:
-                    i_commit(completion)
-                    if obs is not None:
-                        # MSHR held from allocation to the fill's return.
-                        obs.span("l1i-mshr", ready, completion, obs.MSHR, {"addr": addr})
+                    # MSHR held from allocation to the fill's return.
+                    i_commit(completion, ready, addr)
                     # Fetch stalls: nothing dispatches until the line returns.
                     if completion > dispatch:
                         dispatch = completion
@@ -191,9 +184,7 @@ class OutOfOrderCore:
 
             completion, missed = access(issue, addr, kind, pc)
             if missed:
-                d_commit(completion)
-                if obs is not None:
-                    obs.span("l1d-mshr", issue, completion, obs.MSHR, {"addr": addr})
+                d_commit(completion, issue, addr)
 
             if kind == LOAD:
                 loads += 1
@@ -216,11 +207,10 @@ class OutOfOrderCore:
                 commit_front = done
         finish = max(dispatch, commit_front, end_time)
         self.hierarchy.finish(finish)
-        if san is not None:
-            # MSHR files are per-run: their drain check happens here, at
-            # the end of the run that owns them.
-            d_mshrs.quiesce(finish)
-            i_mshrs.quiesce(finish)
+        # MSHR files are per-run: their drain check happens here, at the
+        # end of the run that owns them.
+        d_mshrs.quiesce(finish)
+        i_mshrs.quiesce(finish)
         stats.instructions += inst_count
         stats.cycles += finish - start_time
         stats.loads += loads

@@ -99,20 +99,17 @@ class BankArray:
     ) -> Optional[List[int]]:
         """Latch ``row`` in bank ``index``, flushing sense-amp neighbours.
 
-        With ``collect_flushed`` (used by the observability layer) the
+        With ``collect_flushed`` (set when a probe is attached) the
         indices of neighbouring banks whose open rows were lost are
         gathered and returned; the default path builds nothing.
         """
         banks = self.banks
         banks[index].activate(row)
-        if not collect_flushed:
-            for n in self._neighbours[index]:
-                banks[n].flush_for_neighbour()
-            return None
-        flushed: List[int] = []
-        for n in self._neighbours[index]:
-            if banks[n].open_row is not None:
-                flushed.append(n)
+        neighbours = self._neighbours[index]
+        flushed = None
+        if collect_flushed:
+            flushed = [n for n in neighbours if banks[n].open_row is not None]
+        for n in neighbours:
             banks[n].flush_for_neighbour()
         return flushed
 

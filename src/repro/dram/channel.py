@@ -34,8 +34,7 @@ from repro.dram.bank import BankArray
 from repro.dram.mapping import DRAMCoordinates
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.observer import Observer
-    from repro.sanitize.sanitizer import Sanitizer
+    from repro.core.probe import Probe
 
 __all__ = ["AccessOutcome", "LogicalChannel"]
 
@@ -57,7 +56,7 @@ class LogicalChannel:
         "_t_prer",
         "_t_act",
         "_t_rdwr",
-        "_t_transfer",
+        "t_transfer",
         "_t_packet",
         "_policy",
         "_closed_page",
@@ -65,8 +64,7 @@ class LogicalChannel:
         "row_bus_free",
         "col_bus_free",
         "data_bus_free",
-        "_obs",
-        "_san",
+        "_probe",
         "_cls_names",
     )
 
@@ -75,15 +73,13 @@ class LogicalChannel:
         config: DRAMConfig,
         core: CoreConfig,
         stats: SimStats,
-        obs: "Optional[Observer]" = None,
-        san: "Optional[Sanitizer]" = None,
+        probe: "Optional[Probe]" = None,
     ) -> None:
         self.config = config
         self.stats = stats
-        self._obs = obs
-        self._san = san
-        # Access-class labels for observability, resolved by identity of
-        # the per-class stats bucket the caller passes to :meth:`access`
+        self._probe = probe
+        # Access-class labels for the probe, resolved by identity of the
+        # per-class stats bucket the caller passes to :meth:`access`
         # (buckets outside this SimStats — unit tests — read "other").
         self._cls_names = {
             id(stats.dram_reads): "demand",
@@ -100,7 +96,7 @@ class LogicalChannel:
         self._t_prer = timings["t_prer"]
         self._t_act = timings["t_act"]
         self._t_rdwr = timings["t_rdwr"]
-        self._t_transfer = timings["t_transfer"]
+        self.t_transfer = timings["t_transfer"]
         self._t_packet = timings["t_packet"]
         self._policy = backend.make_policy(config, core)
         self._closed_page = config.row_policy == "closed"
@@ -112,14 +108,11 @@ class LogicalChannel:
         self.row_bus_free = 0.0
         self.col_bus_free = 0.0
         self.data_bus_free = 0.0
-        if san is not None:
-            # The sanitizer replays the access stream through its own
-            # fresh policy instance — an independent shadow oracle.
-            san.register_channel(
-                self,
-                timings,
-                self._closed_page,
-                policy=backend.make_policy(config, core),
+        if probe is not None:
+            # A fresh policy instance lets the sanitizer replay the
+            # access stream as an independent shadow oracle.
+            probe.register_channel(
+                self, timings, self._closed_page, backend.make_policy(config, core)
             )
 
     # -- queries used by the controller and prefetch prioritizer ------------
@@ -190,36 +183,15 @@ class LogicalChannel:
             )
         cls.accesses += 1
         stats = self.stats
-        obs = self._obs  # observability is read-only: timings are untouched
-        san = self._san  # sanitizer hooks are read-only too
-        if obs is not None or san is not None:
-            cls_name = self._cls_names.get(id(cls), "other")
-        #: (cmd_start, data_end) of each packet, gathered for the shadow model.
-        packets_sched = None if san is None else []
-        if obs is not None:
-            obs.instant(
-                "dram-enqueue",
-                time,
-                obs.DRAM,
-                {
-                    "class": cls_name,
-                    "bank": coords.bank,
-                    "row": coords.row,
-                    "outcome": outcome,
-                },
-            )
-            obs.timeline.add("dram_accesses", time)
+        probe = self._probe  # probes are read-only: timings are untouched
+        #: (cmd_start, data_end) of each packet, gathered for the probe.
+        packets_sched = None if probe is None else []
 
         if outcome == AccessOutcome.ROW_HIT:
             # Consecutive column reads of an open row pipeline freely;
             # bank.busy_until only gates precharge/activate.
             cls.row_hits += 1
             row_ready = time
-            if obs is not None:
-                obs.instant(
-                    "row-hit", time, obs.DRAM, {"bank": coords.bank, "row": coords.row}
-                )
-                obs.timeline.add("dram_row_hits", time)
         else:
             if outcome == AccessOutcome.ROW_EMPTY:
                 cls.row_empty += 1
@@ -235,25 +207,9 @@ class LogicalChannel:
             self.row_bus_free = act_start + self._t_packet
             stats.row_bus_busy += self._t_packet
             row_ready = act_start + t_act
-            flushed = self.banks.activate(coords.bank, coords.row, obs is not None)
-            if obs is not None:
-                obs.instant(
-                    "row-activate",
-                    act_start,
-                    obs.DRAM,
-                    {"bank": coords.bank, "row": coords.row, "class": cls_name},
-                )
-                if flushed:
-                    for neighbour in flushed:
-                        obs.instant(
-                            "row-flushed-by-neighbour",
-                            act_start,
-                            obs.DRAM,
-                            {"bank": neighbour, "activated_bank": coords.bank},
-                        )
+            flushed = self.banks.activate(coords.bank, coords.row, probe is not None)
 
         first_data = 0.0
-        first_cmd = 0.0
         for i in range(packets):
             # RD/WR commands stream on the column bus at one packet per
             # packet time; their data packets follow in command order,
@@ -263,51 +219,25 @@ class LogicalChannel:
             cmd_start = max(row_ready, self.col_bus_free)
             self.col_bus_free = cmd_start + self._t_packet
             stats.col_bus_busy += self._t_packet
-            data_end = max(cmd_start + t_rdwr, self.data_bus_free) + self._t_transfer
+            data_end = max(cmd_start + t_rdwr, self.data_bus_free) + self.t_transfer
             self.data_bus_free = data_end
-            stats.data_bus_busy += self._t_transfer
+            stats.data_bus_busy += self.t_transfer
             stats.data_packets += 1
             if i == 0:
                 first_data = data_end
-                first_cmd = cmd_start
             if packets_sched is not None:
                 packets_sched.append((cmd_start, data_end))
-            if obs is not None:
-                obs.instant("column-access", cmd_start, obs.DRAM, {"bank": coords.bank})
-                burst_start = data_end - self._t_transfer
-                obs.complete(
-                    "data-burst",
-                    burst_start,
-                    self._t_transfer,
-                    obs.DRAM,
-                    {"bank": coords.bank, "class": cls_name},
-                )
-                obs.timeline.add("data_bus_busy", burst_start, self._t_transfer)
         completion = self.data_bus_free
         bank.busy_until = completion
 
         if self._closed_page:
             # Automatic precharge after the access: one PRER packet on
             # the row bus, after which the bank is empty.
-            prer_start = max(completion, self.row_bus_free)
-            self.row_bus_free = prer_start + self._t_packet
+            auto_prer = max(completion, self.row_bus_free)
+            self.row_bus_free = auto_prer + self._t_packet
             stats.row_bus_busy += self._t_packet
             bank.precharge()
-            bank.busy_until = prer_start + t_prer
-
-        if obs is not None:
-            # Queue wait = arrival to the first command of the request's
-            # own sequence (PRER on a conflict, ACT on an empty bank, the
-            # first RD/WR on a row hit); service = that command to the
-            # last data packet.
-            if outcome == AccessOutcome.ROW_HIT:
-                service_start = first_cmd
-            elif outcome == AccessOutcome.ROW_EMPTY:
-                service_start = act_start
-            else:
-                service_start = prer_start
-            obs.record(f"dram_queue_wait.{cls_name}", service_start - time)
-            obs.record(f"dram_service.{cls_name}", completion - service_start)
+            bank.busy_until = auto_prer + t_prer
 
         if policy is not None:
             policy.observe(
@@ -318,16 +248,18 @@ class LogicalChannel:
                 completion,
             )
 
-        if san is not None:
-            san.dram_access(
+        if probe is not None:
+            hit = outcome == AccessOutcome.ROW_HIT
+            probe.dram_access(
                 self,
                 time,
                 coords.bank,
                 coords.row,
                 outcome,
-                cls_name,
+                self._cls_names.get(id(cls), "other"),
                 prer_start if outcome == AccessOutcome.ROW_MISS else None,
-                act_start if outcome != AccessOutcome.ROW_HIT else None,
+                None if hit else act_start,
+                None if hit else flushed,
                 packets_sched,
                 completion,
             )

@@ -28,8 +28,7 @@ from repro.prefetch.engine import RegionPrefetcher
 from repro.prefetch.stride import StridePrefetcher
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.observer import Observer
-    from repro.sanitize.sanitizer import Sanitizer
+    from repro.core.probe import Probe
 
 __all__ = ["MemoryController"]
 
@@ -53,8 +52,7 @@ class MemoryController:
         "_scheduled",
         "_prefetch_fill",
         "_resident",
-        "_obs",
-        "_san",
+        "_probe",
     )
 
     def __init__(
@@ -64,20 +62,18 @@ class MemoryController:
         stats: SimStats,
         prefetch: Optional[PrefetchConfig] = None,
         block_bytes: int = 64,
-        obs: "Optional[Observer]" = None,
-        san: "Optional[Sanitizer]" = None,
+        probe: "Optional[Probe]" = None,
     ) -> None:
         self.config = dram
         self.stats = stats
-        self._obs = obs
-        self._san = san
+        self._probe = probe
         # Address mapping and packet geometry follow the backend's
         # *effective* organization (the DDR-like backend, e.g., exposes
         # fewer banks); for the default DRDRAM backend this is ``dram``
         # itself.
         effective = get_backend(dram.backend).effective(dram)
         self.mapping = make_mapping(effective)
-        self.channel = LogicalChannel(dram, core, stats, obs=obs, san=san)
+        self.channel = LogicalChannel(dram, core, stats, probe=probe)
         self.block_bytes = block_bytes
         self._block_packets = effective.transfer_packets(block_bytes)
         self._packet_time = core.ns_to_cycles(effective.part.t_packet_ns)
@@ -93,11 +89,9 @@ class MemoryController:
         self._scheduled = True
         if prefetch is not None and prefetch.enabled:
             if prefetch.engine == "stride":
-                self.prefetcher = StridePrefetcher(block_bytes, stats, obs=obs, san=san)
+                self.prefetcher = StridePrefetcher(block_bytes, stats, probe=probe)
             else:
-                self.prefetcher = RegionPrefetcher(
-                    prefetch, block_bytes, stats, obs=obs, san=san
-                )
+                self.prefetcher = RegionPrefetcher(prefetch, block_bytes, stats, probe=probe)
             self._scheduled = prefetch.scheduled
         # Wired by the system once the L2 exists.
         self._prefetch_fill: Optional[PrefetchFill] = None
@@ -135,43 +129,41 @@ class MemoryController:
         there); ``deadline`` is the raw arrival time, exactly as in
         :meth:`advance` and :meth:`finish`.
         """
-        if self._san is not None:
+        probe = self._probe
+        if probe is not None:
             # The demand is waiting from ``time`` until its channel
             # access lands; a prefetch granted at or after ``time``
             # violates the access prioritizer.  (Gap-drained prefetches
             # below start strictly earlier, so they pass.)
-            self._san.demand_arriving(time, "demand")
+            probe.demand_arriving(time, "demand")
         if self.prefetcher is not None and self._scheduled:
             self._drain_prefetches(deadline=time)
         coords = self.mapping.translate(addr)
         _, completion = self.channel.access(
             time, coords, self._block_packets, is_write=False, cls=self.stats.dram_reads
         )
-        obs = self._obs
-        if obs is not None:
-            obs.span("dram-demand", time, completion, obs.DEMAND, {"addr": addr})
+        if probe is not None:
+            probe.dram_demand(time, completion, addr)
         if self.prefetcher is not None and notify_prefetcher:
             self.prefetcher.on_demand_miss(addr, pc=pc, now=time)
-            if obs is not None:
-                obs.timeline.high_water(
-                    "prefetch_queue_depth", time, float(self.prefetcher.queue_depth())
-                )
+            if probe is not None:
+                probe.prefetch_trained(time, self.prefetcher.queue_depth())
             if not self._scheduled:
                 self._drain_all_prefetches(time)
         return completion
 
     def writeback(self, time: float, addr: int) -> float:
         """Write one L2 block back to memory; returns completion time."""
-        if self._san is not None:
-            self._san.demand_arriving(time, "writeback")
+        probe = self._probe
+        if probe is not None:
+            probe.demand_arriving(time, "writeback")
         coords = self.mapping.translate(addr)
         _, completion = self.channel.access(
             time, coords, self._block_packets, is_write=True, cls=self.stats.dram_writebacks
         )
         self.stats.l2.writebacks += 1
-        obs = self._obs
-        if obs is not None:
-            obs.span("dram-writeback", time, completion, obs.WRITEBACK, {"addr": addr})
+        if probe is not None:
+            probe.dram_writeback(time, completion, addr)
         return completion
 
     # -- prefetch issue --------------------------------------------------------
@@ -187,15 +179,8 @@ class MemoryController:
             time, coords, self._block_packets, is_write=False, cls=self.stats.dram_prefetches
         )
         self.stats.prefetches_issued += 1
-        obs = self._obs
-        if obs is not None:
-            # The span is the prefetch's issue→fill lifetime; the fill
-            # instant marks when the block lands in the L2.
-            obs.span("prefetch-inflight", time, completion, obs.PREFETCH, {"addr": addr})
-            obs.instant("prefetch-fill", completion, obs.PREFETCH, {"addr": addr})
-            obs.timeline.high_water(
-                "prefetch_queue_depth", time, float(self.prefetcher.queue_depth())
-            )
+        if self._probe is not None:
+            self._probe.dram_prefetch(time, completion, addr, self.prefetcher.queue_depth())
         if self._prefetch_fill is not None:
             self._prefetch_fill(addr, completion)
         return completion

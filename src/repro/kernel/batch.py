@@ -67,7 +67,7 @@ def simulate_batch(
             )
     if fast is None:
         fast = fast_enabled()
-    use_reference = obs is not None or bool(sanitize)
+    fast = fast and obs is None and not sanitize
 
     compiled = compile_trace(trace)
     warm_cache: dict = {}
@@ -84,7 +84,7 @@ def simulate_batch(
     results: List[SimStats] = []
     for i, config in enumerate(configs):
         warm = warmup_traces[i] if warmup_traces is not None else warmup_trace
-        if fast and not use_reference and kernel_supports(config):
+        if fast and kernel_supports(config):
             system = FastSystem(config)
             warm_compiled = compiled_warmup(warm)
             if warm_compiled is not None:

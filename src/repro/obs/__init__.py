@@ -13,10 +13,10 @@ makes them visible without perturbing the simulation:
   p50/p95/p99 accessors and exact merge/round-trip;
 * :mod:`repro.obs.timeline` — windowed channel-utilization, row-hit
   rate, and prefetch-queue-depth series;
-* :mod:`repro.obs.observer` — the :class:`Observer` object threaded
-  through the simulator (``obs=None`` everywhere by default: the
-  disabled path costs one falsy attribute check per event site) and
-  the :class:`ObsSession` that aggregates a CLI run;
+* :mod:`repro.obs.observer` — the :class:`Observer` probe that turns
+  the simulator's events into all of the above (no probe by default:
+  the disabled path costs one falsy check per event site) and the
+  :class:`ObsSession` that aggregates a CLI run;
 * :mod:`repro.obs.log` — the leveled stderr logger
   (``REPRO_LOG_LEVEL``) and the JSON-lines sink behind the runner's
   structured run log;

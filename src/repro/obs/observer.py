@@ -1,12 +1,13 @@
-"""The observer threaded through the simulator, and the multi-point session.
+"""The observer probe, and the multi-point session.
 
-Components hold an optional :class:`Observer` (``self._obs``, ``None``
-by default).  Every instrumentation point in the hot paths is guarded
-by one falsy check — ``if obs is not None: ...`` — so the disabled
-path costs a single attribute test and the simulation itself is never
-perturbed: hooks only *read* simulator state, never mutate it, which is
-what keeps ``SimStats`` byte-identical with observability on and off
-(the golden A/B test asserts exactly that).
+:class:`Observer` is a probe (:mod:`repro.core.probe`): the simulator's
+components report domain events to it — a cache fill, an MSHR stall, a
+DRAM access, a prefetch-queue change — and it alone decides how they
+are presented.  Every Chrome-trace name, track id, histogram name and
+timeline series lives here, in the event handlers below; the components
+know none of them.  Handlers only *read* the simulator state they are
+handed, which is what keeps ``SimStats`` byte-identical with
+observability on and off (the golden A/B test asserts exactly that).
 
 An :class:`Observer` owns three sinks:
 
@@ -32,6 +33,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Union
 
+from repro.cache.hierarchy import AccessKind
+from repro.core.probe import Probe
+from repro.dram.channel import AccessOutcome
 from repro.obs.hist import LatencyHistogram
 from repro.obs.timeline import DEFAULT_WINDOW_CYCLES, Timeline
 from repro.obs.trace import TraceWriter
@@ -39,7 +43,7 @@ from repro.obs.trace import TraceWriter
 __all__ = ["Observer", "ObsSession", "merge_histograms"]
 
 
-class Observer:
+class Observer(Probe):
     """Per-simulation event/metric collector (see the module docstring)."""
 
     #: trace track (thread) ids; see :data:`repro.obs.trace.TRACK_NAMES`.
@@ -73,8 +77,8 @@ class Observer:
         Used around cache warm-up: the warm-up pass exists only to reach
         steady state and its events would dwarf the measured window (it
         is an L2-capacity's worth of misses).  Swapping the sinks out —
-        rather than flagging every hook — keeps the per-event hot paths
-        check-free, including direct ``obs.timeline`` accesses.
+        rather than flagging every handler — keeps the handlers
+        check-free, including direct ``timeline`` accesses.
         """
         if self._restore is not None:
             return
@@ -96,27 +100,6 @@ class Observer:
     ) -> None:
         if self.trace is not None:
             self.trace.instant(name, ts, tid, args)
-
-    def begin(
-        self, name: str, ts: float, tid: int, args: Optional[Dict[str, object]] = None
-    ) -> int:
-        """Open an async lifecycle span; returns its id (0 if tracing is off)."""
-        if self.trace is None:
-            return 0
-        span_id = self.trace.next_id()
-        self.trace.begin(name, ts, tid, span_id, args)
-        return span_id
-
-    def end(
-        self,
-        name: str,
-        ts: float,
-        tid: int,
-        span_id: int,
-        args: Optional[Dict[str, object]] = None,
-    ) -> None:
-        if self.trace is not None and span_id:
-            self.trace.end(name, ts, tid, span_id, args)
 
     def complete(
         self,
@@ -152,35 +135,112 @@ class Observer:
             hist = self.hists[name] = LatencyHistogram()
         hist.record(value)
 
-    # -- composite hooks used by more than one component ---------------------
+    # -- probe events (see repro.core.probe) ----------------------------------
 
-    def cache_fill(
-        self,
-        level: str,
-        ts: float,
-        addr: int,
-        prefetched: bool,
-        victim_addr: Optional[int],
-        victim_prefetched: bool,
-    ) -> None:
-        """A cache installed a block (and possibly evicted a victim)."""
-        if self.trace is None:
-            return
-        self.trace.instant(
-            f"{level}-fill",
-            ts,
-            self.CACHE,
-            {"addr": addr, "prefetched": prefetched},
+    warmup_begin = mute
+    warmup_end = unmute
+
+    def cache_fill(self, level, index, line, victim) -> None:
+        ts = line.ready_time
+        self.instant(
+            f"{level}-fill", ts, self.CACHE, {"addr": line.addr, "prefetched": line.prefetched}
         )
-        if victim_addr is not None:
-            self.trace.instant(f"{level}-evict", ts, self.CACHE, {"addr": victim_addr})
-            if victim_prefetched:
-                self.trace.instant(
-                    "prefetch-evicted-unused", ts, self.PREFETCH, {"addr": victim_addr}
-                )
+        if victim is not None:
+            self.instant(f"{level}-evict", ts, self.CACHE, {"addr": victim.addr})
+            if victim.prefetched:
+                self.instant("prefetch-evicted-unused", ts, self.PREFETCH, {"addr": victim.addr})
 
-    def prefetch_first_use(self, ts: float, addr: int) -> None:
-        self.instant("prefetch-first-use", ts, self.PREFETCH, {"addr": addr})
+    def l1_access(self, time, addr, kind, line) -> None:
+        level = "l1i" if kind == AccessKind.IFETCH else "l1d"
+        if line is None:
+            args = {"addr": addr, "kind": AccessKind.NAMES[kind]}
+            self.instant(f"{level}-miss", time, self.CACHE, args)
+        elif line.ready_time > time:
+            # A hit on an in-flight fill: the MSHR-style merge.
+            self.instant(f"{level}-mshr-merge", time, self.MSHR, {"addr": addr})
+        else:
+            self.instant(f"{level}-hit", time, self.CACHE, {"addr": addr})
+
+    def l2_hit(self, time, addr, line, prefetched) -> None:
+        self.instant("l2-hit", time, self.CACHE, {"addr": addr})
+        if prefetched:
+            self.instant("prefetch-first-use", time, self.PREFETCH, {"addr": line.addr})
+            if line.ready_time > time:
+                self.instant("prefetch-late", time, self.PREFETCH, {"addr": addr})
+
+    def l2_miss(self, time, addr) -> None:
+        self.instant("l2-miss", time, self.CACHE, {"addr": addr})
+
+    def mshr_acquire(self, level, now, granted, outstanding, capacity) -> None:
+        if granted > now:
+            args = {"until": granted, "outstanding": capacity}
+            self.instant(f"{level}-mshr-stall", now, self.MSHR, args)
+
+    def mshr_commit(self, level, granted, completion, addr, outstanding, capacity) -> None:
+        self.span(f"{level}-mshr", granted, completion, self.MSHR, {"addr": addr})
+
+    def dram_access(
+        self, channel, time, bank, row, outcome, cls_name, prer_start, act_start,
+        flushed, packets, completion,
+    ) -> None:
+        args = {"class": cls_name, "bank": bank, "row": row, "outcome": outcome}
+        self.instant("dram-enqueue", time, self.DRAM, args)
+        self.timeline.add("dram_accesses", time)
+        # Queue wait runs from arrival to the request's own first command
+        # (the first RD/WR on a row hit, else the ACT, or the PRER on a
+        # conflict); service from that command to the last data packet.
+        if outcome == AccessOutcome.ROW_HIT:
+            self.instant("row-hit", time, self.DRAM, {"bank": bank, "row": row})
+            self.timeline.add("dram_row_hits", time)
+            service_start = packets[0][0]
+        else:
+            args = {"bank": bank, "row": row, "class": cls_name}
+            self.instant("row-activate", act_start, self.DRAM, args)
+            for neighbour in flushed:
+                args = {"bank": neighbour, "activated_bank": bank}
+                self.instant("row-flushed-by-neighbour", act_start, self.DRAM, args)
+            service_start = act_start if prer_start is None else prer_start
+        t_transfer = channel.t_transfer
+        for cmd_start, data_end in packets:
+            self.instant("column-access", cmd_start, self.DRAM, {"bank": bank})
+            burst_start = data_end - t_transfer
+            args = {"bank": bank, "class": cls_name}
+            self.complete("data-burst", burst_start, t_transfer, self.DRAM, args)
+            self.timeline.add("data_bus_busy", burst_start, t_transfer)
+        self.record(f"dram_queue_wait.{cls_name}", service_start - time)
+        self.record(f"dram_service.{cls_name}", completion - service_start)
+
+    def dram_demand(self, time, completion, addr) -> None:
+        self.span("dram-demand", time, completion, self.DEMAND, {"addr": addr})
+        # Every demand fetch is an L2 miss arriving at ``time``.
+        self.record("l2_miss_latency.demand", completion - time)
+
+    def dram_writeback(self, time, completion, addr) -> None:
+        self.span("dram-writeback", time, completion, self.WRITEBACK, {"addr": addr})
+
+    def dram_prefetch(self, time, completion, addr, depth) -> None:
+        # The span is the prefetch's issue→fill lifetime; the fill
+        # instant marks when the block lands in the L2.
+        self.span("prefetch-inflight", time, completion, self.PREFETCH, {"addr": addr})
+        self.instant("prefetch-fill", completion, self.PREFETCH, {"addr": addr})
+        self.timeline.high_water("prefetch_queue_depth", time, float(depth))
+
+    def prefetch_trained(self, time, depth) -> None:
+        self.timeline.high_water("prefetch_queue_depth", time, float(depth))
+
+    def region_enqueue(self, now, queue, entry, victim) -> None:
+        self.instant("prefetch-region-enqueue", now, self.PREFETCH, {"base": entry.base})
+        if victim is not None:
+            self.instant("prefetch-region-replace", now, self.PREFETCH, {"base": victim.base})
+
+    def region_promote(self, now, queue, entry) -> None:
+        self.instant("prefetch-region-promote", now, self.PREFETCH, {"base": entry.base})
+
+    def region_retire(self, now, queue, entry) -> None:
+        self.instant("prefetch-region-retire", now, self.PREFETCH, {"base": entry.base})
+
+    def stride_enqueue(self, now, pc, stride, queue) -> None:
+        self.instant("prefetch-stride-enqueue", now, self.PREFETCH, {"pc": pc, "stride": stride})
 
     # -- export --------------------------------------------------------------
 

@@ -25,8 +25,7 @@ from repro.prefetch.queue import PrefetchQueue
 from repro.prefetch.region import RegionEntry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.observer import Observer
-    from repro.sanitize.sanitizer import Sanitizer
+    from repro.core.probe import Probe
 
 __all__ = ["RegionPrefetcher", "THROTTLE_PROBE_PERIOD"]
 
@@ -44,16 +43,14 @@ class RegionPrefetcher:
         config: PrefetchConfig,
         block_bytes: int,
         stats: SimStats,
-        obs: "Optional[Observer]" = None,
-        san: "Optional[Sanitizer]" = None,
+        probe: "Optional[Probe]" = None,
     ) -> None:
         if config.region_bytes < block_bytes:
             raise ValueError("region must be at least one block")
         self.config = config
         self.block_bytes = block_bytes
         self.stats = stats
-        self._obs = obs
-        self.queue = PrefetchQueue(config.queue_entries, config.policy, san=san)
+        self.queue = PrefetchQueue(config.queue_entries, config.policy, probe=probe)
         self._region_mask = config.region_bytes - 1
         # throttle bookkeeping (Section 4.4: on-line accuracy counters).
         self._outcome_total = 0
@@ -67,10 +64,9 @@ class RegionPrefetcher:
 
         ``pc`` is accepted for interface parity with PC-indexed engines
         (the region engine is address-based and ignores it); ``now`` is
-        the miss time, used only to timestamp trace events.
+        the miss time, used only to timestamp probe events.
         """
         _ = pc
-        obs = self._obs
         entry = self.queue.find(block_addr)
         if entry is not None:
             entry.mark_block(block_addr)
@@ -80,33 +76,19 @@ class RegionPrefetcher:
                 # it squat in the queue, where it would force the
                 # replacement of still-live regions (Section 4
                 # retirement rule).
-                self.queue.retire(entry)
+                self.queue.retire(entry, now)
                 self.stats.prefetch_regions_completed += 1
-                if obs is not None:
-                    obs.instant(
-                        "prefetch-region-retire", now, obs.PREFETCH, {"base": entry.base}
-                    )
                 return
             if self.config.policy == "lifo" and self.config.promote_on_miss:
-                self.queue.promote(entry)
+                self.queue.promote(entry, now)
                 self.stats.prefetch_regions_promoted += 1
-                if obs is not None:
-                    obs.instant(
-                        "prefetch-region-promote", now, obs.PREFETCH, {"base": entry.base}
-                    )
             return
         base = block_addr & ~self._region_mask
         entry = RegionEntry(base, self.config.region_bytes, self.block_bytes, block_addr)
-        victim = self.queue.insert(entry)
+        victim = self.queue.insert(entry, now)
         self.stats.prefetch_regions_enqueued += 1
         if victim is not None:
             self.stats.prefetch_regions_replaced += 1
-        if obs is not None:
-            obs.instant("prefetch-region-enqueue", now, obs.PREFETCH, {"base": base})
-            if victim is not None:
-                obs.instant(
-                    "prefetch-region-replace", now, obs.PREFETCH, {"base": victim.base}
-                )
 
     def record_outcome(self, useful: bool) -> None:
         """Feedback from the L2: a prefetched block was referenced (useful)
@@ -155,7 +137,7 @@ class RegionPrefetcher:
         way into) the L2; such blocks are marked in their region bitmap
         and skipped.  Exhausted regions are retired.  Returns None when
         no prefetch candidate exists (or the throttle is engaged).
-        ``now`` only timestamps trace events.
+        ``now`` only timestamps probe events.
         """
         if self.throttled:
             # Let an occasional probe through so the accuracy estimate
@@ -166,18 +148,13 @@ class RegionPrefetcher:
             if self._throttle_skips % THROTTLE_PROBE_PERIOD:
                 self.stats.prefetches_throttled += 1
                 return None
-        obs = self._obs
         first: Optional[tuple] = None
         chosen: Optional[tuple] = None
         for entry in list(self.queue):
             addr = self._candidate(entry, resident)
             if addr is None:
-                self.queue.retire(entry)
+                self.queue.retire(entry, now)
                 self.stats.prefetch_regions_completed += 1
-                if obs is not None:
-                    obs.instant(
-                        "prefetch-region-retire", now, obs.PREFETCH, {"base": entry.base}
-                    )
                 continue
             if first is None:
                 first = (entry, addr)
@@ -194,12 +171,8 @@ class RegionPrefetcher:
         entry.mark_block(addr)
         entry.advance()
         if entry.exhausted:
-            self.queue.retire(entry)
+            self.queue.retire(entry, now)
             self.stats.prefetch_regions_completed += 1
-            if obs is not None:
-                obs.instant(
-                    "prefetch-region-retire", now, obs.PREFETCH, {"base": entry.base}
-                )
         return addr
 
     def _candidate(self, entry: RegionEntry, resident: ResidencyProbe) -> Optional[int]:

@@ -19,18 +19,22 @@ from typing import TYPE_CHECKING, Iterator, List, Optional
 from repro.prefetch.region import RegionEntry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sanitize.sanitizer import Sanitizer
+    from repro.core.probe import Probe
 
 __all__ = ["PrefetchQueue"]
 
 
 class PrefetchQueue:
-    """Priority-ordered bounded list of :class:`RegionEntry`."""
+    """Priority-ordered bounded list of :class:`RegionEntry`.
 
-    __slots__ = ("capacity", "policy", "_entries", "peak_depth", "_san")
+    Mutations take the simulated time ``now`` only to timestamp the
+    events they report to the optional probe.
+    """
+
+    __slots__ = ("capacity", "policy", "_entries", "peak_depth", "_probe")
 
     def __init__(
-        self, capacity: int, policy: str = "lifo", san: "Optional[Sanitizer]" = None
+        self, capacity: int, policy: str = "lifo", probe: "Optional[Probe]" = None
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
@@ -41,14 +45,7 @@ class PrefetchQueue:
         self._entries: List[RegionEntry] = []
         #: most entries ever simultaneously queued (observability).
         self.peak_depth = 0
-        self._san = san
-
-    def _check(self) -> None:
-        san = self._san
-        if san is not None:
-            san.prefetch_queue_event(
-                len(self._entries), self.capacity, [e.base for e in self._entries]
-            )
+        self._probe = probe
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -68,7 +65,7 @@ class PrefetchQueue:
                 return entry
         return None
 
-    def insert(self, entry: RegionEntry) -> Optional[RegionEntry]:
+    def insert(self, entry: RegionEntry, now: float = 0.0) -> Optional[RegionEntry]:
         """Add a new region; returns the replaced entry if one was evicted."""
         victim = None
         if len(self._entries) >= self.capacity:
@@ -82,22 +79,22 @@ class PrefetchQueue:
             self._entries.insert(0, entry)
         if len(self._entries) > self.peak_depth:
             self.peak_depth = len(self._entries)
-        if self._san is not None:
-            self._check()
+        if self._probe is not None:
+            self._probe.region_enqueue(now, self, entry, victim)
         return victim
 
-    def promote(self, entry: RegionEntry) -> None:
+    def promote(self, entry: RegionEntry, now: float = 0.0) -> None:
         """Move ``entry`` to the highest-priority position (LIFO only)."""
         self._entries.remove(entry)
         self._entries.insert(0, entry)
-        if self._san is not None:
-            self._check()
+        if self._probe is not None:
+            self._probe.region_promote(now, self, entry)
 
-    def retire(self, entry: RegionEntry) -> None:
+    def retire(self, entry: RegionEntry, now: float = 0.0) -> None:
         """Remove a region whose blocks have all been processed."""
         self._entries.remove(entry)
-        if self._san is not None:
-            self._check()
+        if self._probe is not None:
+            self._probe.region_retire(now, self, entry)
 
     def head(self) -> Optional[RegionEntry]:
         """Highest-priority entry, or None when empty."""

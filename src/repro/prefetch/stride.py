@@ -26,8 +26,7 @@ from repro.dram.channel import LogicalChannel
 from repro.dram.mapping import AddressMapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.observer import Observer
-    from repro.sanitize.sanitizer import Sanitizer
+    from repro.core.probe import Probe
 
 __all__ = ["StrideEntry", "StridePrefetcher"]
 
@@ -69,8 +68,7 @@ class StridePrefetcher:
         table_entries: int = 64,
         degree: int = 4,
         queue_depth: int = 32,
-        obs: "Optional[Observer]" = None,
-        san: "Optional[Sanitizer]" = None,
+        probe: "Optional[Probe]" = None,
     ) -> None:
         if degree < 1:
             raise ValueError("degree must be >= 1")
@@ -78,8 +76,7 @@ class StridePrefetcher:
         self.stats = stats
         self.table_entries = table_entries
         self.degree = degree
-        self._obs = obs
-        self._san = san
+        self._probe = probe
         self._table: "OrderedDict[int, StrideEntry]" = OrderedDict()
         self._queue: Deque[int] = deque(maxlen=queue_depth)
 
@@ -88,7 +85,7 @@ class StridePrefetcher:
     def on_demand_miss(self, block_addr: int, pc: int = 0, now: float = 0.0) -> None:
         """Train on a miss and enqueue predicted future blocks.
 
-        ``now`` is the miss time, used only to timestamp trace events.
+        ``now`` is the miss time, used only to timestamp probe events.
         """
         # A block the demand stream has already reached is no longer
         # worth prefetching.
@@ -111,19 +108,9 @@ class StridePrefetcher:
                 block = predicted & ~(self.block_bytes - 1)
                 if block not in self._queue:
                     self._queue.append(block)
-        san = self._san
-        if san is not None:
-            queue = self._queue
-            san.prefetch_queue_event(len(queue), queue.maxlen, list(queue))
         self.stats.prefetch_regions_enqueued += 1
-        obs = self._obs
-        if obs is not None:
-            obs.instant(
-                "prefetch-stride-enqueue",
-                now,
-                obs.PREFETCH,
-                {"pc": pc, "stride": entry.stride},
-            )
+        if self._probe is not None:
+            self._probe.stride_enqueue(now, pc, entry.stride, self._queue)
 
     @property
     def throttled(self) -> bool:

@@ -486,12 +486,9 @@ class Runner:
                 while ready and len(running) < workers:
                     job = ready.popleft()
                     self._log_event("point-started", job)
-                    if self.sanitize:
-                        future = pool.submit(
-                            execute_point, job.point, job.attempt, sanitize=True
-                        )
-                    else:
-                        future = pool.submit(execute_point, job.point, job.attempt)
+                    future = pool.submit(
+                        execute_point, job.point, job.attempt, **self._execute_kwargs()
+                    )
                     deadline = (now + self.timeout) if self.timeout else None
                     running[future] = (job, deadline)
                 if not running:
@@ -624,21 +621,9 @@ class Runner:
                 else None
             )
             try:
-                # ``obs``/``sanitize`` are passed only when enabled so
-                # test doubles with the historical two-argument
-                # signature keep working.
-                if obs is not None and self.sanitize:
-                    stats_dict, wall = execute_point(
-                        job.point, job.attempt, obs=obs, sanitize=True
-                    )
-                elif obs is not None:
-                    stats_dict, wall = execute_point(job.point, job.attempt, obs=obs)
-                elif self.sanitize:
-                    stats_dict, wall = execute_point(
-                        job.point, job.attempt, sanitize=True
-                    )
-                else:
-                    stats_dict, wall = execute_point(job.point, job.attempt)
+                stats_dict, wall = execute_point(
+                    job.point, job.attempt, **self._execute_kwargs(obs)
+                )
             except KeyboardInterrupt:
                 raise
             except MemoryError as exc:
@@ -653,6 +638,15 @@ class Runner:
                 if obs is not None:
                     self.observe.commit_point(obs, key=job.key)
                 self._record(job, stats_dict, wall)
+
+    def _execute_kwargs(self, obs=None) -> Dict[str, object]:
+        """``obs``/``sanitize`` for :func:`execute_point`, passed only when
+        enabled so test doubles with the historical two-argument
+        signature keep working."""
+        kwargs: Dict[str, object] = {} if obs is None else {"obs": obs}
+        if self.sanitize:
+            kwargs["sanitize"] = True
+        return kwargs
 
     def _log_event(self, event: str, job: "_Job", **fields: object) -> None:
         """Append one structured record to the run log, if one is wired."""

@@ -18,13 +18,12 @@ across worker processes and runner invocations.
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Dict, Optional, Tuple
 
-from repro.core.system import System
+from repro.core.system import simulate
 from repro.cpu.trace import Trace
-from repro.kernel.batch import simulate_fast
-from repro.kernel.fastcore import fast_enabled, kernel_supports
 from repro.kernel.store import trace_store_from_env
 from repro.runner import faults
 from repro.workloads import build_trace
@@ -34,6 +33,9 @@ __all__ = ["execute_point", "get_traces"]
 
 _TRACE_MEMO: Dict[Tuple[str, int, int, int], Tuple[Trace, Trace]] = {}
 _TRACE_MEMO_LIMIT = 8
+#: the service simulates on a thread pool: concurrent callers of one key
+#: must share one build, and evictions must not race.
+_TRACE_MEMO_LOCK = threading.Lock()
 
 
 def _build_traces(
@@ -65,11 +67,15 @@ def get_traces(
 ) -> Tuple[Optional[Trace], Trace]:
     """(warm-up initialization trace, measured trace) for one benchmark."""
     key = (benchmark, memory_refs, seed, l2_bytes)
-    if key not in _TRACE_MEMO:
-        if len(_TRACE_MEMO) >= _TRACE_MEMO_LIMIT:
-            _TRACE_MEMO.pop(next(iter(_TRACE_MEMO)))
-        _TRACE_MEMO[key] = _build_traces(benchmark, memory_refs, seed, l2_bytes)
-    warm, main = _TRACE_MEMO[key]
+    with _TRACE_MEMO_LOCK:
+        traces = _TRACE_MEMO.get(key)
+        if traces is None:
+            if len(_TRACE_MEMO) >= _TRACE_MEMO_LIMIT:
+                _TRACE_MEMO.pop(next(iter(_TRACE_MEMO)))
+            traces = _TRACE_MEMO[key] = _build_traces(
+                benchmark, memory_refs, seed, l2_bytes
+            )
+    warm, main = traces
     return (warm if len(warm) else None), main
 
 
@@ -106,21 +112,16 @@ def execute_point(
 
     ``fast`` opts into the specialized kernel (:mod:`repro.kernel`);
     ``None`` reads ``REPRO_FAST``, which pool workers inherit from the
-    parent environment.  The statistics are byte-identical either way;
-    observed or sanitized points always run the reference kernel.
+    parent environment.  :func:`repro.core.system.simulate` makes the
+    choice: the statistics are byte-identical either way, and observed
+    or sanitized points always run the reference kernel.
     """
     faults.maybe_inject(point.label(), attempt)
     started = time.perf_counter()
     warm, main = get_traces(
         point.benchmark, point.memory_refs, point.seed, point.config.l2.size_bytes
     )
-    if fast is None:
-        fast = fast_enabled()
-    if fast and obs is None and not sanitize and kernel_supports(point.config):
-        stats = simulate_fast(main, point.config, warmup_trace=warm)
-        return stats.to_dict(), time.perf_counter() - started
-    system = System(point.config, obs=obs, sanitize=sanitize)
-    if warm is not None:
-        system.warmup(warm)
-    stats = system.run(main)
+    stats = simulate(
+        main, point.config, warmup_trace=warm, obs=obs, sanitize=sanitize, fast=fast
+    )
     return stats.to_dict(), time.perf_counter() - started

@@ -5,10 +5,10 @@ program: an execution mode that validates, on every event, the
 protocol and structural properties the paper's results rest on —
 DRDRAM command legality, the access prioritizer's demand-over-prefetch
 guarantee, shared-sense-amp neighbour flushing, cache tag-index
-coherence, and MSHR conservation.  It threads through the same
-component seams as :mod:`repro.obs` (one ``if san is not None`` test
-per hook; zero overhead when off) and never perturbs the simulation:
-statistics are byte-identical with sanitizing on or off.
+coherence, and MSHR conservation.  It is a probe on the same seam as
+:mod:`repro.obs` (:mod:`repro.core.probe`; one ``if probe is not None``
+test per hook site, zero overhead when off) and never perturbs the
+simulation: statistics are byte-identical with sanitizing on or off.
 
 Enable it with ``System(config, sanitize=True)``,
 ``simulate(..., sanitize=True)``, or ``repro-experiment --sanitize``.

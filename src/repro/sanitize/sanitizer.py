@@ -1,10 +1,12 @@
-"""The sanitizer facade threaded through the simulator's components.
+"""The sanitizer probe: invariant checks on the simulator's event stream.
 
-Mirrors the :mod:`repro.obs` wiring exactly: each component holds an
-optional ``Sanitizer`` (``self._san``, ``None`` by default) and every
-hook site costs one ``if san is not None`` test when sanitizing is off.
-Hooks only *read* simulator state — the statistics are byte-identical
-with sanitizing on or off (the A/B tests assert it) — and raise a
+:class:`Sanitizer` is a probe (:mod:`repro.core.probe`), a sibling of
+:class:`repro.obs.Observer` on the same seam: the components report
+domain events — cache set mutations, MSHR grants, DRAM accesses,
+prefetch-queue changes — and the sanitizer handles the ones its
+checkers need, leaving the rest to the no-op defaults.  Handlers only
+*read* simulator state — the statistics are byte-identical with
+sanitizing on or off (the A/B tests assert it) — and raise a
 structured :class:`~repro.sanitize.errors.SanitizerError` the moment an
 invariant breaks, so the failure points at the exact cycle and
 component rather than at a corrupted end-of-run table.
@@ -18,7 +20,7 @@ Checkers (see :mod:`repro.sanitize.cache` / :mod:`repro.sanitize.dram`):
 * MSHR occupancy bounds and end-of-run drain;
 * prefetch-queue bounds and region uniqueness.
 
-``System(config, sanitize=True)`` builds and threads one; a violation
+``System(config, sanitize=True)`` builds and attaches one; a violation
 is logged through :mod:`repro.obs.log` before it propagates.
 """
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.probe import Probe
 from repro.obs.log import get_logger
 from repro.sanitize.cache import CacheChecker, MSHRChecker
 from repro.sanitize.dram import ChannelChecker, PrioritizerChecker
@@ -35,13 +38,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cache.cache import CacheLine, SetAssociativeCache
     from repro.dram.backends import RowTimingPolicy
     from repro.dram.channel import LogicalChannel
+    from repro.prefetch.queue import PrefetchQueue
 
 __all__ = ["Sanitizer"]
 
 _log = get_logger("repro.sanitize")
 
 
-class Sanitizer:
+class Sanitizer(Probe):
     """Runtime invariant checker for one simulated system.
 
     Construct one per :class:`~repro.core.system.System`; registration
@@ -105,14 +109,9 @@ class Sanitizer:
         self.caches[level].missed(index)
 
     def cache_fill(
-        self,
-        level: str,
-        index: int,
-        ready_time: float,
-        dirty: bool,
-        victim: "Optional[CacheLine]",
+        self, level: str, index: int, line: "CacheLine", victim: "Optional[CacheLine]"
     ) -> None:
-        self.caches[level].filled(index, ready_time, dirty, victim)
+        self.caches[level].filled(index, line.ready_time, line.dirty, victim)
 
     def cache_fill_merge(
         self, level: str, index: int, ready_time: float, dirtied: bool
@@ -133,7 +132,8 @@ class Sanitizer:
         self.mshrs.acquired(level, now, granted, outstanding, capacity)
 
     def mshr_commit(
-        self, level: str, completion: float, outstanding: int, capacity: int
+        self, level: str, granted: float, completion: float, addr: int,
+        outstanding: int, capacity: int,
     ) -> None:
         self.mshrs.committed(level, completion, outstanding, capacity)
 
@@ -155,6 +155,7 @@ class Sanitizer:
         cls_name: str,
         prer_start: Optional[float],
         act_start: Optional[float],
+        flushed: Optional[List[int]],
         packets: Sequence[Tuple[float, float]],
         completion: float,
     ) -> None:
@@ -165,7 +166,19 @@ class Sanitizer:
 
     # -- prefetch hooks ----------------------------------------------------------
 
-    def prefetch_queue_event(self, depth: int, capacity: int, bases: List[int]) -> None:
+    def region_promote(self, now: float, queue: "PrefetchQueue", entry) -> None:
+        self._check_queue(len(queue), queue.capacity, [e.base for e in queue])
+
+    def region_enqueue(self, now: float, queue: "PrefetchQueue", entry, victim) -> None:
+        self.region_promote(now, queue, entry)
+
+    region_retire = region_promote
+
+    def stride_enqueue(self, now: float, pc: int, stride: int, queue) -> None:
+        self._check_queue(len(queue), queue.maxlen, list(queue))
+
+    def _check_queue(self, depth: int, capacity: int, bases: List[int]) -> None:
+        """Bounds and region uniqueness, after every queue mutation."""
         if depth > capacity:
             self._violation(
                 "prefetch queue holds more regions than its capacity",

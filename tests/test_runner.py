@@ -113,6 +113,82 @@ class TestTraceGrouping:
         assert order == [3, 1, 4, 2]
 
 
+class TestTraceMemoThreads:
+    """The service simulates on a thread pool, so the per-process trace
+    memo is shared state: its check-build-insert must not race."""
+
+    @staticmethod
+    def _race(target, threads=4):
+        """Run ``target`` on more threads than cores, switching often."""
+        import sys
+        import threading
+
+        errors = []
+
+        def guarded():
+            try:
+                target()
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        workers = [threading.Thread(target=guarded) for _ in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+
+    def test_concurrent_callers_of_one_key_build_once(self, tmp_path, monkeypatch):
+        import time
+
+        from repro.runner import worker
+
+        builds = []
+        build = worker._build_traces
+
+        def slow_build(*args):
+            builds.append(args)
+            time.sleep(0.2)  # hold the window between miss and insert open
+            return build(*args)
+
+        monkeypatch.setenv("REPRO_TRACE_STORE", str(tmp_path))
+        monkeypatch.setattr(worker, "_TRACE_MEMO", {})
+        monkeypatch.setattr(worker, "_build_traces", slow_build)
+        results = []
+        self._race(lambda: results.append(get_traces("gzip", 300, 0, 1 << 20)))
+        assert len(builds) == 1
+        assert len(results) == 4
+        assert all(main is results[0][1] for _, main in results)
+
+    def test_concurrent_evictions_keep_the_memo_bounded(self, monkeypatch):
+        import itertools
+        import time
+
+        from repro.runner import worker
+
+        def quick_build(*args):
+            time.sleep(0.001)  # a build yields the interpreter lock
+            return (), args
+
+        memo = {("seed", i, 0, 0): ((), i) for i in range(worker._TRACE_MEMO_LIMIT)}
+        monkeypatch.setattr(worker, "_TRACE_MEMO", memo)
+        monkeypatch.setattr(worker, "_build_traces", quick_build)
+        refs = itertools.count(1)
+
+        def insert_many():
+            for _ in range(50):
+                get_traces("swim", next(refs), 0, 0)  # a new key: evicts
+
+        self._race(insert_many)
+        assert len(memo) == worker._TRACE_MEMO_LIMIT
+
+
 class TestRunnerDedup:
     def test_duplicate_points_simulate_once(self):
         points = make_points(("mcf", "mcf", "mcf"))

@@ -104,7 +104,7 @@ class TestSeededCacheViolations:
     def _cache(self):
         config = SystemConfig()
         san = Sanitizer()
-        cache = SetAssociativeCache(config.l2, SimStats().l2, san=san, level="l2")
+        cache = SetAssociativeCache(config.l2, SimStats().l2, probe=san, level="l2")
         return cache, san, config.l2.block_bytes
 
     def test_skipped_tag_index_maintenance(self):
@@ -159,7 +159,7 @@ class TestSeededCacheViolations:
 class TestSeededMSHRViolations:
     def test_leaked_mshr_exceeds_capacity(self):
         san = Sanitizer()
-        mshrs = MSHRFile(2, san=san, level="l1d")
+        mshrs = MSHRFile(2, probe=san, level="l1d")
         mshrs.commit(100.0)
         mshrs.commit(200.0)
         with pytest.raises(SanitizerError) as exc:
@@ -170,7 +170,7 @@ class TestSeededMSHRViolations:
 
     def test_undrained_mshr_at_quiesce(self):
         san = Sanitizer()
-        mshrs = MSHRFile(4, san=san, level="l1i")
+        mshrs = MSHRFile(4, probe=san, level="l1i")
         mshrs.commit(500.0)
         with pytest.raises(SanitizerError) as exc:
             mshrs.quiesce(100.0)
@@ -306,7 +306,7 @@ class TestSeededPrefetchQueueViolations:
         return RegionEntry(base, 4096, 64, base)
 
     def test_duplicate_region(self):
-        queue = PrefetchQueue(4, "lifo", san=Sanitizer())
+        queue = PrefetchQueue(4, "lifo", probe=Sanitizer())
         queue.insert(self._entry(0))
         with pytest.raises(SanitizerError) as exc:
             queue.insert(self._entry(0))
@@ -315,7 +315,7 @@ class TestSeededPrefetchQueueViolations:
 
     def test_overfull_queue(self):
         san = Sanitizer()
-        queue = PrefetchQueue(2, "lifo", san=san)
+        queue = PrefetchQueue(2, "lifo", probe=san)
         queue.insert(self._entry(0))
         queue.insert(self._entry(4096))
         # the seeded bug: an entry appended without the bound check.

@@ -93,7 +93,7 @@ class TestFuzzCacheOperations:
         """Arbitrary use of the cache's public API keeps every invariant."""
         san = Sanitizer()
         config = CacheConfig(size_bytes=4096, assoc=2, block_bytes=64, hit_latency=1)
-        cache = SetAssociativeCache(config, SimStats().l2, san=san, level="l2")
+        cache = SetAssociativeCache(config, SimStats().l2, probe=san, level="l2")
         clock = 0.0
         for op, block_index in ops:
             clock += 1.0
@@ -123,7 +123,7 @@ class TestFuzzMSHROperations:
     )
     def test_honest_acquire_commit_sequences_never_violate(self, latencies, entries):
         san = Sanitizer()
-        mshrs = MSHRFile(entries, san=san, level="l1d")
+        mshrs = MSHRFile(entries, probe=san, level="l1d")
         clock = 0.0
         last = 0.0
         for latency in latencies:
