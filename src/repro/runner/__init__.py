@@ -1,12 +1,13 @@
 """Parallel, cached, fault-tolerant experiment runner.
 
-See :mod:`repro.runner.runner` for the execution model,
-:mod:`repro.runner.cache` for the on-disk result store, and
-:mod:`repro.runner.faults` for the deterministic fault-injection
-harness that exercises the recovery paths.
+See :mod:`repro.runner.runner` for the execution model — the one
+execution core, which the simulation service also resolves its points
+through — :mod:`repro.runner.cache` for the result store both engines
+share, and :mod:`repro.runner.faults` for the deterministic
+fault-injection harness that exercises the recovery paths.
 """
 
-from repro.runner.cache import ResultCache
+from repro.runner.cache import ResultCache, ResultStore
 from repro.runner.faults import (
     FaultPlan,
     FaultSpec,
@@ -19,6 +20,7 @@ from repro.runner.runner import (
     FailureRecord,
     JobResult,
     PointFailureError,
+    PointRun,
     Runner,
     SimPoint,
     get_runner,
@@ -34,7 +36,9 @@ __all__ = [
     "InjectedFault",
     "JobResult",
     "PointFailureError",
+    "PointRun",
     "ResultCache",
+    "ResultStore",
     "Runner",
     "SimPoint",
     "get_fault_plan",

@@ -10,11 +10,11 @@ remainder either inline or fanned across a process pool:
   (:meth:`SystemConfig.digest`, benchmark name, ``memory_refs``,
   ``seed``, plus :data:`RESULT_VERSION` and the package version), so
   two points collide exactly when their simulations are bit-identical;
-* **in-memory memo** — every resolved point is kept for the life of the
-  runner, collapsing repeats both within one batch and across
-  experiments;
-* **on-disk cache** — optionally, results persist as JSON under a cache
-  directory (see :class:`~repro.runner.cache.ResultCache`); bumping
+* **one store** — every resolved point lands in the runner's
+  :class:`~repro.runner.cache.ResultStore`: an in-memory memo for the
+  life of the runner (collapsing repeats within one batch and across
+  experiments) over an optional on-disk
+  :class:`~repro.runner.cache.ResultCache`; bumping
   :data:`RESULT_VERSION` (or the package version) busts every entry;
 * **determinism** — all paths return statistics through the same
   ``SimStats.to_dict``/``from_dict`` round trip, so cached, pooled, and
@@ -38,10 +38,19 @@ Long sweeps additionally survive misbehaving points and environments:
 * **partial-batch salvage** — results are memoized and cached the
   moment they land, every failure event is recorded as a structured
   :class:`FailureRecord` (kinds: ``timeout`` / ``crash`` / ``oom`` /
-  ``cache-io``), and with ``keep_going=True`` a permanently failed
-  point yields placeholder statistics instead of raising
-  :class:`PointFailureError`, so experiments render from the points
-  that succeeded.
+  ``cache-io`` / ``sanitizer``), and with ``keep_going=True`` a
+  permanently failed point yields placeholder statistics instead of
+  raising :class:`PointFailureError`, so experiments render from the
+  points that succeeded.
+
+The simulation service (:mod:`repro.service.engine`) is built on the
+same core: it holds one runner and resolves every point through its
+store, its failure step (:meth:`Runner.fail`) and its success step
+(:meth:`Runner.completed`), so both engines share one retry policy,
+one failure taxonomy, one run-log vocabulary and one store.  Only how
+one attempt runs and times out differs: here a process pool whose hung
+worker can be killed, there a thread whose hung simulation can only be
+fenced.
 
 Every recovery path is exercised deterministically by the
 fault-injection harness in :mod:`repro.runner.faults`.
@@ -72,8 +81,7 @@ from repro import __version__
 from repro.core.config import SystemConfig
 from repro.core.stats import SimStats
 from repro.obs.log import JsonlSink, get_logger
-from repro.runner import faults
-from repro.runner.cache import ResultCache
+from repro.runner.cache import RESULT_VERSION, ResultStore
 from repro.runner.worker import execute_point
 from repro.sanitize.errors import SanitizerError
 
@@ -86,16 +94,13 @@ __all__ = [
     "JobResult",
     "FailureRecord",
     "PointFailureError",
+    "PointRun",
     "Runner",
     "backoff_delay",
     "placeholder_stats",
     "get_runner",
     "set_runner",
 ]
-
-#: bump to invalidate every previously cached result (e.g. after a
-#: change to the simulator's timing behaviour).
-RESULT_VERSION = 1
 
 #: leveled stderr logger (threshold from ``REPRO_LOG_LEVEL``); message
 #: text is identical to the former ad-hoc ``print(..., file=stderr)``.
@@ -197,13 +202,19 @@ class FailureRecord:
 
 
 class PointFailureError(RuntimeError):
-    """A batch contained points that exhausted their retry budget."""
+    """Points were given up for good; ``records`` holds their failures.
+
+    The message names the points and ends with the last record's kind
+    and message.
+    """
 
     def __init__(self, records: Sequence[FailureRecord]) -> None:
         self.records: List[FailureRecord] = list(records)
-        labels = ", ".join(sorted({r.label for r in self.records}))
+        labels = sorted({r.label for r in self.records})
+        last = self.records[-1]
         super().__init__(
-            f"{len(self.records)} simulation point(s) failed permanently: {labels}"
+            f"{len(labels)} simulation point(s) failed permanently: "
+            f"{', '.join(labels)} (last: {last.kind}: {last.message})"
         )
 
 
@@ -235,14 +246,17 @@ def placeholder_stats() -> SimStats:
 
 
 @dataclass
-class _Job:
-    """Mutable retry state for one scheduled point."""
+class PointRun:
+    """One point on its way through the retry policy."""
 
     key: str
     point: SimPoint
+    #: zero-based number of the attempt to make next.
     attempt: int = 0
-    #: monotonic time before which a retry must not start.
+    #: monotonic time before which that attempt must not start.
     eligible: float = 0.0
+    #: correlation id stamped on the point's run-log events.
+    trace_id: Optional[str] = None
 
 
 _ENV = object()  # sentinel: resolve from the environment
@@ -287,6 +301,9 @@ class Runner:
         ``point-completed`` / ``point-retried`` / ``point-timed-out``
         / ``point-failed`` — each carrying the point's label, cache
         key, and zero-based attempt;
+    ``trace_id``
+        correlation id stamped on every run-log event (default:
+        ``REPRO_TRACE_ID``; ``None`` stamps nothing);
     ``observe``
         an :class:`~repro.obs.observer.ObsSession` collecting a trace
         and/or metrics per point.  Observed execution is forced inline
@@ -305,8 +322,7 @@ class Runner:
         would check nothing) but write fresh results back — identical
         to what an unsanitized run would have written.  A violated
         invariant raises :class:`~repro.sanitize.SanitizerError` and
-        fails the point immediately: the simulator is deterministic,
-        so retrying a violation can only reproduce it.
+        fails the point immediately.
     """
 
     #: how many times a broken process pool is rebuilt before the
@@ -325,7 +341,7 @@ class Runner:
         run_log: Optional[JsonlSink] = None,
         observe: "Optional[ObsSession]" = None,
         sanitize: bool = False,
-        trace_id: Optional[str] = None,
+        trace_id=_ENV,
     ) -> None:
         if jobs is None:
             jobs = int(os.environ.get("REPRO_JOBS", "1") or "1")
@@ -334,7 +350,8 @@ class Runner:
         self.jobs = jobs
         if cache_dir is _ENV:
             cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
-        self.cache = ResultCache(cache_dir) if cache_dir else None
+        #: every resolved point: memo plus optional on-disk cache.
+        self.store = ResultStore(cache_dir)
         self.progress = progress
         if timeout is _ENV:
             timeout = _env_float("REPRO_JOB_TIMEOUT")
@@ -355,26 +372,29 @@ class Runner:
         self.run_log = run_log
         self.observe = observe
         self.sanitize = sanitize
-        if trace_id is None:
+        if trace_id is _ENV:
             trace_id = os.environ.get("REPRO_TRACE_ID") or None
-        #: correlation id stamped on every run-log event (and threaded
-        #: into obs artifacts by the CLI); None = no stamping.
-        self.trace_id = trace_id
+        self.trace_id: Optional[str] = trace_id
         #: executed simulations, in completion order.
         self.job_log: List[JobResult] = []
         #: every failure event, transient and fatal, in observation order.
         self.failures: List[FailureRecord] = []
         self.simulated = 0
-        self.disk_hits = 0
         self.reused = 0
         self.retries = 0
         self.pool_rebuilds = 0
         self.sim_seconds = 0.0
-        self.cache_disabled_reason: Optional[str] = None
         self._pool_unusable = False
-        self._memo: Dict[str, Dict[str, object]] = {}
         self._batch_done = 0
         self._batch_total = 0
+
+    @property
+    def disk_hits(self) -> int:
+        return self.store.disk_hits
+
+    @property
+    def cache_disabled_reason(self) -> Optional[str]:
+        return self.store.cache_disabled_reason
 
     # -- execution ---------------------------------------------------------
 
@@ -393,21 +413,17 @@ class Runner:
         keys = [point.cache_key() for point in points]
         pending: List[Tuple[str, SimPoint]] = []
         scheduled = set()
+        # Observed runs skip cache *reads*: a disk hit would come back
+        # with an empty trace.  Sanitized runs skip them too: a hit
+        # would simulate nothing, so nothing gets checked.  Writes
+        # still happen, and the stats are identical either way.
+        reads = self.observe is None and not self.sanitize
         for key, point in zip(keys, points):
-            if key in self._memo or key in scheduled:
+            if key in self.store or key in scheduled:
                 self.reused += 1
                 continue
-            # Observed runs skip cache *reads*: a disk hit would come
-            # back with an empty trace.  Sanitized runs skip them too:
-            # a hit would simulate nothing, so nothing gets checked.
-            # Writes still happen in _record, and the stats are
-            # identical either way.
-            if self.cache is not None and self.observe is None and not self.sanitize:
-                payload = self.cache.get(key)
-                if payload is not None and "stats" in payload:
-                    self._memo[key] = payload["stats"]
-                    self.disk_hits += 1
-                    continue
+            if reads and self.store.get(key) is not None:
+                continue
             scheduled.add(key)
             pending.append((key, point))
 
@@ -427,74 +443,73 @@ class Runner:
 
         if pending:
             self._execute(pending)
+        memo = self.store.memo
         return [
-            SimStats.from_dict(self._memo[key])
-            if key in self._memo
-            else placeholder_stats()
+            SimStats.from_dict(memo[key]) if key in memo else placeholder_stats()
             for key in keys
         ]
 
     def _execute(self, pending: List[Tuple[str, SimPoint]]) -> None:
-        jobs = [_Job(key=key, point=point) for key, point in pending]
+        runs = [PointRun(key, point, trace_id=self.trace_id) for key, point in pending]
         self._batch_done = 0
-        self._batch_total = len(jobs)
+        self._batch_total = len(runs)
         fatal: List[FailureRecord] = []
         use_pool = (
             self.jobs > 1
-            and len(jobs) > 1
+            and len(runs) > 1
             and not self._pool_unusable
             # an Observer cannot cross the process boundary.
             and self.observe is None
         )
         if use_pool:
-            jobs = self._run_pooled(jobs, fatal)
-            if jobs:
+            runs = self._run_pooled(runs, fatal)
+            if runs:
                 _log.warning(
                     f"[runner] process pool unusable; finishing "
-                    f"{len(jobs)} point(s) inline"
+                    f"{len(runs)} point(s) inline"
                 )
-        self._run_inline(jobs, fatal)
+        self._run_inline(runs, fatal)
         if fatal and not self.keep_going:
             raise PointFailureError(fatal)
 
     def _run_pooled(
-        self, jobs: List[_Job], fatal: List[FailureRecord]
-    ) -> List[_Job]:
-        """Resolve ``jobs`` on a process pool with watchdog + recovery.
+        self, runs: List[PointRun], fatal: List[FailureRecord]
+    ) -> List[PointRun]:
+        """Resolve ``runs`` on a process pool with watchdog + recovery.
 
-        Returns the jobs that still need resolving when pooling had to
+        Returns the runs that still need resolving when pooling had to
         be abandoned (pool broke more than :data:`MAX_POOL_REBUILDS`
         times); an empty list means everything was resolved or failed
         permanently here.
         """
-        workers = min(self.jobs, len(jobs))
-        ready: Deque[_Job] = deque(jobs)
-        waiting: List[_Job] = []  # jobs sitting out a backoff delay
-        running: Dict[object, Tuple[_Job, Optional[float]]] = {}
+        workers = min(self.jobs, len(runs))
+        ready: Deque[PointRun] = deque(runs)
+        waiting: List[PointRun] = []  # runs sitting out a backoff delay
+        running: Dict[object, Tuple[PointRun, Optional[float]]] = {}
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
             while ready or waiting or running:
                 now = time.monotonic()
                 still_waiting = []
-                for job in waiting:
-                    (ready.append if job.eligible <= now else still_waiting.append)(job)
+                for run in waiting:
+                    (ready.append if run.eligible <= now else still_waiting.append)(run)
                 waiting = still_waiting
-                # submit at most one job per worker: a future handed to
+                # submit at most one run per worker: a future handed to
                 # the pool starts executing immediately, so its watchdog
                 # deadline measures simulation time, never time spent
                 # queued behind a clogged worker.
                 while ready and len(running) < workers:
-                    job = ready.popleft()
-                    self._log_event("point-started", job)
+                    run = ready.popleft()
+                    self.log_event("point-started", run)
                     future = pool.submit(
-                        execute_point, job.point, job.attempt, **self._execute_kwargs()
+                        execute_point, run.point, run.attempt, **self._execute_kwargs()
                     )
                     deadline = (now + self.timeout) if self.timeout else None
-                    running[future] = (job, deadline)
+                    running[future] = (run, deadline)
                 if not running:
                     # everything left is backing off; sleep to the first
                     time.sleep(
-                        max(0.0, min(j.eligible for j in waiting) - time.monotonic())
+                        max(0.0, min(r.eligible for r in waiting) - time.monotonic())
                     )
                     continue
                 wait_for: Optional[float] = None
@@ -503,55 +518,32 @@ class Runner:
                     wait_for = max(0.0, min(deadlines) - time.monotonic())
                 if waiting:
                     soonest = max(
-                        0.0, min(j.eligible for j in waiting) - time.monotonic()
+                        0.0, min(r.eligible for r in waiting) - time.monotonic()
                     )
                     wait_for = soonest if wait_for is None else min(wait_for, soonest)
                 done, _ = wait(list(running), timeout=wait_for, return_when=FIRST_COMPLETED)
                 broken = False
                 for future in done:
-                    job, _deadline = running.pop(future)
+                    run, _deadline = running.pop(future)
                     try:
-                        stats_dict, wall = future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        self._fail(
-                            job, "crash", "worker process died", ready, fatal
-                        )
-                    except MemoryError as exc:
-                        self._fail(
-                            job, "oom", f"MemoryError: {exc}", ready, fatal
-                        )
-                    except SanitizerError as exc:
-                        self._fail(job, "sanitizer", exc.render(), ready, fatal)
+                        stats, wall = future.result()
                     except Exception as exc:
-                        self._fail(
-                            job,
-                            "crash",
-                            f"{type(exc).__name__}: {exc}",
-                            ready,
-                            fatal,
-                        )
+                        broken = broken or isinstance(exc, BrokenProcessPool)
+                        self._failed(run, exc, waiting, fatal)
                     else:
-                        self._record(job, stats_dict, wall)
+                        self.completed(run, stats, wall)
                 if broken:
                     # every other in-flight future is doomed with the pool;
-                    # which job killed the worker is unknowable, so each
+                    # which run killed the worker is unknowable, so each
                     # one consumes an attempt.
+                    doomed = BrokenProcessPool("worker pool broke while the job was in flight")
                     for in_flight, _deadline in running.values():
-                        self._fail(
-                            in_flight,
-                            "crash",
-                            "worker pool broke while the job was in flight",
-                            ready,
-                            fatal,
-                        )
+                        self._failed(in_flight, doomed, waiting, fatal)
                     running.clear()
                     self._kill_pool(pool)
                     if self.pool_rebuilds >= self.MAX_POOL_REBUILDS:
                         self._pool_unusable = True
-                        leftover = list(ready) + waiting
-                        ready.clear()
-                        return leftover
+                        return list(ready) + waiting
                     self.pool_rebuilds += 1
                     _log.warning("[runner] worker pool broke; rebuilding it once")
                     pool = ProcessPoolExecutor(max_workers=workers)
@@ -559,22 +551,16 @@ class Runner:
                 now = time.monotonic()
                 expired = [
                     future
-                    for future, (_job, deadline) in running.items()
+                    for future, (_run, deadline) in running.items()
                     if deadline is not None and now >= deadline
                 ]
                 if expired:
                     for future in expired:
-                        job, _deadline = running.pop(future)
-                        self._fail(
-                            job,
-                            "timeout",
-                            f"exceeded the {self.timeout:g}s watchdog",
-                            ready,
-                            fatal,
-                        )
+                        run, _deadline = running.pop(future)
+                        self._failed(run, None, waiting, fatal)
                     # a running future cannot be cancelled: kill the pool
-                    # and resubmit the unexpired in-flight jobs as-is.
-                    survivors = [job for job, _deadline in running.values()]
+                    # and resubmit the unexpired in-flight runs as-is.
+                    survivors = [run for run, _deadline in running.values()]
                     running.clear()
                     self._kill_pool(pool)
                     ready.extend(survivors)
@@ -605,39 +591,31 @@ class Runner:
         for proc in processes:
             proc.join(timeout=5.0)
 
-    def _run_inline(self, jobs: List[_Job], fatal: List[FailureRecord]) -> None:
-        queue: Deque[_Job] = deque(jobs)
+    def _run_inline(self, runs: List[PointRun], fatal: List[FailureRecord]) -> None:
+        queue: Deque[PointRun] = deque(runs)
         while queue:
-            job = queue.popleft()
-            delay = job.eligible - time.monotonic()
+            run = queue.popleft()
+            delay = run.eligible - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
-            self._log_event("point-started", job)
+            self.log_event("point-started", run)
             # A fresh Observer per attempt: a failed attempt's partial
             # events are dropped, never committed to the session.
             obs = (
-                self.observe.begin_point(job.point.label())
+                self.observe.begin_point(run.point.label())
                 if self.observe is not None
                 else None
             )
             try:
-                stats_dict, wall = execute_point(
-                    job.point, job.attempt, **self._execute_kwargs(obs)
+                stats, wall = execute_point(
+                    run.point, run.attempt, **self._execute_kwargs(obs)
                 )
-            except KeyboardInterrupt:
-                raise
-            except MemoryError as exc:
-                self._fail(job, "oom", f"MemoryError: {exc}", queue, fatal)
-            except SanitizerError as exc:
-                self._fail(job, "sanitizer", exc.render(), queue, fatal)
             except Exception as exc:
-                self._fail(
-                    job, "crash", f"{type(exc).__name__}: {exc}", queue, fatal
-                )
+                self._failed(run, exc, queue, fatal)
             else:
                 if obs is not None:
-                    self.observe.commit_point(obs, key=job.key)
-                self._record(job, stats_dict, wall)
+                    self.observe.commit_point(obs, key=run.key)
+                self.completed(run, stats, wall)
 
     def _execute_kwargs(self, obs=None) -> Dict[str, object]:
         """``obs``/``sanitize`` for :func:`execute_point`, passed only when
@@ -648,111 +626,114 @@ class Runner:
             kwargs["sanitize"] = True
         return kwargs
 
-    def _log_event(self, event: str, job: "_Job", **fields: object) -> None:
+    def _failed(self, run, error, requeue, fatal) -> None:
+        record = self.fail(run, error)
+        if record.fatal:
+            fatal.append(record)
+        else:
+            requeue.append(run)
+
+    # -- the steps both engines share --------------------------------------
+
+    def log_event(self, event: str, run: PointRun, **fields: object) -> None:
         """Append one structured record to the run log, if one is wired."""
         if self.run_log is not None:
-            if self.trace_id is not None:
-                fields.setdefault("trace_id", self.trace_id)
+            if run.trace_id is not None:
+                fields.setdefault("trace_id", run.trace_id)
             self.run_log.event(
                 event,
-                label=job.point.label(),
-                key=job.key,
-                attempt=job.attempt,
+                label=run.point.label(),
+                key=run.key,
+                attempt=run.attempt,
                 **fields,
             )
 
-    def _fail(self, job, kind, message, requeue, fatal) -> None:
-        """Record a failed attempt; retry it or give the point up.
+    def fail(
+        self,
+        run: PointRun,
+        error: Optional[BaseException],
+        reason: Optional[str] = None,
+    ) -> FailureRecord:
+        """Record one failed attempt; move ``run`` on or give it up.
 
-        Sanitizer violations are fatal on the first attempt: the
-        simulator is deterministic, so a violated invariant reproduces
-        identically on every retry.
+        ``error`` is what the attempt raised, or None when it outlived
+        the watchdog.  The point is given up once its retry budget is
+        spent, on a sanitizer violation (the simulator is deterministic,
+        so a violated invariant reproduces identically on every retry),
+        or for a ``reason`` the caller passes, which the message then
+        carries.  Otherwise ``run`` moves to its next attempt, which
+        must not start before ``run.eligible``.
         """
-        is_fatal = job.attempt >= self.max_retries or kind == "sanitizer"
+        if error is None:
+            kind, message = "timeout", f"exceeded the {self.timeout:g}s watchdog"
+        elif isinstance(error, MemoryError):
+            kind, message = "oom", f"MemoryError: {error}"
+        elif isinstance(error, SanitizerError):
+            kind, message = "sanitizer", error.render()
+        else:
+            kind, message = "crash", f"{type(error).__name__}: {error}"
+        if reason is not None:
+            message = f"{message}; {reason}"
+        label = run.point.label()
         record = FailureRecord(
-            label=job.point.label(),
-            key=job.key,
+            label=label,
+            key=run.key,
             kind=kind,
-            attempt=job.attempt,
+            attempt=run.attempt,
             message=message,
-            fatal=is_fatal,
+            fatal=(
+                run.attempt >= self.max_retries
+                or kind == "sanitizer"
+                or reason is not None
+            ),
         )
         self.failures.append(record)
         if kind == "timeout":
-            self._log_event("point-timed-out", job, message=message)
-        if is_fatal:
-            fatal.append(record)
-            self._log_event("point-failed", job, kind=kind, message=message)
+            self.log_event("point-timed-out", run, message=message)
+        if record.fatal:
+            self.log_event("point-failed", run, kind=kind, message=message)
             _log.error(
-                f"[runner] FAILED {job.point.label()}: {kind} after "
-                f"{job.attempt + 1} attempt(s) — {message}"
+                f"[runner] FAILED {label}: {kind} after "
+                f"{run.attempt + 1} attempt(s) — {message}"
             )
-            return
+            return record
         self.retries += 1
-        job.attempt += 1
-        job.eligible = time.monotonic() + backoff_delay(
-            job.key, job.attempt, self.retry_backoff
+        run.attempt += 1
+        run.eligible = time.monotonic() + backoff_delay(
+            run.key, run.attempt, self.retry_backoff
         )
-        requeue.append(job)
-        self._log_event("point-retried", job, kind=kind, message=message)
+        self.log_event("point-retried", run, kind=kind, message=message)
         if self.progress:
             _log.info(
-                f"[runner] retrying {job.point.label()} "
-                f"(attempt {job.attempt + 1}, {kind}: {message})"
+                f"[runner] retrying {label} "
+                f"(attempt {run.attempt + 1}, {kind}: {message})"
             )
+        return record
 
-    def _record(self, job: _Job, stats_dict: Dict[str, object], wall: float) -> None:
-        point, key = job.point, job.key
-        self._memo[key] = stats_dict
+    def completed(self, run: PointRun, stats: Dict[str, object], wall: float) -> None:
+        """Store a simulated point's statistics, count it and log it."""
+        error = self.store.put(run.point, run.key, stats, wall, run.attempt)
+        if error is not None:
+            self.failures.append(
+                FailureRecord(
+                    label=run.point.label(),
+                    key=run.key,
+                    kind="cache-io",
+                    attempt=run.attempt,
+                    message=str(error),
+                    fatal=False,
+                )
+            )
         self.simulated += 1
         self.sim_seconds += wall
-        self.job_log.append(JobResult(point=point, key=key, wall_seconds=wall))
-        if self.cache is not None:
-            payload = {
-                "key": key,
-                "benchmark": point.benchmark,
-                "config_digest": point.config.digest(),
-                "memory_refs": point.memory_refs,
-                "seed": point.seed,
-                "result_version": RESULT_VERSION,
-                "repro_version": __version__,
-                "wall_seconds": wall,
-                "stats": stats_dict,
-            }
-            try:
-                if faults.cache_fault(point.label(), job.attempt) is not None:
-                    raise OSError(
-                        f"injected cache-io fault for {point.label()!r}"
-                    )
-                self.cache.put(key, payload)
-            except OSError as exc:
-                self._disable_cache(job, exc)
+        self.job_log.append(JobResult(point=run.point, key=run.key, wall_seconds=wall))
         self._batch_done += 1
-        self._log_event("point-completed", job, duration=round(wall, 6))
+        self.log_event("point-completed", run, duration=round(wall, 6))
         if self.progress:
             _log.info(
                 f"[runner] {self._batch_done}/{self._batch_total}"
-                f" {point.label()} {wall:.2f}s"
+                f" {run.point.label()} {wall:.2f}s"
             )
-
-    def _disable_cache(self, job: _Job, error: OSError) -> None:
-        """Degrade to cache-off after a write error; warn exactly once."""
-        self.cache = None
-        self.cache_disabled_reason = str(error)
-        self.failures.append(
-            FailureRecord(
-                label=job.point.label(),
-                key=job.key,
-                kind="cache-io",
-                attempt=job.attempt,
-                message=str(error),
-                fatal=False,
-            )
-        )
-        _log.warning(
-            f"[runner] result cache disabled after write error: {error} "
-            "(simulation continues without persistence)"
-        )
 
     # -- reporting ---------------------------------------------------------
 
@@ -768,7 +749,7 @@ class Runner:
             "sim_seconds": round(self.sim_seconds, 3),
             "timeout": self.timeout,
             "max_retries": self.max_retries,
-            "cache_dir": str(self.cache.root) if self.cache else None,
+            "cache_dir": self.store.summary()["cache_dir"],
             "cache_disabled": self.cache_disabled_reason,
             "failures": [record.to_dict() for record in self.failures],
         }

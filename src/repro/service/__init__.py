@@ -9,17 +9,17 @@ The service turns the batch reproduction into a traffic-serving system:
 * :mod:`repro.service.queue` — a persistent priority job queue whose
   JSONL journal replays after a restart, so no accepted job is ever
   lost mid-batch;
-* :mod:`repro.service.dedup` — the content-addressed result store
-  shared across tenants, with single-flight deduplication so identical
-  points are computed exactly once no matter how many concurrent
-  submissions want them;
-* :mod:`repro.service.engine` — the asyncio execution engine tying the
-  three together (priority dispatch, bounded workers, bounded retries
-  reusing the runner's :class:`~repro.runner.FailureRecord` taxonomy),
-  hardened for production traffic: admission control with ``429`` +
-  ``Retry-After`` backpressure, per-point watchdog timeouts with a
-  circuit breaker on repeated hangs, cooperative cancellation of
-  running jobs, graceful drain on shutdown, and journal compaction;
+* :mod:`repro.service.dedup` — single-flight deduplication, so a point
+  that concurrent submissions all want is computed exactly once;
+* :mod:`repro.service.engine` — the asyncio engine tying them to the
+  execution core: each point resolves through one
+  :class:`~repro.runner.Runner`'s result store, failure step and
+  success step, the same ones batch runs use.  Around that core it
+  adds what a server needs: admission control with ``429`` +
+  ``Retry-After`` backpressure, priority dispatch, a per-point
+  watchdog that fences hung threads with a circuit breaker on repeated
+  hangs, cooperative cancellation of running jobs, graceful drain on
+  shutdown, and journal compaction;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — a
   stdlib-only asyncio HTTP API (submit sweep → job id → poll / stream)
   and the matching blocking client;
@@ -32,10 +32,9 @@ both funnel through :func:`repro.runner.worker.execute_point` and the
 same ``SimStats`` round trip.
 """
 
-from repro.service.dedup import FlightCancelled, SharedResultStore, SingleFlight
+from repro.service.dedup import FlightCancelled, SingleFlight
 from repro.service.engine import (
     AdmissionError,
-    PointComputeError,
     ServiceConfig,
     SimulationService,
 )
@@ -48,10 +47,8 @@ __all__ = [
     "Job",
     "JobQueue",
     "JobState",
-    "PointComputeError",
     "SchemaError",
     "ServiceConfig",
-    "SharedResultStore",
     "SimulationService",
     "SingleFlight",
     "SweepRequest",

@@ -1,37 +1,21 @@
-"""Shared result store with single-flight deduplication.
+"""Single-flight deduplication of concurrent point computations.
 
-The runner's content-addressed :class:`~repro.runner.cache.ResultCache`
-is promoted here to a *global* store shared by every tenant of the
-service: a point's statistics are computed at most once, no matter how
-many concurrent jobs contain it.
-
-Three layers, cheapest first:
-
-1. an in-memory memo of every payload this process has resolved (the
-   same role as the runner's ``_memo``);
-2. the on-disk :class:`ResultCache`, shared across restarts and with
-   any batch runs pointed at the same directory — membership means
-   "readable payload", so a torn entry recomputes instead of serving
-   garbage;
-3. **single-flight**: when the point truly must be simulated, the first
-   asker becomes the *leader* and runs the computation; every
-   concurrent asker for the same key becomes a *follower* awaiting the
-   leader's future.  Leaders run in an executor so the event loop never
-   blocks on a simulation.
-
-The single-flight table is keyed by the same content hash as the cache
-(:meth:`SimPoint.cache_key`), so "identical point" has exactly one
-definition across the whole system.
+When a point truly must be simulated — it is in neither layer of the
+runner's :class:`~repro.runner.cache.ResultStore` — the first job to
+ask becomes the flight's *leader* and runs the computation; every
+concurrent asker for the same key becomes a *follower* awaiting the
+leader's future, so identical points in concurrent submissions are
+computed exactly once.  The flight table is keyed by the store's
+content hash (:meth:`SimPoint.cache_key`), so "identical point" has
+exactly one definition across the whole system.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Awaitable, Callable, Dict, Optional
+from typing import Awaitable, Callable, Dict
 
-from repro.runner.cache import ResultCache
-
-__all__ = ["FlightCancelled", "SharedResultStore", "SingleFlight"]
+__all__ = ["FlightCancelled", "SingleFlight"]
 
 
 class FlightCancelled(RuntimeError):
@@ -43,66 +27,13 @@ class FlightCancelled(RuntimeError):
     """
 
 
-class SharedResultStore:
-    """Memo + optional on-disk cache, with hit/miss accounting."""
-
-    def __init__(self, cache_dir: Optional[str] = None) -> None:
-        self.cache = ResultCache(cache_dir) if cache_dir else None
-        self._memo: Dict[str, Dict[str, object]] = {}
-        self.memo_hits = 0
-        self.disk_hits = 0
-        self.misses = 0
-        self.cache_disabled_reason: Optional[str] = None
-
-    def get(self, key: str) -> Optional[Dict[str, object]]:
-        """Stored payload for ``key`` or None; misses are counted once
-        per lookup, hits at the cheapest layer that served them."""
-        payload = self._memo.get(key)
-        if payload is not None:
-            self.memo_hits += 1
-            return payload
-        if self.cache is not None:
-            entry = self.cache.get(key)
-            if entry is not None and "stats" in entry:
-                self._memo[key] = entry["stats"]
-                self.disk_hits += 1
-                return entry["stats"]
-        self.misses += 1
-        return None
-
-    def put(self, key: str, stats_dict: Dict[str, object], meta: Dict[str, object]) -> None:
-        """Record a freshly computed payload in every layer.
-
-        A failing disk write degrades to memo-only (the runner's
-        policy): the service keeps serving, persistence stops, and the
-        reason is surfaced in the stats endpoint.
-        """
-        self._memo[key] = stats_dict
-        if self.cache is not None:
-            try:
-                self.cache.put(key, {**meta, "key": key, "stats": stats_dict})
-            except OSError as exc:
-                self.cache = None
-                self.cache_disabled_reason = str(exc)
-
-    def summary(self) -> Dict[str, object]:
-        return {
-            "memo_entries": len(self._memo),
-            "memo_hits": self.memo_hits,
-            "disk_hits": self.disk_hits,
-            "misses": self.misses,
-            "cache_dir": str(self.cache.root) if self.cache else None,
-            "cache_disabled": self.cache_disabled_reason,
-        }
-
-
 class SingleFlight:
     """Per-key computation collapsing for one asyncio event loop.
 
     ``run(key, compute)`` returns the computed value; concurrent calls
     with the same key while a computation is in flight share the one
     result.  The winner's future is removed once resolved, so a *later*
-    call recomputes (the store above is what makes later calls cheap).
+    call recomputes (the runner's store is what makes later calls cheap).
 
     Failures propagate to every waiter of that flight — each follower
     sees the same exception the leader hit — and the key is cleared so

@@ -1,7 +1,7 @@
 """The asyncio execution engine behind the simulation service.
 
-:class:`SimulationService` ties the contract, the queue, and the shared
-store together:
+:class:`SimulationService` ties the contract, the queue and the
+execution core together:
 
 * accepted sweeps (already validated by :mod:`repro.service.schema`)
   enter the persistent :class:`~repro.service.queue.JobQueue` — but
@@ -10,26 +10,25 @@ store together:
   :class:`AdmissionError`, which the HTTP layer turns into ``429`` plus
   a ``Retry-After`` hint derived from the live backlog;
 * ``job_concurrency`` dispatcher tasks drain it in priority order;
-* each job's points resolve concurrently through the
-  :class:`~repro.service.dedup.SharedResultStore` and, on a true miss,
-  :class:`~repro.service.dedup.SingleFlight` — the winning flight runs
-  :func:`repro.runner.worker.execute_point` in a thread-pool executor
-  (the same function behind ``Runner.run_points``, so service results
-  are field-for-field identical to batch results);
-* every executor call sits under a **per-point watchdog**
-  (``asyncio.wait_for``): a point that exceeds ``point_timeout`` gets a
-  runner-taxonomy :class:`~repro.runner.FailureRecord` with
-  ``kind="timeout"`` and is retried, while the orphaned thread is
-  *fenced* — its attempt stamp is invalidated and its late result is
-  discarded at the futures layer, never published to the store;
-* repeated timeouts on one content key trip a **circuit breaker** that
-  fast-fails that key for a cooldown window instead of re-burning
-  worker threads, then half-opens to probe recovery;
-* failures follow the runner's policy: bounded retries with
-  deterministic keyed backoff (:func:`repro.runner.backoff_delay`),
-  :class:`~repro.runner.FailureRecord` entries for every attempt, and
-  sanitizer-style immediate fatality is preserved for deterministic
-  errors.
+* each job's points resolve concurrently through one
+  :class:`~repro.runner.Runner` built from the :class:`ServiceConfig`:
+  its store serves what is already known, and on a true miss
+  :class:`~repro.service.dedup.SingleFlight` elects one leader per
+  key.  The leader runs :func:`repro.runner.worker.execute_point` (the
+  function behind ``Runner.run_points``) on a thread pool and hands
+  every failed attempt to the runner's failure step and the result to
+  its success step, so retries, the failure taxonomy, the run log and
+  the on-disk entries are the batch runner's own.
+
+What stays here is what a long-lived server needs and a batch does not.
+A thread cannot be killed, so the **watchdog** (``point_timeout``)
+abandons an attempt that outlives it: the attempt's future is
+cancelled and its stamp invalidated, so the orphaned thread's late
+result is never published.  Each orphan still holds one of ``workers``
+threads until its simulation returns, so repeated timeouts on one
+content key trip a **circuit breaker** that fast-fails that key for a
+cooldown window instead of burning more threads, then half-opens to
+probe recovery.
 
 Shutdown is two-mode.  ``stop()`` is the hard path: dispatchers are
 cancelled mid-job and the journal's replay re-queues whatever was
@@ -40,13 +39,12 @@ after which stragglers are cancelled), interrupted jobs are explicitly
 re-queued, and a ``service-shutdown`` marker is journaled so the next
 instance knows the shutdown was clean.
 
-Telemetry goes to an optional run log with the runner's own event
-vocabulary (``point-started`` / ``point-completed`` / ``point-retried``
-/ ``point-failed``) plus the service-level events ``job-submitted``,
-``job-rejected``, ``job-completed``, ``job-cancelled``,
-``point-cache-hit``, ``point-deduped``, ``breaker-tripped`` and
-``breaker-recovered`` — so "this point was computed exactly once" is
-directly checkable by counting ``point-completed`` records per key.
+The run log carries the runner's point events plus the service-level
+events ``job-submitted``, ``job-rejected``, ``job-completed``,
+``job-failed``, ``job-cancelled``, ``point-cache-hit``,
+``point-deduped``, ``breaker-tripped`` and ``breaker-recovered`` — so
+"this point was computed exactly once" is directly checkable by
+counting ``point-completed`` records per key.
 """
 
 from __future__ import annotations
@@ -62,38 +60,19 @@ from typing import AsyncIterator, Dict, List, Optional
 from repro import __version__
 from repro.obs.log import JsonlSink, get_logger
 from repro.obs.metrics import MetricsRegistry
-from repro.runner import RESULT_VERSION, FailureRecord, SimPoint
-from repro.runner.runner import backoff_delay
+from repro.runner import PointFailureError, PointRun, Runner, SimPoint
 from repro.runner.worker import execute_point
-from repro.sanitize.errors import SanitizerError
-from repro.service.dedup import FlightCancelled, SharedResultStore, SingleFlight
+from repro.service.dedup import FlightCancelled, SingleFlight
 from repro.service.queue import Job, JobQueue, JobState
 from repro.service.schema import SweepRequest, parse_sweep_request
 
 __all__ = [
     "AdmissionError",
-    "PointComputeError",
     "ServiceConfig",
     "SimulationService",
 ]
 
 _log = get_logger("repro.service")
-
-
-class PointComputeError(RuntimeError):
-    """A point exhausted its retry budget (or hit a deterministic error).
-
-    Carries the failure records of every attempt the flight made;
-    follower jobs sharing the flight receive the same exception.
-    """
-
-    def __init__(self, point: SimPoint, key: str, records: List[FailureRecord]) -> None:
-        self.point = point
-        self.key = key
-        self.records = records
-        last = records[-1] if records else None
-        detail = f"{last.kind}: {last.message}" if last else "unknown failure"
-        super().__init__(f"point {point.label()} failed permanently — {detail}")
 
 
 class AdmissionError(RuntimeError):
@@ -209,11 +188,21 @@ class SimulationService:
     def __init__(self, config: ServiceConfig) -> None:
         self.config = config
         self.queue = JobQueue(config.journal_path)
-        self.store = SharedResultStore(config.cache_dir)
+        #: the execution core, configured from ``config`` alone (no
+        #: ``REPRO_*`` runner variable applies): its store, failure
+        #: step, success step and run log serve every point.
+        self.runner = Runner(
+            jobs=1,
+            cache_dir=config.cache_dir,
+            timeout=config.point_timeout,
+            max_retries=config.max_retries,
+            retry_backoff=config.retry_backoff,
+            run_log=config.run_log,
+            trace_id=None,
+        )
+        self.store = self.runner.store
         self.flight = SingleFlight()
         self.run_log = config.run_log
-        self.simulated = 0
-        self.sim_seconds = 0.0
         self.timeouts = 0
         self.breaker_trips = 0
         self.breaker_fast_fails = 0
@@ -324,8 +313,8 @@ class SimulationService:
         self._m_store_hits.labels(tier="memo").set_total(store["memo_hits"])
         self._m_store_hits.labels(tier="disk").set_total(store["disk_hits"])
         self._m_store_misses.set_total(store["misses"])
-        self._m_simulated.set_total(self.simulated)
-        self._m_sim_seconds.set_total(self.sim_seconds)
+        self._m_simulated.set_total(self.runner.simulated)
+        self._m_sim_seconds.set_total(self.runner.sim_seconds)
         self._m_timeouts.set_total(self.timeouts)
         self._m_breaker_trips.set_total(self.breaker_trips)
         self._m_breaker_fast_fails.set_total(self.breaker_fast_fails)
@@ -477,7 +466,8 @@ class SimulationService:
 
     def retry_after_hint(self) -> float:
         """Seconds until capacity likely frees up, from the live backlog."""
-        avg = (self.sim_seconds / self.simulated) if self.simulated else 1.0
+        runner = self.runner
+        avg = (runner.sim_seconds / runner.simulated) if runner.simulated else 1.0
         backlog = self.queue.backlog_points()
         estimate = backlog * max(avg, 0.05) / max(1, self.config.workers)
         return round(min(60.0, max(0.5, estimate)), 2)
@@ -577,7 +567,7 @@ class SimulationService:
         async with self._progress:
             if errors:
                 first = errors[0]
-                if isinstance(first, PointComputeError):
+                if isinstance(first, PointFailureError):
                     message = str(first)
                 else:
                     message = f"{type(first).__name__}: {first}"
@@ -643,7 +633,7 @@ class SimulationService:
                 # published before the cancel landed).
                 if self.store.get(key) is None:
                     continue
-            except PointComputeError as exc:
+            except PointFailureError as exc:
                 # the leader's _compute already appended its records to
                 # its own job; follower jobs copy the flight's trail.
                 if not any(f.get("key") == key for f in job.failures):
@@ -659,52 +649,36 @@ class SimulationService:
 
     # -- the leader path ---------------------------------------------------
 
-    def _breaker_check(self, job: Job, point: SimPoint, key: str) -> None:
-        """Fast-fail a key whose breaker is open; half-open passes through."""
+    def _breaker_open(self, key: str) -> Optional[str]:
+        """Why ``key`` fast-fails right now, or None; half-open passes."""
         state = self._breaker.get(key)
-        if state is None or not state.open_until:
-            return
-        remaining = state.open_until - time.monotonic()
+        remaining = state.open_until - time.monotonic() if state else 0.0
         if remaining <= 0:
-            return  # half-open: let one probe attempt through
+            return None
         self.breaker_fast_fails += 1
-        label = point.label()
-        record = FailureRecord(
-            label=label,
-            key=key,
-            kind="timeout",
-            attempt=0,
-            message=(
-                f"circuit breaker open after {state.consecutive} consecutive "
-                f"timeouts; fast-failing for another {remaining:.2f}s"
-            ),
-            fatal=True,
+        return (
+            f"circuit breaker open after {state.consecutive} consecutive "
+            f"timeouts; fast-failing for another {remaining:.2f}s"
         )
-        job.failures.append(record.to_dict())
-        self._log(
-            "point-failed", label=label, key=key, attempt=0,
-            kind="timeout", message=record.message, breaker="open",
-            trace_id=job.trace_id,
-        )
-        raise PointComputeError(point, key, [record])
 
-    def _note_timeout(self, key: str) -> bool:
-        """Record one watchdog expiry; returns True if the breaker is open."""
+    def _note_timeout(self, key: str) -> Optional[str]:
+        """Count one watchdog expiry; returns why the key is given up
+        when this expiry leaves its breaker open."""
         self.timeouts += 1
         state = self._breaker.setdefault(key, _BreakerState())
         state.consecutive += 1
-        if state.consecutive >= self.config.breaker_threshold:
-            state.open_until = time.monotonic() + self.config.breaker_cooldown
-            if not state.tripped:
-                state.tripped = True
-                self.breaker_trips += 1
-                self._log(
-                    "breaker-tripped", key=key,
-                    consecutive=state.consecutive,
-                    cooldown=self.config.breaker_cooldown,
-                )
-            return True
-        return False
+        if state.consecutive < self.config.breaker_threshold:
+            return None
+        state.open_until = time.monotonic() + self.config.breaker_cooldown
+        if not state.tripped:
+            state.tripped = True
+            self.breaker_trips += 1
+            self._log(
+                "breaker-tripped", key=key,
+                consecutive=state.consecutive,
+                cooldown=self.config.breaker_cooldown,
+            )
+        return f"circuit breaker open after {state.consecutive} consecutive timeouts"
 
     def _note_success(self, key: str) -> None:
         state = self._breaker.pop(key, None)
@@ -713,114 +687,54 @@ class SimulationService:
             self._log("breaker-recovered", key=key)
 
     async def _compute(self, job: Job, point: SimPoint, key: str) -> None:
-        """Leader path: simulate with watchdog + bounded retries, then publish."""
+        """Leader path: attempts under the watchdog until one lands or
+        the runner's failure step gives the point up."""
         assert self._executor is not None
         loop = asyncio.get_running_loop()
-        records: List[FailureRecord] = []
-        attempt = 0
-        label = point.label()
-        timeout = self.config.point_timeout
-        trace_id = job.trace_id
-        self._breaker_check(job, point, key)
+        run = PointRun(key, point, trace_id=job.trace_id)
+        records: list = []
+        fast_fail = self._breaker_open(key)
+        if fast_fail is not None:
+            self._failure(job, run, records, None, fast_fail)
         while True:
-            self._log(
-                "point-started", label=label, key=key, attempt=attempt,
-                trace_id=trace_id,
-            )
-            # stamp the attempt: a watchdog expiry invalidates the stamp,
-            # fencing the orphaned thread — its late result is dropped at
-            # the futures layer (nothing awaits an abandoned future) and
-            # could never pass this stamp check anyway.
+            self.runner.log_event("point-started", run)
             stamp = self._stamps[key] = self._stamps.get(key, 0) + 1
+            future = loop.run_in_executor(
+                self._executor, execute_point, point, run.attempt
+            )
             try:
-                future = loop.run_in_executor(
-                    self._executor, execute_point, point, attempt
-                )
-                if timeout is not None:
-                    stats_dict, wall = await asyncio.wait_for(future, timeout)
-                else:
-                    stats_dict, wall = await future
-            except (asyncio.CancelledError, KeyboardInterrupt):
-                raise
-            except BaseException as exc:
-                breaker_open = False
-                if isinstance(exc, asyncio.TimeoutError):
-                    kind = "timeout"
-                    self._stamps[key] = stamp + 1  # fence the orphan
-                    breaker_open = self._note_timeout(key)
-                    message = (
-                        f"TimeoutError: point exceeded the {timeout}s "
-                        f"watchdog (attempt {attempt})"
-                    )
-                else:
-                    if isinstance(exc, SanitizerError):
-                        kind = "sanitizer"
-                    elif isinstance(exc, MemoryError):
-                        kind = "oom"
-                    else:
-                        kind = "crash"
-                    message = f"{type(exc).__name__}: {exc}"
-                # sanitizer violations are deterministic: retrying one
-                # can only reproduce it (the runner's policy).  An open
-                # breaker makes further retries pointless too.
-                fatal = (
-                    attempt >= self.config.max_retries
-                    or kind == "sanitizer"
-                    or breaker_open
-                )
-                record = FailureRecord(
-                    label=label,
-                    key=key,
-                    kind=kind,
-                    attempt=attempt,
-                    message=message,
-                    fatal=fatal,
-                )
-                records.append(record)
-                job.failures.append(record.to_dict())
-                if fatal:
-                    self._log(
-                        "point-failed", label=label, key=key, attempt=attempt,
-                        kind=kind, message=record.message, trace_id=trace_id,
-                    )
-                    raise PointComputeError(point, key, records) from exc
-                attempt += 1
-                self._log(
-                    "point-retried", label=label, key=key, attempt=attempt,
-                    kind=kind, message=record.message, trace_id=trace_id,
-                )
-                await asyncio.sleep(
-                    backoff_delay(key, attempt, self.config.retry_backoff)
-                )
-                continue
-            break
+                await asyncio.wait((future,), timeout=self.config.point_timeout)
+            finally:
+                # an attempt still running is abandoned: cancelling its
+                # future drops the orphaned thread's late result.
+                expired = future.cancel()
+            if expired:
+                self._stamps[key] = stamp + 1  # fence the orphan
+                self._failure(job, run, records, None, self._note_timeout(key))
+            elif future.exception() is not None:
+                self._failure(job, run, records, future.exception())
+            else:
+                break
+            await asyncio.sleep(max(0.0, run.eligible - time.monotonic()))
         if self._stamps.get(key) != stamp:
             # defensive fence: a stale attempt must never publish.  The
             # awaited path always carries the current stamp, so reaching
             # here means bookkeeping broke — drop the result.
-            _log.warning(f"[service] discarding stale result for {label}")
+            _log.warning(f"[service] discarding stale result for {point.label()}")
             return
+        stats, wall = future.result()
         self._note_success(key)
-        self.simulated += 1
-        self.sim_seconds += wall
         self._m_point_seconds.observe(wall)
-        self.store.put(
-            key,
-            stats_dict,
-            {
-                "benchmark": point.benchmark,
-                "config_digest": point.config.digest(),
-                "memory_refs": point.memory_refs,
-                "seed": point.seed,
-                "result_version": RESULT_VERSION,
-                "repro_version": __version__,
-                "wall_seconds": wall,
-            },
-        )
-        self._log(
-            "point-completed", label=label, key=key, attempt=attempt,
-            duration=round(wall, 6), trace_id=trace_id,
-        )
+        self.runner.completed(run, stats, wall)
+
+    def _failure(self, job, run, records, error, reason=None) -> None:
+        """Hand one failed attempt to the runner's failure step; raises
+        :class:`PointFailureError` once the point is given up."""
+        record = self.runner.fail(run, error, reason)
+        records.append(record)
+        job.failures.append(record.to_dict())
+        if record.fatal:
+            raise PointFailureError(records) from error
 
     # -- observation -------------------------------------------------------
 
@@ -924,8 +838,8 @@ class SimulationService:
             ).isoformat(timespec="seconds"),
             "uptime_seconds": self.uptime_seconds(),
             "jobs": by_state,
-            "points_simulated": self.simulated,
-            "sim_seconds": round(self.sim_seconds, 3),
+            "points_simulated": self.runner.simulated,
+            "sim_seconds": round(self.runner.sim_seconds, 3),
             "latency": {
                 "job_queue_wait_seconds": self._m_queue_wait.summary(),
                 "point_seconds": self._m_point_seconds.summary(),

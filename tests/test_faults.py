@@ -354,7 +354,7 @@ class TestCacheDegradation:
         results = runner.run_points(make_points())
         for got, expected in zip(results, baseline):
             assert_stats_equal(got, expected)
-        assert runner.cache is None
+        assert runner.store.cache is None
         assert runner.cache_disabled_reason
         [record] = [f for f in runner.failures if f.kind == "cache-io"]
         assert not record.fatal
@@ -374,7 +374,7 @@ class TestCacheDegradation:
         runner = Runner(jobs=1, cache_dir=tmp_path / "c")
         results = runner.run_points(make_points(("mcf", "swim")))
         assert_stats_equal(results[0], baseline[1])
-        assert runner.cache is None
+        assert runner.store.cache is None
         assert capsys.readouterr().err.count("result cache disabled") == 1
 
     @pytest.mark.skipif(
@@ -388,7 +388,7 @@ class TestCacheDegradation:
             runner = Runner(jobs=1, cache_dir=root)
             results = runner.run_points(make_points(("mcf",)))
             assert_stats_equal(results[0], baseline[1])
-            assert runner.cache is None
+            assert runner.store.cache is None
             assert capsys.readouterr().err.count("result cache disabled") == 1
         finally:
             root.chmod(0o755)
@@ -426,7 +426,7 @@ class TestInterrupt:
         with pytest.raises(KeyboardInterrupt):
             runner.run_points(points)
         # mcf completed first and survives in memo and on disk
-        assert points[0].cache_key() in runner._memo
+        assert points[0].cache_key() in runner.store
         reader = Runner(jobs=1, cache_dir=tmp_path / "c")
         reader.run_points([points[0]])
         assert reader.disk_hits == 1

@@ -15,14 +15,13 @@ import time
 import pytest
 
 from repro.core.config import DRAM_PARTS
-from repro.runner import SimPoint
+from repro.runner import ResultStore, SimPoint
 from repro.runner.worker import execute_point
 from repro.service import (
     JobQueue,
     JobState,
     SchemaError,
     ServiceConfig,
-    SharedResultStore,
     SimulationService,
     SingleFlight,
     parse_sweep_request,
@@ -219,31 +218,34 @@ class TestJobQueue:
 # ---------------------------------------------------------------------------
 
 
-class TestSharedResultStore:
+_STORE_POINT = SimPoint(benchmark="mcf", config=build_config({}), memory_refs=500)
+
+
+class TestResultStore:
     def test_layered_hits(self, tmp_path):
-        store = SharedResultStore(str(tmp_path / "cache"))
+        store = ResultStore(str(tmp_path / "cache"))
         assert store.get("k") is None
-        store.put("k", {"cycles": 1.0}, {"benchmark": "mcf"})
+        store.put(_STORE_POINT, "k", {"cycles": 1.0}, 0.0)
         assert store.get("k") == {"cycles": 1.0}
         assert store.memo_hits == 1
         # a second store sharing the directory reads through from disk
-        other = SharedResultStore(str(tmp_path / "cache"))
+        other = ResultStore(str(tmp_path / "cache"))
         assert other.get("k") == {"cycles": 1.0}
         assert other.disk_hits == 1
 
     def test_torn_disk_entry_is_a_miss(self, tmp_path):
         key = "ab" + "0" * 62  # sharded like a real content hash
-        store = SharedResultStore(str(tmp_path / "cache"))
-        store.put(key, {"cycles": 1.0}, {})
+        store = ResultStore(str(tmp_path / "cache"))
+        store.put(_STORE_POINT, key, {"cycles": 1.0}, 0.0)
         entry = next((tmp_path / "cache").glob("??/*.json"))
         entry.write_text(entry.read_text()[:10])
-        fresh = SharedResultStore(str(tmp_path / "cache"))
+        fresh = ResultStore(str(tmp_path / "cache"))
         assert fresh.get(key) is None
         assert fresh.misses == 1
 
     def test_memo_only_mode(self):
-        store = SharedResultStore(None)
-        store.put("k", {"cycles": 2.0}, {})
+        store = ResultStore(None)
+        store.put(_STORE_POINT, "k", {"cycles": 2.0}, 0.0)
         assert store.get("k") == {"cycles": 2.0}
         assert store.summary()["cache_dir"] is None
 
@@ -488,8 +490,8 @@ class TestEngineLoad:
         queue.pop()
         done_key = job.keys[0]
         queue.point_completed(job, done_key)
-        store = SharedResultStore(str(cache_dir))
-        store.put(done_key, {"cycles": 1.0}, {"benchmark": "mcf"})
+        store = ResultStore(str(cache_dir))
+        store.put(job.points[0], done_key, {"cycles": 1.0}, 0.0)
         queue.close()  # process dies here: no terminal journal event
 
         # --- after restart: only the unfinished point may simulate

@@ -35,7 +35,7 @@ from pathlib import Path
 import pytest
 
 from repro.obs.log import JsonlSink
-from repro.runner import faults
+from repro.runner import PointFailureError, ResultCache, Runner, SimPoint, faults
 from repro.service import (
     AdmissionError,
     JobState,
@@ -45,6 +45,7 @@ from repro.service import (
 from repro.service.cli import EphemeralServer
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.queue import JobQueue
+from repro.service.schema import build_config
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -303,6 +304,221 @@ class TestWatchdogAndBreaker:
         events = [e["event"] for e in _events(run_log)]
         assert "breaker-tripped" in events
         assert "breaker-recovered" in events
+
+    @pytest.mark.parametrize("point_timeout", [None, 10.0])
+    def test_simulations_own_timeout_error_is_a_crash_not_an_expiry(
+        self, tmp_path, monkeypatch, point_timeout
+    ):
+        # asyncio.TimeoutError is the builtin TimeoutError on Python
+        # >= 3.11: an expiry is decided by the attempt's future still
+        # running at the deadline, never by the exception's type.
+        def timing_out_execute(point, attempt=0, obs=None, sanitize=False):
+            raise TimeoutError("socket read timed out")
+
+        monkeypatch.setattr(
+            "repro.service.engine.execute_point", timing_out_execute
+        )
+        config = ServiceConfig(
+            journal_path=str(tmp_path / "journal.jsonl"),
+            workers=1,
+            max_retries=2,
+            retry_backoff=0.0,
+            point_timeout=point_timeout,
+        )
+
+        async def scenario():
+            service = SimulationService(config)
+            await service.start()
+            job = service.submit_payload(_sweep(seed=5))
+            done = await service.wait_for(job.id, timeout=30)
+            stats = service.stats()
+            await service.stop()
+            return done, stats
+
+        job, stats = asyncio.run(scenario())
+        assert job.state == JobState.FAILED
+        # exactly what Runner records for the same exception
+        assert [
+            (f["kind"], f["attempt"], f["fatal"], f["message"]) for f in job.failures
+        ] == [
+            ("crash", attempt, attempt == 2, "TimeoutError: socket read timed out")
+            for attempt in range(3)
+        ]
+        assert stats["watchdog"]["timeouts"] == 0
+        assert stats["breaker"]["trips"] == 0
+        assert stats["breaker"]["open_keys"] == 0
+
+
+# ---------------------------------------------------------------------------
+# one execution core: the service's records, store and warnings are the
+# runner's
+# ---------------------------------------------------------------------------
+
+
+class TestOneExecutionCore:
+    """One FaultPlan through ``Runner.run_points`` and through the
+    service leaves the same failure records and point events."""
+
+    REFS = 300
+
+    @staticmethod
+    def _point(benchmark):
+        return SimPoint(benchmark, build_config({}), TestOneExecutionCore.REFS)
+
+    @staticmethod
+    def _trail(records, events, key):
+        point_events = [
+            (e["event"], e["attempt"], e.get("kind"), e.get("message"))
+            for e in events
+            if e.get("key") == key and e["event"].startswith("point-")
+        ]
+        return [
+            (r["kind"], r["attempt"], r["fatal"], r["message"]) for r in records
+        ], point_events
+
+    def _through_runner(self, tmp_path, benchmarks, **knobs):
+        run_log = tmp_path / "runner.jsonl"
+        runner = Runner(
+            cache_dir=None, retry_backoff=0, run_log=JsonlSink(run_log), **knobs
+        )
+        try:
+            runner.run_points([self._point(name) for name in benchmarks])
+        except PointFailureError:
+            pass
+        runner.run_log.close()
+        key = self._point("mcf").cache_key()
+        records = [r.to_dict() for r in runner.failures if r.key == key]
+        return self._trail(records, _events(run_log), key)
+
+    def _through_service(self, tmp_path, **knobs):
+        run_log = tmp_path / "service.jsonl"
+        config = ServiceConfig(
+            journal_path=str(tmp_path / "journal.jsonl"),
+            retry_backoff=0.0,
+            run_log=JsonlSink(run_log, mode="a"),
+            **knobs,
+        )
+
+        async def scenario():
+            service = SimulationService(config)
+            await service.start()
+            job = service.submit_payload(_sweep(memory_refs=self.REFS))
+            done = await service.wait_for(job.id, timeout=60)
+            await service.stop()
+            return done
+
+        job = asyncio.run(scenario())
+        return self._trail(job.failures, _events(run_log), job.keys[0])
+
+    @pytest.mark.parametrize(
+        "spec, runner_knobs, service_knobs",
+        [
+            (
+                faults.FaultSpec(match="mcf", fault="raise", attempts=(0,)),
+                {"jobs": 1},
+                {},
+            ),
+            (
+                faults.FaultSpec(match="mcf", fault="raise", attempts=tuple(range(8))),
+                {"jobs": 1, "max_retries": 1},
+                {"max_retries": 1},
+            ),
+            # the runner pools (two points, two jobs) so its watchdog
+            # kills the hung worker; the service fences the hung thread,
+            # and stop() waits for that thread, so the hang stays short.
+            (
+                faults.FaultSpec(
+                    match="mcf", fault="hang", attempts=(0,), hang_seconds=3.0
+                ),
+                {"jobs": 2, "timeout": 2.0},
+                {"point_timeout": 2.0},
+            ),
+        ],
+        ids=["transient-raise", "permanent-raise", "hang"],
+    )
+    def test_both_engines_write_the_same_records(
+        self, tmp_path, monkeypatch, spec, runner_knobs, service_knobs
+    ):
+        _install(faults.FaultPlan([spec]), monkeypatch)
+        benchmarks = ("mcf", "swim") if spec.fault == "hang" else ("mcf",)
+        (tmp_path / "runner").mkdir()
+        (tmp_path / "service").mkdir()
+        batch = self._through_runner(tmp_path / "runner", benchmarks, **runner_knobs)
+        served = self._through_service(tmp_path / "service", **service_knobs)
+        records, events = batch
+        assert records  # the plan fired
+        assert served == batch
+        if spec.fault == "hang":
+            assert ("point-timed-out", 0, None, records[0][3]) in events
+
+    def test_either_engine_reads_what_the_other_wrote(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        mcf, swim = self._point("mcf"), self._point("swim")
+        batch = Runner(jobs=1, cache_dir=cache_dir).run_points([mcf])[0]
+        config = ServiceConfig(
+            journal_path=str(tmp_path / "journal.jsonl"), cache_dir=str(cache_dir)
+        )
+
+        async def scenario():
+            service = SimulationService(config)
+            await service.start()
+            job = service.submit_payload(
+                _sweep(benchmarks=["mcf", "swim"], memory_refs=self.REFS)
+            )
+            done = await service.wait_for(job.id, timeout=60)
+            results = service.results(done)
+            stats = service.stats()
+            await service.stop()
+            return results, stats
+
+        results, stats = asyncio.run(scenario())
+        # the service served mcf from the runner's entry, simulated swim
+        assert stats["store"]["disk_hits"] == 1
+        assert stats["points_simulated"] == 1
+        assert results[0]["stats"] == batch.to_dict()
+        # and a fresh runner serves swim from the service's entry
+        reader = Runner(jobs=1, cache_dir=cache_dir)
+        [served] = reader.run_points([swim])
+        assert reader.disk_hits == 1 and reader.simulated == 0
+        assert served.to_dict() == results[1]["stats"]
+
+
+class TestStoreDegradation:
+    def test_write_error_degrades_the_store_once_with_the_runner_warning(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # a full disk, not a read-only directory: root ignores the latter
+        def full_disk(self, key, payload):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(ResultCache, "put", full_disk)
+        monkeypatch.setattr(
+            "repro.service.engine.execute_point",
+            lambda point, attempt=0, obs=None, sanitize=False: (
+                _fake_stats(point), 0.001
+            ),
+        )
+        config = ServiceConfig(
+            journal_path=str(tmp_path / "journal.jsonl"),
+            cache_dir=str(tmp_path / "cache"),
+            workers=1,
+        )
+        with EphemeralServer(config) as server:
+            client = ServiceClient(server.url, timeout=30.0)
+            served = []
+            for seed in (1, 2):
+                job = client.submit(_sweep(seed=seed))
+                status = client.wait(job["id"], timeout=60)
+                assert status["state"] == "completed"
+                served.append(status["results"][0]["stats"])
+            stats = client.stats()
+        assert served == [
+            {"benchmark": "mcf", "seed": seed, "cycles": 100.0 + seed}
+            for seed in (1, 2)
+        ]
+        assert "No space left on device" in stats["store"]["cache_disabled"]
+        assert stats["store"]["cache_dir"] is None
+        assert capsys.readouterr().err.count("result cache disabled") == 1
 
 
 # ---------------------------------------------------------------------------
