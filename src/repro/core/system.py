@@ -120,15 +120,14 @@ def simulate(
     kernel produces byte-identical statistics; the reference kernel
     remains authoritative and is always used when observability or
     sanitizing is requested, or for geometries the fast kernel does
-    not specialize.  This is the one place that choice is made.
+    not specialize (:func:`repro.kernel.fastcore.use_fast_kernel`).
     """
-    if obs is None and not sanitize:
-        # Imported lazily: repro.kernel imports this module.
-        from repro.kernel.batch import simulate_fast
-        from repro.kernel.fastcore import fast_enabled, kernel_supports
+    # Imported lazily: repro.kernel imports this module.
+    from repro.kernel.batch import simulate_fast
+    from repro.kernel.fastcore import use_fast_kernel
 
-        if (fast_enabled() if fast is None else fast) and kernel_supports(config):
-            return simulate_fast(trace, config, warmup_trace=warmup_trace)
+    if use_fast_kernel(config, fast, obs, sanitize):
+        return simulate_fast(trace, config, warmup_trace=warmup_trace)
     system = System(config, obs=obs, sanitize=sanitize)
     if warmup_trace is not None:
         system.warmup(warmup_trace)

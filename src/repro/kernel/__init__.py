@@ -6,7 +6,9 @@ This package is the performance layer over the reference simulator:
   derived trace columns (list views, cache set indices, DRAM
   coordinates) shared by every sweep point touching a trace;
 * :mod:`repro.kernel.fastcore` — the ``REPRO_FAST`` opt-in specialized
-  interpreter, byte-identical to the reference kernel;
+  interpreter, byte-identical to the reference kernel on every
+  registered DRAM backend (it drives each backend's own geometry,
+  timings and row-timing policy);
 * :mod:`repro.kernel.batch` — ``simulate_batch`` for multi-config
   sweeps over one shared compiled trace;
 * :mod:`repro.kernel.store` — the content-addressed on-disk trace
@@ -16,7 +18,8 @@ This package is the performance layer over the reference simulator:
 The pure-Python reference kernel (``repro.cpu.core`` and friends)
 remains authoritative: the fast path must match it byte for byte and
 falls back to it whenever observability, sanitizing, or an
-unspecialized geometry is involved.
+unspecialized L1 geometry is involved (``use_fast_kernel`` is that
+rule).
 """
 
 from repro.kernel.batch import simulate_batch, simulate_fast
@@ -31,6 +34,7 @@ from repro.kernel.fastcore import (
     clear_warm_cache,
     fast_enabled,
     kernel_supports,
+    use_fast_kernel,
 )
 from repro.kernel.store import TraceStore, trace_store_from_env
 
@@ -47,4 +51,5 @@ __all__ = [
     "simulate_fast",
     "trace_digest",
     "trace_store_from_env",
+    "use_fast_kernel",
 ]

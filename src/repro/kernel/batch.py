@@ -21,7 +21,7 @@ from repro.core.stats import SimStats
 from repro.core.system import System
 from repro.cpu.trace import Trace
 from repro.kernel.compiled import CompiledTrace, compile_trace
-from repro.kernel.fastcore import FastSystem, fast_enabled, kernel_supports
+from repro.kernel.fastcore import FastSystem, use_fast_kernel
 
 __all__ = ["simulate_batch", "simulate_fast"]
 
@@ -52,10 +52,11 @@ def simulate_batch(
     ``warmup_trace`` warms every point with the same trace;
     ``warmup_traces`` supplies one per config (entries may be None) for
     sweeps whose warm-up depends on the config, e.g. on the L2 size.
-    ``obs``/``sanitize`` apply to every point and force the reference
-    kernel, exactly as in :func:`repro.core.system.simulate`; ``fast``
-    follows ``REPRO_FAST`` when None.  Statistics are byte-identical
-    to N independent ``simulate`` calls in every mode.
+    ``obs``/``sanitize`` apply to every point, and each point takes the
+    kernel :func:`~repro.kernel.fastcore.use_fast_kernel` picks, the rule
+    :func:`repro.core.system.simulate` applies (``fast`` follows
+    ``REPRO_FAST`` when None).  Statistics are byte-identical to N
+    independent ``simulate`` calls in every mode.
     """
     if warmup_traces is not None:
         if warmup_trace is not None:
@@ -65,9 +66,6 @@ def simulate_batch(
                 f"warmup_traces has {len(warmup_traces)} entries "
                 f"for {len(configs)} configs"
             )
-    if fast is None:
-        fast = fast_enabled()
-    fast = fast and obs is None and not sanitize
 
     compiled = compile_trace(trace)
     warm_cache: dict = {}
@@ -84,7 +82,7 @@ def simulate_batch(
     results: List[SimStats] = []
     for i, config in enumerate(configs):
         warm = warmup_traces[i] if warmup_traces is not None else warmup_trace
-        if fast and kernel_supports(config):
+        if use_fast_kernel(config, fast, obs, sanitize):
             system = FastSystem(config)
             warm_compiled = compiled_warmup(warm)
             if warm_compiled is not None:

@@ -8,9 +8,9 @@ and memoizes every derived view the simulation kernels need:
   the reference core and the fast kernel walk lists);
 * per-cache-geometry block/set-index columns (``addr & block_mask`` and
   the set index precomputed vectorized instead of per record per run);
-* per-DRAM-geometry coordinate maps (``l2_block -> (bank, row)``) built
-  with one vectorized :meth:`translate_arrays` call over the unique
-  blocks of the trace.
+* per-DRAM-geometry coordinate maps (``l2_block -> (bank, row)``, keyed
+  by the backend's effective geometry) built with one vectorized
+  :meth:`translate_arrays` call over the unique blocks of the trace.
 
 All of it is keyed by a sha256 **content digest** of the raw columns, so
 two ``Trace`` objects with equal content (e.g. one freshly built and one
@@ -131,9 +131,13 @@ class CompiledTrace:
     def coord_map(self, dram: DRAMConfig, l2_block_bytes: int) -> dict:
         """``l2_block -> (bank, row)`` for every unique L2 block in the trace.
 
-        Built with one vectorized translate over the deduplicated blocks.
-        The returned dict is shared across runs; the fast kernel adds
-        entries for prefetch-generated blocks on demand.
+        ``dram`` is the organization the controller maps addresses with:
+        the backend's ``effective(dram)``, whose geometry may differ from
+        the configured one (the DDR-like backend has fewer banks), so the
+        map is keyed by that effective geometry.  Built with one
+        vectorized translate over the deduplicated blocks.  The returned
+        dict is shared across runs; the fast kernel adds entries for
+        prefetch-generated blocks on demand.
         """
         key = _dram_key(dram, l2_block_bytes)
         cached = self._coord_maps.get(key)

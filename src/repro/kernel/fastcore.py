@@ -11,6 +11,15 @@ bitmap, scan]`` in a plain priority-ordered list.  Only the stride
 prefetch engine is still driven as a reference object (it is not on
 any measured hot path).
 
+**DRAM backends.**  Every registered backend runs here, through the
+backend's own hooks rather than copies of their logic: the bank
+geometry, address mapping, packets per block and idle guard come from
+``backend.effective(dram)``, the base timings from
+``backend.timing_cycles``, and the per-access row-timing policy from
+``backend.make_policy``.  The inlined channel walk calls the policy's
+``resolve`` before scheduling and its ``observe`` after, at the same two
+points ``LogicalChannel.access`` does.
+
 **Bit-exactness contract.**  The reference kernel is authoritative;
 this one must produce byte-identical ``SimStats`` (enforced by the A/B
 fuzzer in ``tests/test_kernel_ab.py`` and the fast-on/off golden gate).
@@ -33,9 +42,9 @@ of ``(config, warm-trace digest)``, so the post-warm-up machine state
 (cache contents, DRAM bank/bus state, prefetch queue, clock) is
 snapshotted per process and restored on repeat — a sweep or benchmark
 re-running the same warm-up pays the full simulation once.  Snapshots
-deep-copy the line lists both ways, so a restored system can never
-alias a cached one; the restored state is byte-for-byte the state the
-warm-up run would have produced.
+deep-copy the line lists and the row-timing policy both ways, so a
+restored system can never alias a cached one; the restored state is
+byte-for-byte the state the warm-up run would have produced.
 
 State layout notes: a cache line is ``[block, dirty, prefetched,
 ready_time]``; L1 fills skip the reference's merge check because
@@ -47,6 +56,7 @@ merge check whenever a prefetcher exists — a gap-drained prefetch
 
 from __future__ import annotations
 
+import copy
 import os
 from heapq import heappop, heappush
 from typing import Optional
@@ -54,6 +64,8 @@ from typing import Optional
 from repro.cache.replacement import insertion_index
 from repro.core.config import SystemConfig
 from repro.core.stats import SimStats
+from repro.dram.backends import get_backend
+from repro.dram.channel import AccessOutcome
 from repro.dram.mapping import make_mapping
 from repro.kernel.compiled import CompiledTrace
 from repro.prefetch.engine import THROTTLE_PROBE_PERIOD
@@ -63,6 +75,7 @@ __all__ = [
     "FastSystem",
     "fast_enabled",
     "kernel_supports",
+    "use_fast_kernel",
     "clear_warm_cache",
     "HAVE_NUMBA",
 ]
@@ -94,19 +107,32 @@ def kernel_supports(config: SystemConfig) -> bool:
     block (``l1_block & ~(l2_block-1)``), which requires both L1 block
     sizes to divide the L2 block size.  ``SystemConfig`` enforces this
     for the L1D only; unusual L1I geometries fall back to the reference
-    kernel.
-
-    The kernel also hardwires the default DRDRAM timing walk; any other
-    registered backend (TL-DRAM, ChargeCache, DDR-like) falls back to
-    the reference simulator, which routes through the backend registry.
+    kernel.  Every registered DRAM backend is supported: the kernel
+    drives the backend's own geometry, timings and row-timing policy.
     """
-    if config.dram.backend != "drdram":
-        return False
     l2_block = config.l2.block_bytes
     for l1 in (config.l1i, config.l1d):
         if l1.block_bytes > l2_block or l2_block % l1.block_bytes:
             return False
     return True
+
+
+def use_fast_kernel(
+    config: SystemConfig, fast: Optional[bool] = None, obs=None, sanitize=None
+) -> bool:
+    """The kernel rule: does a point with these options run on the fast
+    kernel?
+
+    Only when the fast kernel is asked for (``fast``, or ``REPRO_FAST``
+    when None), no observer or sanitizer is attached (the fast kernel
+    emits no probe events), and :func:`kernel_supports` the geometry.
+    ``simulate`` and ``simulate_batch`` both decide through here.
+    """
+    if obs is not None or sanitize:
+        return False
+    if not (fast_enabled() if fast is None else fast):
+        return False
+    return kernel_supports(config)
 
 
 #: post-warm-up machine-state snapshots, keyed by (config, digest).
@@ -123,8 +149,9 @@ class FastSystem:
     """Drop-in for :class:`repro.core.system.System` running the
     specialized kernel over a :class:`CompiledTrace`.
 
-    Cache, DRAM-bank, and prefetcher state persist across runs (warm-up
-    then measurement), exactly like the reference ``System``.
+    Cache, DRAM-bank, row-timing-policy and prefetcher state persist
+    across runs (warm-up then measurement), exactly like the reference
+    ``System``.
     """
 
     def __init__(self, config: SystemConfig) -> None:
@@ -163,16 +190,23 @@ class FastSystem:
         self._l2_sets: list = [[] for _ in range(config.l2.num_sets)]
         self._l2_tags: list = [{} for _ in range(config.l2.num_sets)]
 
-        dram = config.dram
-        timings = dram.timing_cycles(core)
+        # The DRAM backend's own hooks, consulted exactly where
+        # MemoryController and LogicalChannel consult them: the effective
+        # organization (geometry, mapping, packets, idle guard), the base
+        # timings, and a fresh per-access row-timing policy.
+        backend = get_backend(config.dram.backend)
+        dram = backend.effective(config.dram)
+        self._dram = dram
+        timings = backend.timing_cycles(config.dram, core)
         self._t_prer = timings["t_prer"]
         self._t_act = timings["t_act"]
         self._t_rdwr = timings["t_rdwr"]
         self._t_transfer = timings["t_transfer"]
         self._t_packet = timings["t_packet"]
-        self._closed_page = dram.row_policy == "closed"
+        self._policy = backend.make_policy(config.dram, core)
+        self._closed_page = config.dram.row_policy == "closed"
         self._block_packets = dram.transfer_packets(config.l2.block_bytes)
-        self._idle_guard = self._t_packet
+        self._idle_guard = core.ns_to_cycles(dram.part.t_packet_ns)
 
         num_banks = dram.banks_per_device * dram.devices_per_channel
         self._open_rows: list = [None] * num_banks
@@ -299,12 +333,14 @@ class FastSystem:
             self._pf_outcome_useful,
             self._pf_throttle_skips,
             self._clock,
+            copy.deepcopy(self._policy),
         )
 
     def _restore(self, snapshot: tuple) -> None:
-        (l1i, l1d, l2c, orows, busy, frows, rf, cf, df, entries, ot, ou, ts, clock) = (
-            snapshot
-        )
+        (
+            l1i, l1d, l2c, orows, busy, frows, rf, cf, df, entries, ot, ou, ts,
+            clock, policy,
+        ) = snapshot
         for sets, tags, src in (
             (self._l1i_sets, self._l1i_tags, l1i),
             (self._l1d_sets, self._l1d_tags, l1d),
@@ -327,6 +363,7 @@ class FastSystem:
         self._pf_outcome_useful = ou
         self._pf_throttle_skips = ts
         self._clock = clock
+        self._policy = copy.deepcopy(policy)
 
     # -- the kernel -----------------------------------------------------------
 
@@ -337,7 +374,7 @@ class FastSystem:
         # Columns (shared, precompiled once per trace content).
         kinds_col, gaps_col, _, deps_col, pcs_col = compiled.base_columns()
         blocks_col, sets_col = compiled.l1_columns(config.l1i, config.l1d)
-        cmap = compiled.coord_map(config.dram, config.l2.block_bytes)
+        cmap = compiled.coord_map(self._dram, config.l2.block_bytes)
         cmap_get = cmap.get
 
         # Hoisted configuration scalars.
@@ -369,6 +406,13 @@ class FastSystem:
         t_packet = self._t_packet
         idle_guard = self._idle_guard
         closed_page = self._closed_page
+        policy = self._policy
+        if policy is not None:
+            resolve = policy.resolve
+            observe = policy.observe
+            row_hit = AccessOutcome.ROW_HIT
+            row_empty = AccessOutcome.ROW_EMPTY
+            row_miss = AccessOutcome.ROW_MISS
 
         # Persistent structures.
         l1i_sets = self._l1i_sets
@@ -477,6 +521,20 @@ class FastSystem:
             nonlocal row_busy, col_busy, data_busy, data_pkts
             cls[0] += 1
             open_row = open_rows[bnk]
+            if policy is None:
+                a_prer = t_prer
+                a_act = t_act
+                a_rdwr = t_rdwr
+            else:
+                # The backend's policy resolves this access's timings
+                # before any command is scheduled.
+                if open_row == row:
+                    outcome = row_hit
+                elif open_row is None:
+                    outcome = row_empty
+                else:
+                    outcome = row_miss
+                a_prer, a_act, a_rdwr = resolve(bnk, row, time, outcome)
             if open_row == row:
                 cls[1] += 1
                 row_ready = time
@@ -500,12 +558,12 @@ class FastSystem:
                         prer_start = bank_busy
                     row_free = prer_start + t_packet
                     row_busy += t_packet
-                    act_start = prer_start + t_prer
+                    act_start = prer_start + a_prer
                     if row_free > act_start:
                         act_start = row_free
                 row_free = act_start + t_packet
                 row_busy += t_packet
-                row_ready = act_start + t_act
+                row_ready = act_start + a_act
                 open_rows[bnk] = row
                 flushed_rows[bnk] = None
                 for n in neighbours[bnk]:
@@ -517,7 +575,7 @@ class FastSystem:
                 cmd_start = row_ready if row_ready > col_free else col_free
                 col_free = cmd_start + t_packet
                 col_busy += t_packet
-                data_end = cmd_start + t_rdwr
+                data_end = cmd_start + a_rdwr
                 if data_free > data_end:
                     data_end = data_free
                 data_end += t_transfer
@@ -529,7 +587,7 @@ class FastSystem:
                     cmd_start = row_ready if row_ready > col_free else col_free
                     col_free = cmd_start + t_packet
                     col_busy += t_packet
-                    data_end = cmd_start + t_rdwr
+                    data_end = cmd_start + a_rdwr
                     if data_free > data_end:
                         data_end = data_free
                     data_end += t_transfer
@@ -544,7 +602,15 @@ class FastSystem:
                 row_busy += t_packet
                 open_rows[bnk] = None
                 flushed_rows[bnk] = None
-                busy_until[bnk] = prer_start + t_prer
+                busy_until[bnk] = prer_start + a_prer
+            if policy is not None:
+                observe(
+                    bnk,
+                    row,
+                    outcome,
+                    None if outcome == row_hit else act_start,
+                    completion,
+                )
             return completion
 
         def pf_fill(addr, ready_time):

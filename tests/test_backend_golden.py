@@ -13,6 +13,11 @@ sanitizer-clean on every backend" gate of the CI matrix: a backend
 whose channel schedule violates its own policy's timing grants fails
 here with cycle/component context, not just with drifted numbers.
 
+The same goldens gate the fast kernel (``execute_point(..., fast=True)``,
+which drives each backend's own geometry, timings and row-timing
+policy): it must reproduce the reference kernel's snapshot exactly, and
+a drift there is fixed in the kernel, never by regenerating.
+
 The default run spot-checks the tiny profile's six benchmarks per
 backend (fast enough for every tier-1 invocation); the CI matrix jobs
 set ``REPRO_GOLDEN_FULL=1`` to sweep all 26 workloads.  The golden file
@@ -98,6 +103,18 @@ def test_backend_stats_match_golden(backend, workload):
         f"SimStats for {backend}/{workload} drifted from the golden snapshot; "
         "if the timing-model change is intentional, regenerate "
         "tests/golden/tiny_stats_backends.json in its own commit"
+    )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_fast_kernel_matches_backend_golden(backend, workload):
+    stats, _ = execute_point(
+        SimPoint(workload, _config(backend), MEMORY_REFS, SEED), fast=True
+    )
+    assert stats == _golden()[backend][workload], (
+        f"the fast kernel drifted from the reference for {backend}/{workload}; "
+        "REPRO_FAST must stay byte-identical — fix the kernel, never the snapshot"
     )
 
 

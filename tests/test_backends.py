@@ -6,8 +6,9 @@ rejection, registration-order-independent naming), digest stability
 so every cached result and golden stays valid), the per-backend
 row-timing policies in isolation and in channel/sanitizer lockstep,
 the A/B byte-identity of sanitized vs plain runs on every backend,
-the fast-kernel fallback, the service schema's backend enumeration,
-and the bench history's refusal to pool samples across backends.
+the fast kernel running every backend, the service schema's backend
+enumeration, and the bench history's refusal to pool samples across
+backends.
 """
 
 import dataclasses
@@ -277,20 +278,31 @@ class TestSimulationSeams:
         sanitized, _ = execute_point(point, sanitize=True)
         assert plain == sanitized
 
-    def test_fast_kernel_rejects_non_drdram(self):
+    def test_fast_kernel_supports_every_backend(self):
         from repro.kernel.fastcore import kernel_supports
 
-        assert kernel_supports(SystemConfig())
-        for backend in NEW_BACKENDS:
-            assert not kernel_supports(SystemConfig().with_backend(backend))
+        for backend in backend_names():
+            assert kernel_supports(SystemConfig().with_backend(backend))
 
     @pytest.mark.parametrize("backend", NEW_BACKENDS)
-    def test_fast_flag_falls_back_to_reference(self, backend):
-        """fast=True on a non-DRDRAM backend silently takes the reference
-        kernel and produces the same statistics as fast=False."""
+    def test_fast_flag_runs_the_fast_kernel(self, backend, monkeypatch):
+        """fast=True on a non-DRDRAM backend builds the fast kernel (no
+        fallback) and produces the same statistics as fast=False."""
+        from repro.kernel import batch
+
+        built = []
+
+        class SpyFastSystem(batch.FastSystem):
+            def __init__(self, config):
+                built.append(config.dram.backend)
+                super().__init__(config)
+
+        monkeypatch.setattr(batch, "FastSystem", SpyFastSystem)
         point = SimPoint("eon", SystemConfig().with_backend(backend), 2_000, 0)
-        reference, _ = execute_point(point)
+        reference, _ = execute_point(point, fast=False)
+        assert built == []
         fast, _ = execute_point(point, fast=True)
+        assert built == [backend]
         assert reference == fast
 
     def test_backends_differ_from_each_other(self):

@@ -15,7 +15,10 @@ from repro.bench.harness import (
     run_benchmarks,
     write_result,
 )
-from repro.bench.scenarios import SCENARIOS, time_scenario
+from repro.bench.scenarios import SCENARIOS, _stats_counters, time_scenario
+from repro.core.config import SystemConfig
+from repro.core.system import simulate
+from repro.runner.worker import get_traces
 
 
 class TestScenarios:
@@ -57,6 +60,34 @@ class TestScenarios:
         assert first == second
         assert first["trace_records"] >= 2_000
         assert first["warmup_records"] > 0
+
+
+class TestScenarioBackends:
+    """``repro-bench --backend B`` builds every scenario config against B
+    (it sets ``REPRO_BACKEND``); the full-system scenarios must run on
+    every backend and count exactly what the reference kernel counts."""
+
+    @pytest.mark.parametrize("backend", ("tldram", "chargecache", "ddr"))
+    @pytest.mark.parametrize(
+        "name,workload,prefetch",
+        [
+            ("hot_cache", "eon", False),
+            ("dram_bound", "mcf", False),
+            ("prefetch_heavy", "swim", True),
+        ],
+    )
+    def test_full_system_scenario_matches_reference(
+        self, monkeypatch, backend, name, workload, prefetch
+    ):
+        monkeypatch.setenv("REPRO_BACKEND", backend)
+        refs = 1_000
+        _, work, counters = time_scenario(SCENARIOS[name], refs)
+        config = SystemConfig().with_prefetch(enabled=prefetch)
+        assert config.dram.backend == backend
+        warm, main = get_traces(workload, refs, 0, config.l2.size_bytes)
+        reference = simulate(main, config, warmup_trace=warm, fast=False)
+        assert work == refs
+        assert counters == _stats_counters(reference)
 
 
 class TestHarness:

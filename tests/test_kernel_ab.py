@@ -7,7 +7,9 @@ through the warm-state memo, one point at a time and batched.  Hypothesis
 drives randomly drawn configurations spanning the paper's axes (DRAM
 mapping and row policy, L2 geometry, both prefetch engines with their
 policy/scheduling/throttle variants, idealized hierarchies, non-dyadic
-clocks) through both kernels and asserts exact ``to_dict`` equality.
+clocks) and every registered DRAM backend with its tuning knobs (so the
+TL-DRAM and ChargeCache row-timing policies ride through every property)
+through both kernels and asserts exact ``to_dict`` equality.
 
 Under ``HYPOTHESIS_PROFILE=ci`` (see ``conftest.py``) the examples are
 derandomized, so CI runs are reproducible; locally the defaults keep
@@ -34,6 +36,7 @@ from repro.kernel import (
     kernel_supports,
     simulate_batch,
 )
+from repro.kernel import fastcore
 from repro.kernel.fastcore import FastSystem
 from repro.workloads import build_trace
 from repro.workloads.registry import build_warmup_trace
@@ -63,10 +66,24 @@ def system_configs(draw):
         throttle=draw(st.booleans()),
         throttle_window=draw(st.sampled_from([64, 512])),
     )
+    backend = draw(st.sampled_from(["drdram", "tldram", "chargecache", "ddr"]))
+    knobs = {}
+    if backend == "tldram":
+        knobs = dict(
+            tldram_near_rows=draw(st.sampled_from([1, 16, 64, 256])),
+            tldram_near_cache=draw(st.booleans()),
+        )
+    elif backend == "chargecache":
+        knobs = dict(
+            chargecache_entries=draw(st.sampled_from([1, 8, 128])),
+            chargecache_duration_ns=draw(st.sampled_from([100.0, 1000.0, 8000.0])),
+        )
     dram = DRAMConfig(
         mapping=draw(st.sampled_from(["base", "xor"])),
         row_policy=draw(st.sampled_from(["open", "closed"])),
         channels=draw(st.sampled_from([1, 4])),
+        backend=backend,
+        **knobs,
     )
     l2 = CacheConfig(
         size_bytes=draw(st.sampled_from([64 * 1024, 256 * 1024])),
@@ -207,6 +224,28 @@ class TestDeterministicEdgeCases:
         reference = simulate(trace, config, warmup_trace=warmup, fast=False)
         fast = simulate(trace, config, warmup_trace=warmup, fast=True)
         assert _dump(fast) == _dump(reference)
+
+    def test_warm_memo_never_aliases_policy_state(self):
+        """One memoized warm-up per policy backend, restored into fresh
+        systems that each run a different main trace: every run equals
+        the reference.  A snapshot sharing its row-timing policy with a
+        restored system (either way) would carry one run's row stamps or
+        near-segment rows into the next."""
+        clear_warm_cache()
+        mains = [build_trace("mcf", 1_500, seed=seed) for seed in (0, 1)]
+        for backend in ("chargecache", "tldram"):
+            config = SystemConfig().with_backend(backend)
+            warmup = build_warmup_trace("mcf", seed=0, l2_bytes=config.l2.size_bytes)
+            warm = compile_trace(warmup)
+            references = [
+                _dump(simulate(main, config, warmup_trace=warmup, fast=False))
+                for main in mains
+            ]
+            for i in (0, 1, 0, 1):
+                system = FastSystem(config)
+                system.warmup(warm)
+                assert (config, warm.digest) in fastcore._WARM_MEMO
+                assert _dump(system.run(compile_trace(mains[i]))) == references[i]
 
     def test_batch_mixes_supported_and_fallback_geometries(self):
         """Unsupported geometries inside a batch silently take the
