@@ -34,11 +34,12 @@ simulator:
   ``sweep_batch``'s exactly, so the committed baseline doubles as a
   batch-vs-independent equivalence gate.
 
-The full-system scenarios run the ``repro.kernel`` fast path — the
-code sweeps actually execute — including its per-process trace,
-compiled-column, and warm-state memos (populated during the harness's
-untimed warm-up iteration, exactly as a sweep's first point warms
-them).  Their event counters are byte-identical to the reference
+The full-system scenarios run the ``repro.kernel`` fast kernel — the
+code every unobserved, unsanitized point executes.  Only trace
+construction is memoized (the runner worker's per-process trace memo,
+filled during the harness's untimed warm-up iteration); every timed
+repeat compiles its columns and simulates its warm-up, as every cold
+point does.  Their event counters are byte-identical to the reference
 kernel's, so the committed baseline also gates fast-vs-reference
 equivalence in CI.
 """
@@ -179,13 +180,10 @@ def _accumulate(totals: Counters, stats: SimStats) -> None:
 def _sweep_batch(refs: int) -> Tuple[int, Counters]:
     """8-config sweep over one shared trace, batched on the fast kernel.
 
-    The traces come from the runner worker's memo and the compiled
-    columns are walked once per point; after the harness's untimed
-    warm-up iteration the per-config warm-state memo also replaces the
-    warm-up simulation with a state restore — exactly the steady state
-    of a real sweep, where every config family recurs across seeds.
-    Counters are the per-config sums, byte-identical to
-    ``sweep_indep``'s.
+    The traces come from the runner worker's memo; the batch compiles
+    each trace's columns once and shares them across the 8 points, and
+    every point simulates its own warm-up.  Counters are the per-config
+    sums, byte-identical to ``sweep_indep``'s.
     """
     configs = _sweep_configs()
     warm, main = get_traces("eon", refs, 0, configs[0].l2.size_bytes)
@@ -200,9 +198,8 @@ def _sweep_indep(refs: int) -> Tuple[int, Counters]:
 
     Each point rebuilds its warm-up and main traces and runs the
     reference kernel end to end — the pre-batching sweep cost model.
-    ``fast=False`` pins the reference path even when ``REPRO_FAST`` is
-    set, so the batch/independent ratio in one bench file is always
-    fast-batched vs reference-naive.
+    ``fast=False`` pins the reference kernel, so the batch/independent
+    ratio in one bench file is always fast-batched vs reference-naive.
     """
     from repro.workloads import build_trace
     from repro.workloads.registry import build_warmup_trace
@@ -294,9 +291,9 @@ def time_scenario(scenario: Scenario, refs: int) -> Tuple[float, int, Counters]:
 
     Full-system scenarios route trace construction through the runner
     worker's per-process memo, so after the harness's warm-up repeat
-    the measured repeats time only the simulation kernel; the
-    ``trace_gen`` scenario calls the builders directly and therefore
-    measures construction every time.
+    the measured repeats time only column compilation and simulation,
+    warm-up included; the ``trace_gen`` scenario calls the trace
+    constructors directly and therefore measures construction every time.
     """
     started = time.perf_counter()
     work, counters = scenario.run(refs)

@@ -104,7 +104,7 @@ def simulate(
     warmup_trace: Optional[Trace] = None,
     obs: "Optional[Observer]" = None,
     sanitize: "Union[bool, Sanitizer, None]" = None,
-    fast: Optional[bool] = None,
+    fast: bool = True,
 ) -> SimStats:
     """Run ``trace`` on a fresh system built from ``config``.
 
@@ -115,18 +115,18 @@ def simulate(
     the statistics; ``sanitize`` runs the same simulation under the
     runtime invariant checker.
 
-    ``fast`` selects the specialized kernel in :mod:`repro.kernel`
-    (``None`` reads the ``REPRO_FAST`` environment opt-in).  The fast
-    kernel produces byte-identical statistics; the reference kernel
-    remains authoritative and is always used when observability or
-    sanitizing is requested, or for geometries the fast kernel does
-    not specialize (:func:`repro.kernel.fastcore.use_fast_kernel`).
+    The point runs on the specialized kernel in :mod:`repro.kernel`,
+    which produces byte-identical statistics.  The reference kernel
+    remains authoritative: it runs when observability or sanitizing is
+    requested (the fast kernel emits no probe events) and when ``fast``
+    is False, the handle the A/B tests use to run it as an oracle
+    (:func:`repro.kernel.fastcore.use_fast_kernel`).
     """
     # Imported lazily: repro.kernel imports this module.
     from repro.kernel.batch import simulate_fast
     from repro.kernel.fastcore import use_fast_kernel
 
-    if use_fast_kernel(config, fast, obs, sanitize):
+    if use_fast_kernel(fast, obs, sanitize):
         return simulate_fast(trace, config, warmup_trace=warmup_trace)
     system = System(config, obs=obs, sanitize=sanitize)
     if warmup_trace is not None:

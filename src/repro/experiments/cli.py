@@ -71,67 +71,44 @@ def default_cache_dir() -> str:
     )
 
 
-def _profile_sim(benchmark: str, profile, fast: bool = False, top: int = 25) -> int:
+def _profile_sim(benchmark: str, profile, top: int = 25) -> int:
     """Simulate one point under cProfile; print sorted hot-spot tables.
 
     Trace construction and the simulation itself both run inside the
     profile window (trace generation is part of the optimized kernel).
     The point uses the prefetch-enabled configuration so the region
-    engine and DRAM scheduling paths appear in the profile.
-
-    With ``--fast`` the profile covers the batched fast path instead:
-    one ``simulate_batch`` over several configuration variants sharing
-    the benchmark's trace, which is the shape sweeps actually run.
+    engine and DRAM scheduling paths appear in the profile.  The point
+    goes through ``execute_point`` like any experiment point, and the
+    summary line names the kernel whose code the profile recorded.
     """
     import cProfile
     import io
     import pstats
 
     from repro.core.config import SystemConfig
+    from repro.kernel.fastcore import FastSystem
     from repro.runner import SimPoint
     from repro.runner.worker import execute_point
 
+    point = SimPoint(
+        benchmark=benchmark,
+        config=SystemConfig().with_prefetch(enabled=True),
+        memory_refs=profile.memory_refs,
+        seed=profile.seed,
+    )
     profiler = cProfile.Profile()
-    if fast:
-        import time as _time
-        from dataclasses import replace
-
-        from repro.kernel import simulate_batch
-        from repro.runner.worker import get_traces
-
-        base = SystemConfig()
-        configs = [
-            base,
-            base.with_prefetch(enabled=True),
-            base.with_prefetch(enabled=True, policy="fifo"),
-            replace(base, dram=replace(base.dram, mapping="base")),
-        ]
-        started = _time.perf_counter()
-        profiler.enable()
-        warm, main = get_traces(
-            benchmark, profile.memory_refs, profile.seed, base.l2.size_bytes
-        )
-        simulate_batch(main, configs, warmup_trace=warm, fast=True)
-        profiler.disable()
-        wall = _time.perf_counter() - started
-        shape = f"batch of {len(configs)} configs, fast kernel"
-    else:
-        point = SimPoint(
-            benchmark=benchmark,
-            config=SystemConfig().with_prefetch(enabled=True),
-            memory_refs=profile.memory_refs,
-            seed=profile.seed,
-        )
-        profiler.enable()
-        _, wall = execute_point(point)
-        profiler.disable()
-        shape = "single point, reference kernel"
+    profiler.enable()
+    _, wall = execute_point(point)
+    profiler.disable()
     stream = io.StringIO()
     stats = pstats.Stats(profiler, stream=stream)
+    code = FastSystem._run.__code__
+    ran_fast = (code.co_filename, code.co_firstlineno, code.co_name) in stats.stats
+    kernel = "fast" if ran_fast else "reference"
     stats.sort_stats("cumulative").print_stats(top)
     stats.sort_stats("tottime").print_stats(top)
     print(f"profiled {benchmark} ({profile.name}: {profile.memory_refs} refs, "
-          f"{shape}, {wall:.2f}s simulated wall time)")
+          f"single point, {kernel} kernel, {wall:.2f}s simulated wall time)")
     print(stream.getvalue().rstrip())
     return 0
 
@@ -213,15 +190,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "is actually simulated and checked",
     )
     parser.add_argument(
-        "--fast",
-        action="store_true",
-        help="opt into the specialized simulation kernel (repro.kernel): "
-        "sets REPRO_FAST=1 for this process and its pool workers.  "
-        "Statistics and experiment output are byte-identical to the "
-        "reference kernel (the golden and A/B suites enforce it); "
-        "observed or sanitized points always run the reference kernel",
-    )
-    parser.add_argument(
         "--backend",
         default=None,
         metavar="NAME",
@@ -295,9 +263,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"--backend: unknown DRAM backend {args.backend!r} "
                 f"(registered: {', '.join(backend_names())})"
             )
-        # Environment, not a parameter, for the same reason as --fast:
-        # pool workers inherit it, and every SystemConfig constructed
-        # anywhere in the experiment picks it up as the default.
+        # Environment, not a parameter: pool workers inherit it, and
+        # every SystemConfig constructed anywhere in the experiment
+        # picks it up as the default.
         os.environ["REPRO_BACKEND"] = args.backend
     if args.jobs is not None and args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
@@ -305,12 +273,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"--job-timeout must be positive, got {args.job_timeout}")
     if args.max_retries is not None and args.max_retries < 0:
         parser.error(f"--max-retries must be >= 0, got {args.max_retries}")
-
-    if args.fast:
-        # Environment, not a parameter: pool workers inherit it, and
-        # execute_point resolves it per point (observed/sanitized
-        # points still take the reference kernel).
-        os.environ["REPRO_FAST"] = "1"
 
     if args.profile_sim is not None:
         from repro.experiments.common import active_profile
@@ -321,7 +283,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _profile_sim(
             args.profile_sim,
             PROFILES[args.profile] if args.profile else active_profile(),
-            fast=args.fast,
         )
 
     cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())

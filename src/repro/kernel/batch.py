@@ -1,15 +1,17 @@
-"""Multi-config batching over one shared compiled trace.
+"""One point, or several configs over one shared compiled trace.
 
-``simulate_batch`` walks a single :class:`CompiledTrace` once per
-process while stepping several configuration variants: the trace's
-list conversions, derived cache columns, and DRAM coordinate maps are
-built once and shared by every point, so the per-config cost is the
-simulation proper.  With the fast kernel opted in (``fast=True`` /
-``REPRO_FAST=1``) each point runs the specialized interpreter in
-:mod:`repro.kernel.fastcore`; otherwise each point runs the reference
-``System`` fed with the precompiled columns.  Either way the results
-are byte-identical to independent ``simulate`` calls — enforced by the
-singleton-equivalence property test in ``tests/test_kernel_ab.py``.
+``simulate_fast`` runs one point on the specialized interpreter in
+:mod:`repro.kernel.fastcore`; it is what :func:`repro.core.system.simulate`
+calls for every point the kernel rule (``use_fast_kernel``) sends there.
+
+``simulate_batch`` steps several configuration variants over a single
+:class:`CompiledTrace`: the trace's list conversion is built once per
+call and shared by every point, so the per-config cost is the
+simulation proper.  Each point runs the fast kernel unless the rule
+sends it to the reference ``System`` (fed the same precompiled
+columns).  Either way the results are byte-identical to independent
+``simulate`` calls — enforced by the singleton-equivalence property
+test in ``tests/test_kernel_ab.py``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ def simulate_fast(
     config: SystemConfig,
     warmup_trace: Optional[Trace] = None,
 ) -> SimStats:
-    """Run one point on the specialized kernel (caller checked support)."""
+    """Run one point on the specialized kernel."""
     system = FastSystem(config)
     if warmup_trace is not None:
         system.warmup(compile_trace(warmup_trace))
@@ -45,7 +47,7 @@ def simulate_batch(
     warmup_traces: Optional[Sequence[Optional[Trace]]] = None,
     obs=None,
     sanitize=None,
-    fast: Optional[bool] = None,
+    fast: bool = True,
 ) -> List[SimStats]:
     """Simulate ``trace`` under each config; returns one stats per config.
 
@@ -54,9 +56,8 @@ def simulate_batch(
     sweeps whose warm-up depends on the config, e.g. on the L2 size.
     ``obs``/``sanitize`` apply to every point, and each point takes the
     kernel :func:`~repro.kernel.fastcore.use_fast_kernel` picks, the rule
-    :func:`repro.core.system.simulate` applies (``fast`` follows
-    ``REPRO_FAST`` when None).  Statistics are byte-identical to N
-    independent ``simulate`` calls in every mode.
+    :func:`repro.core.system.simulate` applies.  Statistics are
+    byte-identical to N independent ``simulate`` calls in every mode.
     """
     if warmup_traces is not None:
         if warmup_trace is not None:
@@ -79,10 +80,11 @@ def simulate_batch(
             warm_cache[id(warm)] = cached
         return cached
 
+    fast_kernel = use_fast_kernel(fast, obs, sanitize)
     results: List[SimStats] = []
     for i, config in enumerate(configs):
         warm = warmup_traces[i] if warmup_traces is not None else warmup_trace
-        if use_fast_kernel(config, fast, obs, sanitize):
+        if fast_kernel:
             system = FastSystem(config)
             warm_compiled = compiled_warmup(warm)
             if warm_compiled is not None:

@@ -37,14 +37,14 @@ Three rules keep the float results exact rather than merely close:
   non-negative simulation times, so the selected value is equal even
   when the argument order differs.
 
-**Warm-state memoization.**  Warm-up runs are deterministic functions
-of ``(config, warm-trace digest)``, so the post-warm-up machine state
-(cache contents, DRAM bank/bus state, prefetch queue, clock) is
-snapshotted per process and restored on repeat — a sweep or benchmark
-re-running the same warm-up pays the full simulation once.  Snapshots
-deep-copy the line lists and the row-timing policy both ways, so a
-restored system can never alias a cached one; the restored state is
-byte-for-byte the state the warm-up run would have produced.
+**Nothing outlives a point.**  A ``FastSystem`` holds the machine
+state of one point (warm-up, then the measured run) and the kernel keeps
+no process-wide memo: each run reads only the trace's base columns and
+derives every record's L1 block and set, its L2 block (from the raw
+address, as ``MemoryHierarchy._l2_access`` does, so every L1 geometry is
+exact) and each DRAM access's ``(bank, row)`` inline, with the same
+arithmetic as the reference components.  A cold sweep never repeats a
+``(config, warm-up)`` pair, so a memo would only hold memory.
 
 State layout notes: a cache line is ``[block, dirty, prefetched,
 ready_time]``; L1 fills skip the reference's merge check because
@@ -56,10 +56,7 @@ merge check whenever a prefetcher exists — a gap-drained prefetch
 
 from __future__ import annotations
 
-import copy
-import os
 from heapq import heappop, heappush
-from typing import Optional
 
 from repro.cache.replacement import insertion_index
 from repro.core.config import SystemConfig
@@ -71,14 +68,7 @@ from repro.kernel.compiled import CompiledTrace
 from repro.prefetch.engine import THROTTLE_PROBE_PERIOD
 from repro.prefetch.stride import StridePrefetcher
 
-__all__ = [
-    "FastSystem",
-    "fast_enabled",
-    "kernel_supports",
-    "use_fast_kernel",
-    "clear_warm_cache",
-    "HAVE_NUMBA",
-]
+__all__ = ["FastSystem", "use_fast_kernel", "HAVE_NUMBA"]
 
 # Optional JIT hook: when numba is importable the columnar precompute
 # helpers could be njit-compiled.  The container image does not ship
@@ -91,58 +81,16 @@ try:  # pragma: no cover - exercised only where numba is installed
 except ImportError:
     HAVE_NUMBA = False
 
-_TRUE_VALUES = ("1", "true", "yes", "on")
-
-
-def fast_enabled(env: Optional[str] = None) -> bool:
-    """Parse the ``REPRO_FAST`` opt-in (default: off)."""
-    value = os.environ.get("REPRO_FAST", "") if env is None else env
-    return value.strip().lower() in _TRUE_VALUES
-
-
-def kernel_supports(config: SystemConfig) -> bool:
-    """Geometries the fast kernel can specialize.
-
-    The kernel derives each record's L2 block from its precompiled L1
-    block (``l1_block & ~(l2_block-1)``), which requires both L1 block
-    sizes to divide the L2 block size.  ``SystemConfig`` enforces this
-    for the L1D only; unusual L1I geometries fall back to the reference
-    kernel.  Every registered DRAM backend is supported: the kernel
-    drives the backend's own geometry, timings and row-timing policy.
-    """
-    l2_block = config.l2.block_bytes
-    for l1 in (config.l1i, config.l1d):
-        if l1.block_bytes > l2_block or l2_block % l1.block_bytes:
-            return False
-    return True
-
-
-def use_fast_kernel(
-    config: SystemConfig, fast: Optional[bool] = None, obs=None, sanitize=None
-) -> bool:
+def use_fast_kernel(fast: bool = True, obs=None, sanitize=None) -> bool:
     """The kernel rule: does a point with these options run on the fast
     kernel?
 
-    Only when the fast kernel is asked for (``fast``, or ``REPRO_FAST``
-    when None), no observer or sanitizer is attached (the fast kernel
-    emits no probe events), and :func:`kernel_supports` the geometry.
+    Yes unless an observer or sanitizer is attached (the fast kernel
+    emits no probe events) or the caller passes ``fast=False``, the
+    handle the A/B tests use to run the reference kernel as an oracle.
     ``simulate`` and ``simulate_batch`` both decide through here.
     """
-    if obs is not None or sanitize:
-        return False
-    if not (fast_enabled() if fast is None else fast):
-        return False
-    return kernel_supports(config)
-
-
-#: post-warm-up machine-state snapshots, keyed by (config, digest).
-_WARM_MEMO: dict = {}
-_WARM_MEMO_LIMIT = 16
-
-
-def clear_warm_cache() -> None:
-    """Drop all memoized warm-up state snapshots (test isolation)."""
-    _WARM_MEMO.clear()
+    return fast and obs is None and not sanitize
 
 
 class FastSystem:
@@ -151,16 +99,13 @@ class FastSystem:
 
     Cache, DRAM-bank, row-timing-policy and prefetcher state persist
     across runs (warm-up then measurement), exactly like the reference
-    ``System``.
+    ``System``, and die with the instance.
     """
 
     def __init__(self, config: SystemConfig) -> None:
         self.config = config.validate()
-        if not kernel_supports(config):
-            raise ValueError("configuration not supported by the fast kernel")
         self.stats = SimStats()
         self._clock = 0.0
-        self._fresh = True
 
         core = config.core
         self._issue_width = float(core.issue_width)
@@ -179,6 +124,12 @@ class FastSystem:
         self._l2_assoc = config.l2.assoc
         self._l1i_entries = config.l1i.mshrs
         self._l1d_entries = config.l1d.mshrs
+        self._l1i_block_mask = ~(config.l1i.block_bytes - 1)
+        self._l1i_offset_bits = config.l1i.block_offset_bits
+        self._l1i_index_mask = config.l1i.num_sets - 1
+        self._l1d_block_mask = ~(config.l1d.block_bytes - 1)
+        self._l1d_offset_bits = config.l1d.block_offset_bits
+        self._l1d_index_mask = config.l1d.num_sets - 1
         self._l2_block_mask = ~(config.l2.block_bytes - 1)
         self._l2_offset_bits = config.l2.block_offset_bits
         self._l2_index_mask = config.l2.num_sets - 1
@@ -196,7 +147,6 @@ class FastSystem:
         # timings, and a fresh per-access row-timing policy.
         backend = get_backend(config.dram.backend)
         dram = backend.effective(config.dram)
-        self._dram = dram
         timings = backend.timing_cycles(config.dram, core)
         self._t_prer = timings["t_prer"]
         self._t_act = timings["t_act"]
@@ -232,7 +182,7 @@ class FastSystem:
         self._data_free = 0.0
 
         # The mapping's private field split drives the inline coordinate
-        # fallback for blocks outside the precompiled map.
+        # arithmetic (AddressMapping.translate, without the column).
         self._mapping = make_mapping(dram)
         m = self._mapping
         self._coord_shift = m._offset_bits + m._channel_bits + m._column_bits
@@ -283,99 +233,21 @@ class FastSystem:
 
     def run(self, compiled: CompiledTrace) -> SimStats:
         """Execute ``compiled`` on this system; returns accumulated stats."""
-        self._fresh = False
         self._clock = self._run(compiled, self._clock)
         return self.stats
 
     def warmup(self, compiled: CompiledTrace) -> None:
-        """Warm caches/DRAM/prefetcher state, then zero the statistics.
-
-        The post-warm-up state of a fresh system is a pure function of
-        ``(config, compiled.digest)``, so it is memoized per process:
-        repeat warm-ups restore a snapshot instead of re-simulating.
-        (Not applied when a stride engine is attached — its state lives
-        in a reference object that is cheap enough to just re-run.)
-        """
-        key = None
-        if self._fresh and self._prefetcher is None:
-            key = (self.config, compiled.digest)
-            snapshot = _WARM_MEMO.get(key)
-            if snapshot is not None:
-                self._restore(snapshot)
-                self._fresh = False
-                return
-        self._fresh = False
+        """Warm caches/DRAM/prefetcher state, then zero the statistics;
+        the clock keeps advancing, as in the reference ``System``."""
         self._clock = self._run(compiled, self._clock)
         self.stats.reset()
-        if key is not None:
-            if len(_WARM_MEMO) >= _WARM_MEMO_LIMIT:
-                _WARM_MEMO.pop(next(iter(_WARM_MEMO)))
-            _WARM_MEMO[key] = self._snapshot()
-
-    # -- warm-state snapshots -------------------------------------------------
-
-    def _snapshot(self) -> tuple:
-        def copy_sets(sets: list) -> list:
-            return [[line[:] for line in lines] for lines in sets]
-
-        return (
-            copy_sets(self._l1i_sets),
-            copy_sets(self._l1d_sets),
-            copy_sets(self._l2_sets),
-            self._open_rows[:],
-            self._busy_until[:],
-            self._flushed_rows[:],
-            self._row_free,
-            self._col_free,
-            self._data_free,
-            [entry[:] for entry in self._pf_entries],
-            self._pf_outcome_total,
-            self._pf_outcome_useful,
-            self._pf_throttle_skips,
-            self._clock,
-            copy.deepcopy(self._policy),
-        )
-
-    def _restore(self, snapshot: tuple) -> None:
-        (
-            l1i, l1d, l2c, orows, busy, frows, rf, cf, df, entries, ot, ou, ts,
-            clock, policy,
-        ) = snapshot
-        for sets, tags, src in (
-            (self._l1i_sets, self._l1i_tags, l1i),
-            (self._l1d_sets, self._l1d_tags, l1d),
-            (self._l2_sets, self._l2_tags, l2c),
-        ):
-            for i, lines in enumerate(src):
-                copied = [line[:] for line in lines]
-                sets[i] = copied
-                # A tag dict maps a line's block to the line itself, so
-                # it can be rebuilt exactly from the copied lines.
-                tags[i] = {line[0]: line for line in copied}
-        self._open_rows[:] = orows
-        self._busy_until[:] = busy
-        self._flushed_rows[:] = frows
-        self._row_free = rf
-        self._col_free = cf
-        self._data_free = df
-        self._pf_entries[:] = [entry[:] for entry in entries]
-        self._pf_outcome_total = ot
-        self._pf_outcome_useful = ou
-        self._pf_throttle_skips = ts
-        self._clock = clock
-        self._policy = copy.deepcopy(policy)
 
     # -- the kernel -----------------------------------------------------------
 
     def _run(self, compiled: CompiledTrace, start_time: float) -> float:
-        config = self.config
         stats = self.stats
 
-        # Columns (shared, precompiled once per trace content).
-        kinds_col, gaps_col, _, deps_col, pcs_col = compiled.base_columns()
-        blocks_col, sets_col = compiled.l1_columns(config.l1i, config.l1d)
-        cmap = compiled.coord_map(self._dram, config.l2.block_bytes)
-        cmap_get = cmap.get
+        kinds_col, gaps_col, addrs_col, deps_col, pcs_col = compiled.base_columns()
 
         # Hoisted configuration scalars.
         issue_width = self._issue_width
@@ -393,6 +265,12 @@ class FastSystem:
         l2_assoc = self._l2_assoc
         i_entries = self._l1i_entries
         d_entries = self._l1d_entries
+        l1i_block_mask = self._l1i_block_mask
+        l1i_offset_bits = self._l1i_offset_bits
+        l1i_index_mask = self._l1i_index_mask
+        l1d_block_mask = self._l1d_block_mask
+        l1d_offset_bits = self._l1d_offset_bits
+        l1d_index_mask = self._l1d_index_mask
         l2_block_mask = self._l2_block_mask
         l2_offset_bits = self._l2_offset_bits
         l2_index_mask = self._l2_index_mask
@@ -497,8 +375,7 @@ class FastSystem:
         i_stalls = d_stalls = 0
 
         def coord(block):
-            # Slow path: block outside the precompiled map (victims and
-            # prefetch targets beyond the trace footprint).
+            # AddressMapping.translate -> (bank, row), inlined.
             shifted = block >> coord_shift
             devbank = shifted & devbank_mask
             row = (shifted >> devbank_bits) & row_mask
@@ -508,11 +385,8 @@ class FastSystem:
                 bank = (swizzled >> device_bits) & bank_mask
                 if bank_bits > 0:
                     bank = ((bank & 1) << (bank_bits - 1)) | (bank >> 1)
-                c = ((bank << device_bits) | device, row)
-            else:
-                c = (devbank, row)
-            cmap[block] = c
-            return c
+                return (bank << device_bits) | device, row
+            return devbank, row
 
         def chan_access(time, bnk, row, cls):
             # LogicalChannel.access, flattened (obs/san are never
@@ -645,8 +519,7 @@ class FastSystem:
             lines.insert(pf_slot if pf_slot < len(lines) else len(lines), line)
             tags[block] = line
             if victim is not None and victim[1]:
-                c = cmap_get(victim[0])
-                vbank, vrow = c if c is not None else coord(victim[0])
+                vbank, vrow = coord(victim[0])
                 chan_access(ready_time, vbank, vrow, wb_cls)
                 l2_wb += 1
 
@@ -702,8 +575,7 @@ class FastSystem:
                         if not pf_bank_aware:
                             break
                     if pf_bank_aware:
-                        c = cmap_get(addr)
-                        bnk, row = c if c is not None else coord(addr)
+                        bnk, row = coord(addr)
                         if open_rows[bnk] == row:
                             chosen_entry = entry
                             chosen_addr = addr
@@ -722,8 +594,7 @@ class FastSystem:
                 if bitmap == pf_all_set or scan >= pf_last:
                     pf_entries.remove(chosen_entry)
                     regions_comp += 1
-                c = cmap_get(chosen_addr)
-                bnk, row = c if c is not None else coord(chosen_addr)
+                bnk, row = coord(chosen_addr)
                 completion = chan_access(time, bnk, row, pf_cls)
                 pf_issued += 1
                 pf_fill(chosen_addr, completion)
@@ -737,8 +608,7 @@ class FastSystem:
                 addr = pf_select(shim, mapping, resident, now=time)
                 if addr is None:
                     return None
-                c = cmap_get(addr)
-                bnk, row = c if c is not None else coord(addr)
+                bnk, row = coord(addr)
                 completion = chan_access(time, bnk, row, pf_cls)
                 pf_issued += 1
                 pf_fill(addr, completion)
@@ -809,8 +679,7 @@ class FastSystem:
             l2_miss += 1
             if drain_on and col_free + idle_guard <= t2:
                 drain(t2)
-            c = cmap_get(block)
-            bnk, row = c if c is not None else coord(block)
+            bnk, row = coord(block)
             completion = chan_access(t2, bnk, row, rd_cls)
             if have_pf:
                 if region_on:
@@ -884,8 +753,7 @@ class FastSystem:
             lines.insert(0, line)
             tags[block] = line
             if victim is not None and victim[1]:
-                c = cmap_get(victim[0])
-                vbank, vrow = c if c is not None else coord(victim[0])
+                vbank, vrow = coord(victim[0])
                 chan_access(completion, vbank, vrow, wb_cls)
                 l2_wb += 1
             return completion
@@ -904,8 +772,8 @@ class FastSystem:
         inst_count = 0
         loads = stores = ifetches = swprefetches = 0
 
-        for kind, gap, dep, pc, blk, sidx in zip(
-            kinds_col, gaps_col, deps_col, pcs_col, blocks_col, sets_col
+        for kind, gap, addr, dep, pc in zip(
+            kinds_col, gaps_col, addrs_col, deps_col, pcs_col
         ):
             if kind == 3 and not use_swpf:  # discarded software prefetch
                 if gap:
@@ -934,6 +802,8 @@ class FastSystem:
                     completion = ready + l1i_lat
                 else:
                     l1i_acc += 1
+                    blk = addr & l1i_block_mask
+                    sidx = (blk >> l1i_offset_bits) & l1i_index_mask
                     tags = l1i_tags[sidx]
                     line = tags.get(blk)
                     if line is not None:
@@ -954,7 +824,7 @@ class FastSystem:
                     else:
                         l1i_miss += 1
                         t2 = ready + l1i_lat
-                        block = blk & l2_block_mask
+                        block = addr & l2_block_mask
                         completion = l2_access(
                             t2, block, (block >> l2_offset_bits) & l2_index_mask, pc
                         )
@@ -977,8 +847,7 @@ class FastSystem:
                             if vline is not None:
                                 vline[1] = True
                             elif not perfect_l2:
-                                c = cmap_get(vblock)
-                                vbank, vrow = c if c is not None else coord(vblock)
+                                vbank, vrow = coord(vblock)
                                 chan_access(completion, vbank, vrow, wb_cls)
                                 l2_wb += 1
                             l1i_wb += 1
@@ -1031,6 +900,8 @@ class FastSystem:
                 missed = False
             else:
                 l1d_acc += 1
+                blk = addr & l1d_block_mask
+                sidx = (blk >> l1d_offset_bits) & l1d_index_mask
                 tags = l1d_tags[sidx]
                 line = tags.get(blk)
                 if line is not None:
@@ -1052,7 +923,7 @@ class FastSystem:
                 else:
                     l1d_miss += 1
                     t2 = issue + l1d_lat
-                    block = blk & l2_block_mask
+                    block = addr & l2_block_mask
                     completion = l2_access(
                         t2, block, (block >> l2_offset_bits) & l2_index_mask, pc
                     )
@@ -1074,8 +945,7 @@ class FastSystem:
                         if vline is not None:
                             vline[1] = True
                         elif not perfect_l2:
-                            c = cmap_get(vblock)
-                            vbank, vrow = c if c is not None else coord(vblock)
+                            vbank, vrow = coord(vblock)
                             chan_access(completion, vbank, vrow, wb_cls)
                             l2_wb += 1
                         l1d_wb += 1

@@ -84,7 +84,7 @@ def execute_point(
     attempt: int = 0,
     obs=None,
     sanitize: bool = False,
-    fast: Optional[bool] = None,
+    fast: bool = True,
 ) -> Tuple[Dict[str, object], float]:
     """Simulate one :class:`~repro.runner.runner.SimPoint` from scratch.
 
@@ -110,11 +110,10 @@ def execute_point(
     raises :class:`~repro.sanitize.SanitizerError`, which pickles with
     its cycle/component/event context intact.
 
-    ``fast`` opts into the specialized kernel (:mod:`repro.kernel`);
-    ``None`` reads ``REPRO_FAST``, which pool workers inherit from the
-    parent environment.  :func:`repro.core.system.simulate` makes the
-    choice: the statistics are byte-identical either way, and observed
-    or sanitized points always run the reference kernel.
+    The point runs on the specialized kernel (:mod:`repro.kernel`)
+    unless it is observed or sanitized, or ``fast`` is False: those
+    run the reference kernel.  :func:`repro.core.system.simulate` makes
+    the choice, and the statistics are byte-identical either way.
     """
     faults.maybe_inject(point.label(), attempt)
     started = time.perf_counter()

@@ -114,7 +114,7 @@ def test_fast_kernel_matches_backend_golden(backend, workload):
     )
     assert stats == _golden()[backend][workload], (
         f"the fast kernel drifted from the reference for {backend}/{workload}; "
-        "REPRO_FAST must stay byte-identical — fix the kernel, never the snapshot"
+        "the fast kernel must stay byte-identical — fix the kernel, never the snapshot"
     )
 
 

@@ -278,12 +278,6 @@ class TestSimulationSeams:
         sanitized, _ = execute_point(point, sanitize=True)
         assert plain == sanitized
 
-    def test_fast_kernel_supports_every_backend(self):
-        from repro.kernel.fastcore import kernel_supports
-
-        for backend in backend_names():
-            assert kernel_supports(SystemConfig().with_backend(backend))
-
     @pytest.mark.parametrize("backend", NEW_BACKENDS)
     def test_fast_flag_runs_the_fast_kernel(self, backend, monkeypatch):
         """fast=True on a non-DRDRAM backend builds the fast kernel (no

@@ -102,9 +102,10 @@ def test_prefetch_stats_match_golden(workload):
     )
 
 
-#: representative points re-run on the opt-in fast kernel; the golden
-#: snapshot is generated on the reference kernel, so matching it here is
-#: the fast-on/fast-off byte-identity gate at the tiny-profile size.
+#: representative points pinned to each kernel explicitly.  The points
+#: above run the default (fast) kernel; the golden snapshot is generated
+#: on the reference kernel, so matching it on both is the fast-on/fast-off
+#: byte-identity gate at the tiny-profile size.
 FAST_SPOT_CHECKS = (
     ("baseline", "mcf"),
     ("baseline", "eon"),
@@ -115,15 +116,23 @@ FAST_SPOT_CHECKS = (
 
 @pytest.mark.parametrize("section,workload", FAST_SPOT_CHECKS)
 def test_fast_kernel_stats_match_golden(section, workload):
-    from repro.kernel import clear_warm_cache
-
-    clear_warm_cache()
     stats, _ = execute_point(
         SimPoint(workload, _config(section), MEMORY_REFS, SEED), fast=True
     )
     assert stats == _golden()[section][workload], (
         f"the fast kernel drifted from the reference for {section}/{workload}; "
-        "REPRO_FAST must stay byte-identical — fix the kernel, never the snapshot"
+        "the fast kernel must stay byte-identical — fix the kernel, never the snapshot"
+    )
+
+
+@pytest.mark.parametrize("section,workload", FAST_SPOT_CHECKS)
+def test_reference_kernel_stats_match_golden(section, workload):
+    stats, _ = execute_point(
+        SimPoint(workload, _config(section), MEMORY_REFS, SEED), fast=False
+    )
+    assert stats == _golden()[section][workload], (
+        f"the reference kernel drifted for {section}/{workload}; "
+        "if the change is intentional, regenerate tests/golden/tiny_stats.json"
     )
 
 

@@ -1,13 +1,16 @@
 """Unit tests for the ``repro.kernel`` performance layer.
 
 Covers the compiled-trace columns (against the reference per-record
-computations), the process-wide compile memo, the content-addressed
-on-disk trace store, the ``REPRO_FAST`` opt-in parsing, geometry
-support checks, warm-state memoization, and the batched driver's
-argument validation and sanitized fallback.
+computations), the memory contract (no compilation outlives its point),
+the content-addressed on-disk trace store, the kernel rule (fast unless
+observed, sanitized or ``fast=False``, whatever ``REPRO_FAST`` says),
+every L1 geometry on the fast kernel, and ``simulate_batch``'s argument
+validation and sanitized fallback.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -16,36 +19,36 @@ from repro.core.system import simulate
 from repro.cpu.trace import Trace
 from repro.dram.mapping import make_mapping
 from repro.kernel import (
-    CompiledTrace,
-    FastSystem,
     TraceStore,
-    clear_compile_cache,
-    clear_warm_cache,
+    batch,
     compile_trace,
-    fast_enabled,
-    kernel_supports,
     simulate_batch,
     simulate_fast,
     trace_digest,
     trace_store_from_env,
 )
-from repro.kernel.fastcore import _WARM_MEMO
+from repro.runner.runner import SimPoint
+from repro.runner.worker import execute_point
 from repro.workloads import build_trace
 from repro.workloads.registry import build_warmup_trace
 
 
-@pytest.fixture(autouse=True)
-def _fresh_kernel_caches():
-    """Process-wide memos must not leak state between tests."""
-    clear_compile_cache()
-    clear_warm_cache()
-    yield
-    clear_compile_cache()
-    clear_warm_cache()
-
-
 def _trace(benchmark="mcf", refs=800, seed=0):
     return build_trace(benchmark, refs, seed=seed)
+
+
+@pytest.fixture
+def fast_systems_built(monkeypatch):
+    """Backends of the ``FastSystem`` instances built from now on."""
+    built = []
+
+    class SpyFastSystem(batch.FastSystem):
+        def __init__(self, config):
+            built.append(config.dram.backend)
+            super().__init__(config)
+
+    monkeypatch.setattr(batch, "FastSystem", SpyFastSystem)
+    return built
 
 
 class TestCompiledColumns:
@@ -94,26 +97,31 @@ class TestCompiledColumns:
 
 
 class TestCompileMemo:
-    def test_equal_content_shares_one_compilation(self):
-        first = _trace("gzip", 400)
-        second = _trace("gzip", 400)
-        assert first is not second
-        assert trace_digest(first) == trace_digest(second)
-        assert compile_trace(first) is compile_trace(second)
+    """``compile_trace`` memoizes nothing: a compilation lives exactly as
+    long as the point that built it."""
 
     def test_different_content_differs(self):
         assert trace_digest(_trace("gzip", 400)) != trace_digest(
             _trace("gzip", 400, seed=1)
         )
 
-    def test_same_object_shortcut_survives_memo_eviction(self):
-        trace = _trace("gzip", 400)
-        compiled = compile_trace(trace)
-        # Evict everything from the digest memo; the id-keyed shortcut
-        # still returns the same object for the same Trace instance.
-        for seed in range(20):
-            compile_trace(_trace("gzip", 200, seed=seed))
-        assert compile_trace(trace) is compiled
+    def test_no_compiled_trace_outlives_its_point(self, monkeypatch):
+        built = []
+        compile_original = batch.compile_trace
+
+        def spy_compile(trace):
+            compiled = compile_original(trace)
+            built.append(weakref.ref(compiled))
+            return compiled
+
+        monkeypatch.setattr(batch, "compile_trace", spy_compile)
+        config = SystemConfig().with_prefetch(enabled=True)
+        main = _trace("swim", 600)
+        warm = build_warmup_trace("swim", seed=0, l2_bytes=config.l2.size_bytes)
+        simulate(main, config, warmup_trace=warm, fast=True)
+        gc.collect()
+        assert len(built) == 2  # the warm-up trace and the measured trace
+        assert [ref() for ref in built] == [None, None]
 
 
 class TestTraceStore:
@@ -168,94 +176,62 @@ class TestTraceStore:
 
 
 class TestFastOptIn:
-    @pytest.mark.parametrize("value", ["1", "true", "TRUE", "yes", "on"])
-    def test_enabled_values(self, value):
-        assert fast_enabled(value)
+    """``REPRO_FAST`` used to opt into the fast kernel.  Nothing reads it
+    any more: whatever it is set to, a plain point runs the fast kernel
+    and a ``fast=False`` point the reference kernel."""
 
-    @pytest.mark.parametrize("value", ["", "0", "off", "false", "no", "nope"])
-    def test_disabled_values(self, value):
-        assert not fast_enabled(value)
-
-    def test_reads_environment(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAST", raising=False)
-        assert not fast_enabled()
-        monkeypatch.setenv("REPRO_FAST", "1")
-        assert fast_enabled()
-
-    def test_simulate_defaults_to_reference_without_opt_in(self, monkeypatch):
-        """REPRO_FAST unset means the reference kernel runs (default-off)."""
-        monkeypatch.delenv("REPRO_FAST", raising=False)
-        trace = _trace(refs=300)
+    @staticmethod
+    def _fast_systems_per_pair(monkeypatch, built, value):
+        monkeypatch.setenv("REPRO_FAST", value)
+        trace = _trace(refs=200)
         assert (
             simulate(trace, SystemConfig()).to_dict()
-            == simulate(trace, SystemConfig(), fast=True).to_dict()
+            == simulate(trace, SystemConfig(), fast=False).to_dict()
         )
+        return len(built)
+
+    @pytest.mark.parametrize("value", ["1", "true", "TRUE", "yes", "on"])
+    def test_enabled_values(self, value, monkeypatch, fast_systems_built):
+        assert self._fast_systems_per_pair(monkeypatch, fast_systems_built, value) == 1
+
+    @pytest.mark.parametrize("value", ["", "0", "off", "false", "no", "nope"])
+    def test_disabled_values(self, value, monkeypatch, fast_systems_built):
+        assert self._fast_systems_per_pair(monkeypatch, fast_systems_built, value) == 1
 
 
-class TestKernelSupports:
-    def test_default_config_supported(self):
-        assert kernel_supports(SystemConfig())
+class TestKernelRule:
+    def test_execute_point_defaults_to_fast_kernel(self, fast_systems_built):
+        """A plain point builds one ``FastSystem``; an observed, a
+        sanitized and a ``fast=False`` point build none, and all four
+        return the same statistics."""
+        from repro.obs import Observer
 
-    def test_odd_l1i_geometry_falls_back(self):
+        point = SimPoint("eon", SystemConfig(), 1_000, 0)
+        default, _ = execute_point(point)
+        assert fast_systems_built == ["drdram"]
+        for options in (
+            {"obs": Observer(label="rule", trace=False)},
+            {"sanitize": True},
+            {"fast": False},
+        ):
+            stats, _ = execute_point(point, **options)
+            assert fast_systems_built == ["drdram"], options
+            assert stats == default, options
+
+    def test_odd_l1i_geometry_runs_fast(self, fast_systems_built):
+        """An L1I block larger than the L2 block runs on the fast kernel
+        and matches the reference.  The L1I is tiny and the L2 small and
+        direct-mapped, so fetches re-enter evicted L1I blocks mid-block
+        and the L2 block must come from the raw address, not from the
+        L1I block, for the L2 hits and misses to match."""
         config = SystemConfig(
-            l1i=CacheConfig(
-                size_bytes=16 * 1024, assoc=1, block_bytes=256, hit_latency=1
-            )
+            l1i=CacheConfig(size_bytes=1024, assoc=1, block_bytes=256, hit_latency=1),
+            l2=CacheConfig(size_bytes=64 * 1024, assoc=1, block_bytes=64, hit_latency=12),
         )
-        assert not kernel_supports(config)
-        # simulate(fast=True) must transparently take the reference path
-        # and still match the reference result.
-        trace = _trace(refs=300)
-        assert (
-            simulate(trace, config, fast=True).to_dict()
-            == simulate(trace, config, fast=False).to_dict()
-        )
-
-
-class TestWarmMemo:
-    def test_repeat_warmup_restores_identical_state(self):
-        config = SystemConfig().with_prefetch(enabled=True)
-        warm = compile_trace(build_warmup_trace("swim", seed=0, l2_bytes=1 << 20))
-        main = compile_trace(build_trace("swim", 1_000, seed=0))
-
-        first = FastSystem(config)
-        first.warmup(warm)
-        assert len(_WARM_MEMO) == 1
-        cold = first.run(main).to_dict()
-
-        second = FastSystem(config)
-        second.warmup(warm)  # memo hit: restores instead of re-simulating
-        assert len(_WARM_MEMO) == 1
-        assert second.run(main).to_dict() == cold
-
-    def test_memo_keyed_by_config_and_digest(self):
-        warm = compile_trace(build_warmup_trace("mcf", seed=0, l2_bytes=1 << 20))
-        for config in (SystemConfig(), SystemConfig().with_prefetch(enabled=True)):
-            system = FastSystem(config)
-            system.warmup(warm)
-        assert len(_WARM_MEMO) == 2
-
-    def test_stride_engine_skips_memo(self):
-        config = SystemConfig().with_prefetch(enabled=True, engine="stride")
-        warm = compile_trace(build_warmup_trace("mcf", seed=0, l2_bytes=1 << 20))
-        system = FastSystem(config)
-        system.warmup(warm)
-        assert len(_WARM_MEMO) == 0
-
-    def test_non_fresh_system_never_memoizes(self):
-        warm = compile_trace(build_warmup_trace("mcf", seed=0, l2_bytes=1 << 20))
-        main = compile_trace(_trace(refs=300))
-        system = FastSystem(SystemConfig())
-        system.run(main)
-        system.warmup(warm)
-        assert len(_WARM_MEMO) == 0
-
-    def test_clear_warm_cache(self):
-        warm = compile_trace(build_warmup_trace("mcf", seed=0, l2_bytes=1 << 20))
-        FastSystem(SystemConfig()).warmup(warm)
-        assert _WARM_MEMO
-        clear_warm_cache()
-        assert not _WARM_MEMO
+        trace = _trace(refs=2_000)
+        fast = simulate(trace, config).to_dict()
+        assert fast_systems_built == ["drdram"]
+        assert fast == simulate(trace, config, fast=False).to_dict()
 
 
 class TestSimulateBatch:
@@ -335,13 +311,9 @@ class TestStoreBackedTraces:
         assert list(tmp_path.glob("*.npz")) == entries
 
 
-def test_compiled_trace_len_and_explicit_digest():
+def test_compiled_trace_len():
     trace = _trace(refs=200)
-    digest = trace_digest(trace)
-    compiled = CompiledTrace(trace, digest)
-    assert len(compiled) == len(trace)
-    assert compiled.digest == digest
-    assert CompiledTrace(trace).digest == digest
+    assert len(compile_trace(trace)) == len(trace)
 
 
 def test_trace_digest_covers_every_column():

@@ -2,14 +2,14 @@
 
 The contract of :mod:`repro.kernel` is byte-identity: every statistic of
 the specialized interpreter must equal the reference simulator's, for
-every supported configuration, with and without warm-up, cold and
-through the warm-state memo, one point at a time and batched.  Hypothesis
-drives randomly drawn configurations spanning the paper's axes (DRAM
-mapping and row policy, L2 geometry, both prefetch engines with their
-policy/scheduling/throttle variants, idealized hierarchies, non-dyadic
-clocks) and every registered DRAM backend with its tuning knobs (so the
-TL-DRAM and ChargeCache row-timing policies ride through every property)
-through both kernels and asserts exact ``to_dict`` equality.
+every configuration, with and without warm-up, one point at a time and
+batched.  Hypothesis drives randomly drawn configurations spanning the
+paper's axes (DRAM mapping and row policy, L1I and L2 geometry, both
+prefetch engines with their policy/scheduling/throttle variants,
+idealized hierarchies, non-dyadic clocks) and every registered DRAM
+backend with its tuning knobs (so the TL-DRAM and ChargeCache row-timing
+policies ride through every property) through both kernels and asserts
+exact ``to_dict`` equality.
 
 Under ``HYPOTHESIS_PROFILE=ci`` (see ``conftest.py``) the examples are
 derandomized, so CI runs are reproducible; locally the defaults keep
@@ -30,14 +30,7 @@ from repro.core.config import (
     SystemConfig,
 )
 from repro.core.system import simulate
-from repro.kernel import (
-    clear_warm_cache,
-    compile_trace,
-    kernel_supports,
-    simulate_batch,
-)
-from repro.kernel import fastcore
-from repro.kernel.fastcore import FastSystem
+from repro.kernel import batch, simulate_batch
 from repro.workloads import build_trace
 from repro.workloads.registry import build_warmup_trace
 
@@ -52,7 +45,12 @@ def _dump(stats) -> str:
 
 @st.composite
 def system_configs(draw):
-    """A valid SystemConfig spanning the axes the fast kernel specializes."""
+    """A valid SystemConfig spanning the axes the fast kernel specializes.
+
+    The L1I block is drawn up to 256 B, past a 128 B L2 block, and the
+    L1I down to 1 KB, so fetches re-enter evicted blocks mid-block: the
+    fast kernel takes the L2 block from the raw address, so no L1I
+    geometry needs the reference kernel."""
     prefetch = PrefetchConfig(
         enabled=draw(st.booleans()),
         engine=draw(st.sampled_from(["region", "stride"])),
@@ -85,6 +83,13 @@ def system_configs(draw):
         backend=backend,
         **knobs,
     )
+    l1i = CacheConfig(
+        size_bytes=draw(st.sampled_from([1024, 64 * 1024])),
+        assoc=2,
+        block_bytes=draw(st.sampled_from([64, 128, 256])),
+        hit_latency=1,
+        mshrs=4,
+    )
     l2 = CacheConfig(
         size_bytes=draw(st.sampled_from([64 * 1024, 256 * 1024])),
         assoc=draw(st.sampled_from([1, 2, 4])),
@@ -98,6 +103,7 @@ def system_configs(draw):
     )
     return SystemConfig(
         core=core,
+        l1i=l1i,
         l2=l2,
         dram=dram,
         prefetch=prefetch,
@@ -118,8 +124,6 @@ class TestFuzzFastVsReference:
     )
     def test_fast_point_matches_reference(self, config, benchmark, refs, seed, warm):
         """One point, cold fast kernel vs reference, warm-up optional."""
-        assert kernel_supports(config)
-        clear_warm_cache()
         trace = build_trace(benchmark, refs, seed=seed)
         warmup = (
             build_warmup_trace(benchmark, seed=seed, l2_bytes=config.l2.size_bytes)
@@ -135,32 +139,10 @@ class TestFuzzFastVsReference:
         config=system_configs(),
         benchmark=st.sampled_from(BENCHMARK_POOL),
         refs=st.integers(min_value=300, max_value=800),
-    )
-    def test_warm_memo_restore_matches_cold_run(self, config, benchmark, refs):
-        """The memoized warm-state restore path yields the same statistics
-        as a freshly simulated warm-up — for arbitrary configurations."""
-        clear_warm_cache()
-        warmup = compile_trace(
-            build_warmup_trace(benchmark, seed=0, l2_bytes=config.l2.size_bytes)
-        )
-        main = compile_trace(build_trace(benchmark, refs, seed=0))
-
-        cold = FastSystem(config)
-        cold.warmup(warmup)  # simulates, then snapshots into the memo
-        restored = FastSystem(config)
-        restored.warmup(warmup)  # restores the snapshot
-        assert _dump(restored.run(main)) == _dump(cold.run(main))
-
-    @settings(max_examples=8, deadline=None)
-    @given(
-        config=system_configs(),
-        benchmark=st.sampled_from(BENCHMARK_POOL),
-        refs=st.integers(min_value=300, max_value=800),
         warm=st.booleans(),
     )
     def test_singleton_batch_equals_simulate(self, config, benchmark, refs, warm):
         """``simulate_batch([c])`` is exactly ``[simulate(c)]``."""
-        clear_warm_cache()
         trace = build_trace(benchmark, refs, seed=0)
         warmup = (
             build_warmup_trace(benchmark, seed=0, l2_bytes=config.l2.size_bytes)
@@ -181,7 +163,6 @@ class TestFuzzFastVsReference:
     def test_batch_equals_independent_simulations(self, configs, benchmark, refs):
         """A multi-config batch over one shared trace equals N independent
         reference simulations, config for config."""
-        clear_warm_cache()
         trace = build_trace(benchmark, refs, seed=0)
         batched = simulate_batch(trace, configs, fast=True)
         for config, stats in zip(configs, batched):
@@ -218,46 +199,59 @@ class TestDeterministicEdgeCases:
         ],
     )
     def test_named_variant_matches_reference(self, config):
-        clear_warm_cache()
         trace = build_trace("swim", 1_500, seed=0)
         warmup = build_warmup_trace("swim", seed=0, l2_bytes=config.l2.size_bytes)
         reference = simulate(trace, config, warmup_trace=warmup, fast=False)
         fast = simulate(trace, config, warmup_trace=warmup, fast=True)
         assert _dump(fast) == _dump(reference)
 
-    def test_warm_memo_never_aliases_policy_state(self):
-        """One memoized warm-up per policy backend, restored into fresh
-        systems that each run a different main trace: every run equals
-        the reference.  A snapshot sharing its row-timing policy with a
-        restored system (either way) would carry one run's row stamps or
-        near-segment rows into the next."""
-        clear_warm_cache()
-        mains = [build_trace("mcf", 1_500, seed=seed) for seed in (0, 1)]
-        for backend in ("chargecache", "tldram"):
-            config = SystemConfig().with_backend(backend)
-            warmup = build_warmup_trace("mcf", seed=0, l2_bytes=config.l2.size_bytes)
-            warm = compile_trace(warmup)
-            references = [
-                _dump(simulate(main, config, warmup_trace=warmup, fast=False))
-                for main in mains
-            ]
-            for i in (0, 1, 0, 1):
-                system = FastSystem(config)
-                system.warmup(warm)
-                assert (config, warm.digest) in fastcore._WARM_MEMO
-                assert _dump(system.run(compile_trace(mains[i]))) == references[i]
-
-    def test_batch_mixes_supported_and_fallback_geometries(self):
-        """Unsupported geometries inside a batch silently take the
-        reference kernel while the rest stay fast — results identical."""
-        odd_l1i = SystemConfig(
-            l1i=CacheConfig(
-                size_bytes=16 * 1024, assoc=1, block_bytes=256, hit_latency=1
-            )
+    @pytest.mark.parametrize(
+        "first,second",
+        [(0, 1), (1, 2), (2, 0)],
+        ids=["chargecache-tldram", "tldram-prefetch", "prefetch-chargecache"],
+    )
+    def test_no_state_leaks_between_points(self, first, second):
+        """ChargeCache, TL-DRAM and prefetching DRDRAM points run as A, B,
+        A in one process, each cold with its warm-up: every run equals the
+        reference.  Any state a point left behind (row stamps, near-segment
+        rows, prefetch queue, cache lines) would change a later point."""
+        configs = [
+            SystemConfig().with_backend("chargecache"),
+            SystemConfig().with_backend("tldram"),
+            SystemConfig().with_prefetch(enabled=True),
+        ]
+        main = build_trace("mcf", 1_500, seed=0)
+        warmup = build_warmup_trace(
+            "mcf", seed=0, l2_bytes=configs[0].l2.size_bytes
         )
-        configs = [SystemConfig(), odd_l1i]
-        assert kernel_supports(configs[0]) and not kernel_supports(configs[1])
-        trace = build_trace("mcf", 600, seed=0)
-        batched = simulate_batch(trace, configs, fast=True)
+        references = {
+            i: _dump(simulate(main, configs[i], warmup_trace=warmup, fast=False))
+            for i in (first, second)
+        }
+        for i in (first, second, first):
+            fast = simulate(main, configs[i], warmup_trace=warmup)
+            assert _dump(fast) == references[i], i
+
+    def test_batch_mixes_l1i_geometries(self, monkeypatch):
+        """A batch mixing the default L1I with one whose block exceeds the
+        L2 block runs every point on the fast kernel, each equal to the
+        reference."""
+        built = []
+
+        class SpyFastSystem(batch.FastSystem):
+            def __init__(self, config):
+                built.append(config.l1i.block_bytes)
+                super().__init__(config)
+
+        monkeypatch.setattr(batch, "FastSystem", SpyFastSystem)
+        l2 = CacheConfig(size_bytes=64 * 1024, assoc=1, block_bytes=64, hit_latency=12)
+        odd_l1i = SystemConfig(
+            l1i=CacheConfig(size_bytes=1024, assoc=1, block_bytes=256, hit_latency=1),
+            l2=l2,
+        )
+        configs = [SystemConfig(l2=l2), odd_l1i]
+        trace = build_trace("mcf", 2_000, seed=0)
+        batched = simulate_batch(trace, configs)
+        assert built == [64, 256]
         for config, stats in zip(configs, batched):
             assert _dump(stats) == _dump(simulate(trace, config, fast=False))
