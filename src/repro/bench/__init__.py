@@ -1,6 +1,6 @@
-"""Deterministic benchmark harness for the simulator's hot paths.
+"""Deterministic counter harness for the simulator's hot paths.
 
-``repro-bench`` times a small set of representative single simulation
+``repro-bench`` runs a small set of representative single simulation
 points — a cache-hit-dominated microbenchmark, a hot-cache workload, a
 DRAM-bound workload, a prefetch-heavy workload, and trace synthesis —
 with warmup/repeat/median methodology, and writes the results to a
@@ -8,12 +8,11 @@ with warmup/repeat/median methodology, and writes the results to a
 *deterministic* event counters (cache accesses, DRAM accesses,
 instructions, …), which CI compares against a committed baseline:
 wall-clock numbers vary with the machine, but the counters must not,
-so the perf-smoke gate is flake-free on shared runners.
+so the perf-smoke counter gate is flake-free on shared runners.
 
-Wall-clock trends live in :mod:`repro.bench.history` (append-only
-``history.jsonl`` records, bootstrap-CI regression gate behind
-``repro-bench --check-history``) and :mod:`repro.bench.report`
-(``repro-bench report`` markdown trend reports).
+Wall-clock speed is measured end to end by ``perfbench/`` (declared in
+``BENCHMARK.json``), and gated by ``benchmarks/paired_gate.py``, which
+runs a change and its parent in alternating pairs on one machine.
 """
 
 from repro.bench.harness import (
@@ -23,30 +22,14 @@ from repro.bench.harness import (
     run_benchmarks,
     write_result,
 )
-from repro.bench.history import (
-    HistoryCheck,
-    HistoryRecord,
-    bootstrap_ci,
-    check_history,
-    fingerprint_key,
-    load_history,
-)
-from repro.bench.report import render_report
 from repro.bench.scenarios import SCENARIOS, Scenario
 
 __all__ = [
     "BenchResult",
-    "HistoryCheck",
-    "HistoryRecord",
     "Scenario",
     "SCENARIOS",
     "ScenarioResult",
-    "bootstrap_ci",
-    "check_history",
     "compare_counters",
-    "fingerprint_key",
-    "load_history",
-    "render_report",
     "run_benchmarks",
     "write_result",
 ]

@@ -1,17 +1,12 @@
 """Command-line entry point: ``repro-bench [--quick] [--label L] ...``.
 
-Times the simulator's representative hot-path scenarios and writes
+Runs the simulator's representative hot-path scenarios and writes
 ``BENCH_<label>.json`` (schema in :mod:`repro.bench.harness`).  With
 ``--check BASELINE.json`` the deterministic event counters of the run
 are compared against the baseline file and a drift fails the process —
-this is the CI perf-smoke gate, deliberately independent of wall-clock
-time so it cannot flake on loaded shared runners.  ``--check-history``
-adds the statistical wall-clock gate (:mod:`repro.bench.history`):
-bootstrap CIs over the recorded history, regression only when the
-intervals separate by more than the threshold.
-
-``repro-bench report`` renders the history file as a markdown trend
-report (:mod:`repro.bench.report`) instead of running benchmarks.
+this is the CI perf-smoke counter gate, deliberately independent of
+wall-clock time so it cannot flake on loaded shared runners.  The
+wall-clock gate is ``benchmarks/paired_gate.py`` over ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -23,7 +18,6 @@ from typing import List, Optional
 
 from repro import __version__
 from repro.bench.harness import (
-    append_history,
     compare_counters,
     load_result,
     run_benchmarks,
@@ -33,59 +27,12 @@ from repro.bench.scenarios import SCENARIOS
 
 __all__ = ["main"]
 
-DEFAULT_HISTORY = "benchmarks/history.jsonl"
-
-
-def _report_main(argv: List[str]) -> int:
-    """``repro-bench report``: render the history trend report."""
-    parser = argparse.ArgumentParser(
-        prog="repro-bench report",
-        description="Render benchmarks/history.jsonl as a markdown trend report "
-        "(per-scenario median/CI tables, sparklines, latest-vs-best deltas).",
-    )
-    parser.add_argument(
-        "--history",
-        default=DEFAULT_HISTORY,
-        metavar="FILE",
-        help=f"history JSONL to read (default: {DEFAULT_HISTORY})",
-    )
-    parser.add_argument(
-        "--metrics",
-        action="append",
-        default=None,
-        metavar="FILE",
-        help="obs metrics JSON (repro-experiment --metrics) to render "
-        "p50/p95/p99 tables from (repeatable)",
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        metavar="FILE",
-        help="write the report here instead of stdout",
-    )
-    args = parser.parse_args(argv)
-    from repro.bench.history import load_history
-    from repro.bench.report import render_report
-
-    records = load_history(args.history)
-    text = render_report(records, metrics_paths=args.metrics)
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out} ({len(records)} history records)", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
-    return 0
-
 
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "report":
-        return _report_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="repro-bench",
         description="Benchmark the simulator's hot paths (deterministic workloads, "
-        "warmup/repeat/median timing).  Use 'repro-bench report' to render the "
-        "history trend report.",
+        "warmup/repeat/median timing) and gate on their event counters.",
     )
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
@@ -127,10 +74,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         metavar="NAME",
         help="build every scenario config against this DRAM backend "
-        "(sets REPRO_BACKEND).  The backend is recorded in results and "
-        "history records, and the history gate only compares runs of "
-        "the same backend.  Default: REPRO_BACKEND env var, else "
-        "'drdram'",
+        "(sets REPRO_BACKEND).  The backend is recorded in results, and "
+        "--check reports a baseline of another backend as one mismatch.  "
+        "Default: REPRO_BACKEND env var, else 'drdram'",
     )
     parser.add_argument(
         "--out-dir",
@@ -144,42 +90,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="BASELINE.json",
         help="compare deterministic event counters against this baseline file "
         "and exit 1 on any drift (wall-clock is never compared)",
-    )
-    parser.add_argument(
-        "--check-history",
-        nargs="?",
-        const=DEFAULT_HISTORY,
-        default=None,
-        metavar="FILE",
-        help="statistical wall-clock gate: bootstrap-CI the current repeats "
-        "against the recorded history (same machine group and mode) and exit "
-        f"1 only when the CIs separate beyond the threshold "
-        f"(default FILE: {DEFAULT_HISTORY})",
-    )
-    parser.add_argument(
-        "--history-threshold",
-        type=float,
-        default=0.10,
-        metavar="FRAC",
-        help="CI separation fraction for --check-history (default: 0.10)",
-    )
-    parser.add_argument(
-        "--history-window",
-        type=int,
-        default=5,
-        metavar="N",
-        help="latest N comparable history records form the baseline (default: 5)",
-    )
-    parser.add_argument(
-        "--append-history",
-        nargs="?",
-        const=DEFAULT_HISTORY,
-        default=None,
-        metavar="FILE",
-        help="append one JSON line (per-repeat wall samples + machine "
-        f"fingerprint + source identity) to FILE (default: {DEFAULT_HISTORY}), "
-        "tracking the perf trajectory across runs instead of a single "
-        "before/after pair",
     )
     args = parser.parse_args(argv)
     if args.backend is not None:
@@ -198,12 +108,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"--repeat must be >= 1, got {repeat}")
     if args.warmup < 0:
         parser.error(f"--warmup must be >= 0, got {args.warmup}")
-    if args.history_window < 1:
-        parser.error(f"--history-window must be >= 1, got {args.history_window}")
-    if args.history_threshold < 0:
-        parser.error(
-            f"--history-threshold must be >= 0, got {args.history_threshold}"
-        )
 
     result = run_benchmarks(
         label=args.label,
@@ -214,43 +118,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     out_path = Path(args.out_dir) / f"BENCH_{args.label}.json"
     write_result(result, out_path)
-
-    # Gate against history *before* appending this run to it, else the
-    # regression would immediately contaminate its own baseline.
-    history_failed = False
-    if args.check_history:
-        from repro.bench.history import check_history
-
-        check = check_history(
-            result,
-            args.check_history,
-            threshold=args.history_threshold,
-            window=args.history_window,
-        )
-        for note in check.notes:
-            print(f"history: {note}", file=sys.stderr)
-        if not check.ok:
-            print(
-                f"repro-bench: wall-clock regression vs {args.check_history}:",
-                file=sys.stderr,
-            )
-            for problem in check.problems:
-                print(f"  - {problem}", file=sys.stderr)
-            history_failed = True
-        else:
-            print(f"history gate ok ({args.check_history})")
-
-    if args.append_history:
-        try:
-            history_path = append_history(result, args.append_history)
-        except OSError as error:
-            print(
-                f"repro-bench: cannot append history to "
-                f"{args.append_history!r}: {error}",
-                file=sys.stderr,
-            )
-            return 2
-        print(f"appended history record to {history_path}")
 
     print(f"{'scenario':<18} {'median s':>10} {'items/s':>14}")
     for name, sres in result.scenarios.items():
@@ -265,12 +132,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
         problems = compare_counters(result, baseline)
         if problems:
-            print("repro-bench: deterministic counters drifted from baseline:", file=sys.stderr)
+            print("repro-bench: counters do not match the baseline:", file=sys.stderr)
             for problem in problems:
                 print(f"  - {problem}", file=sys.stderr)
             return 1
         print(f"counters match baseline {args.check}")
-    return 1 if history_failed else 0
+    return 0
 
 
 if __name__ == "__main__":

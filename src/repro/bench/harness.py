@@ -7,6 +7,7 @@ The JSON schema (``BENCH_<label>.json``)::
       "mode": "full" | "quick",
       "repeat": 5,
       "warmup": 1,
+      "backend": "drdram",
       "python": "3.11.8",
       "scenarios": {
         "<name>": {
@@ -24,17 +25,16 @@ The JSON schema (``BENCH_<label>.json``)::
 ``counters`` are exactly reproducible event counts (cache accesses,
 DRAM accesses, instruction totals, …); :func:`compare_counters`
 implements the CI regression gate over them.  Wall-clock fields are
-informative only and never gate anything.
+informative only and never gate anything: the program's speed is
+measured end to end by ``perfbench/`` and gated by
+``benchmarks/paired_gate.py``.
 """
 
 from __future__ import annotations
 
-import datetime
 import json
-import os
 import platform
 import statistics
-import subprocess
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,10 +45,8 @@ from repro.bench.scenarios import SCENARIOS, Scenario, time_scenario
 __all__ = [
     "BenchResult",
     "ScenarioResult",
-    "append_history",
     "compare_counters",
     "load_result",
-    "machine_fingerprint",
     "run_benchmarks",
     "write_result",
 ]
@@ -92,9 +90,8 @@ class BenchResult:
     mode: str
     repeat: int
     warmup: int
-    #: DRAM backend every scenario config was built against; results
-    #: are only comparable within one backend, so the history gate
-    #: keys on it alongside mode and machine fingerprint.
+    #: DRAM backend every scenario config was built against; counters
+    #: are only comparable within one backend (see compare_counters).
     backend: str = "drdram"
     scenarios: Dict[str, ScenarioResult] = field(default_factory=dict)
 
@@ -171,108 +168,6 @@ def run_benchmarks(
     return result
 
 
-def _processor_name() -> str:
-    """``platform.processor()`` with a ``/proc/cpuinfo`` fallback.
-
-    On most Linux distributions ``platform.processor()`` returns an
-    empty string (or a bare ISA name like ``x86_64``), which would
-    conflate every Linux box into one history group.  Fall back to the
-    ``model name`` line of ``/proc/cpuinfo`` when available.
-    """
-    name = platform.processor().strip()
-    if name and name != platform.machine():
-        return name
-    try:
-        with open("/proc/cpuinfo") as fh:
-            for line in fh:
-                key, _, value = line.partition(":")
-                if key.strip() in ("model name", "Hardware", "cpu model"):
-                    normalized = " ".join(value.split())
-                    if normalized:
-                        return normalized
-    except OSError:
-        pass
-    return name
-
-
-def machine_fingerprint() -> Dict[str, object]:
-    """Stable description of the machine a benchmark ran on.
-
-    Wall-clock numbers are only comparable within one fingerprint;
-    history records carry it so cross-machine entries are never
-    mistaken for a perf regression.
-    """
-    return {
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "processor": _processor_name(),
-        "cpu_count": os.cpu_count() or 0,
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-    }
-
-
-def _git_commit() -> Optional[str]:
-    """Current git commit hash, or None outside a repo / without git."""
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    commit = proc.stdout.strip()
-    return commit if proc.returncode == 0 and commit else None
-
-
-def append_history(result: BenchResult, path: Union[str, Path]) -> Path:
-    """Append one JSON line of scenario medians to the history file.
-
-    The file is append-only (one record per bench invocation), so the
-    perf trajectory across PRs accumulates instead of overwriting a
-    single before/after pair.  Records are self-describing: timestamp,
-    label/mode, the machine fingerprint, source identity (package
-    content hash + git commit when available), and per-scenario medians
-    plus the full list of per-repeat wall times — the raw samples the
-    bootstrap CI gate in :mod:`repro.bench.history` resamples.
-    """
-    path = Path(path)
-    try:
-        from repro.runner.runner import source_fingerprint
-
-        source = source_fingerprint()
-    except Exception:
-        source = None
-    record = {
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(
-            timespec="seconds"
-        ),
-        "label": result.label,
-        "mode": result.mode,
-        "backend": result.backend,
-        "repeat": result.repeat,
-        "machine": machine_fingerprint(),
-        "source_fingerprint": source,
-        "git_commit": _git_commit(),
-        "scenarios": {
-            name: {
-                "wall_seconds": [round(s, 6) for s in res.wall_seconds],
-                "wall_seconds_median": round(res.wall_seconds_median, 6),
-                "items_per_second": round(res.items_per_second, 1),
-                "work_items": res.work_items,
-            }
-            for name, res in result.scenarios.items()
-        },
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
-    return path
-
-
 def write_result(result: BenchResult, path: Union[str, Path]) -> Path:
     """Write ``BENCH_<label>.json``-style output to ``path``."""
     path = Path(path)
@@ -295,8 +190,17 @@ def compare_counters(
     compared, and only when the work-item counts match (a --quick run
     checked against a full baseline would differ for honest reasons);
     scenarios the baseline knows but the current run lacks are reported
-    so the gate cannot silently shrink.
+    so the gate cannot silently shrink.  Counters of two DRAM backends
+    differ for honest reasons too, so a run on another backend than the
+    baseline's (``drdram`` when the baseline names none) is one problem
+    naming both, not a drift of every DRAM-timed counter.
     """
+    base_backend = baseline.get("backend", "drdram")
+    if current.backend != base_backend:
+        return [
+            f"backend differs (baseline {base_backend!r}, current "
+            f"{current.backend!r}); counters compare within one backend"
+        ]
     problems: List[str] = []
     base_scenarios = baseline.get("scenarios", {})
     for name, base in base_scenarios.items():

@@ -25,14 +25,6 @@ simulator:
   prefetching: exercises the prefetch queue/region/controller path.
 * ``trace_gen``        — synthesis of a ``swim`` trace plus its warm-up
   trace: the numpy workload-generation path.
-* ``sweep_batch``      — an 8-configuration sweep over one shared trace
-  through ``simulate_batch`` on the fast kernel: the cross-point
-  amortization path the runner takes.
-* ``sweep_indep``      — the same 8 configurations as 8 independent
-  reference ``simulate`` calls, each rebuilding its trace: the naive
-  sweep this repo used to run.  Its counters must equal
-  ``sweep_batch``'s exactly, so the committed baseline doubles as a
-  batch-vs-independent equivalence gate.
 
 The full-system scenarios run the ``repro.kernel`` fast kernel — the
 code every unobserved, unsanitized point executes.  Only trace
@@ -47,14 +39,13 @@ equivalence in CI.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 from repro.cache.cache import SetAssociativeCache
 from repro.core.config import CacheConfig, SystemConfig
 from repro.core.stats import CacheStats, SimStats
-from repro.core.system import simulate
-from repro.kernel import simulate_batch, simulate_fast
+from repro.kernel import simulate_fast
 from repro.runner.worker import get_traces
 
 __all__ = ["Scenario", "SCENARIOS"]
@@ -153,68 +144,6 @@ def _prefetch_heavy(refs: int) -> Tuple[int, Counters]:
     return _run_system("swim", SystemConfig().with_prefetch(enabled=True), refs)
 
 
-# -- the sweep pair ---------------------------------------------------------------
-
-#: 8 configuration variants sharing one trace recipe (same L2 size, so
-#: the same warm-up/main traces serve every point) — the shape of the
-#: paper's mapping/prefetch sweeps.
-def _sweep_configs() -> Tuple[SystemConfig, ...]:
-    base = SystemConfig()
-    return (
-        base,
-        replace(base, dram=replace(base.dram, mapping="base")),
-        replace(base, dram=replace(base.dram, row_policy="closed")),
-        replace(base, l2=replace(base.l2, assoc=2)),
-        base.with_prefetch(enabled=True),
-        base.with_prefetch(enabled=True, policy="fifo"),
-        base.with_prefetch(enabled=True, bank_aware=False),
-        base.with_prefetch(enabled=True, scheduled=False),
-    )
-
-
-def _accumulate(totals: Counters, stats: SimStats) -> None:
-    for key, value in _stats_counters(stats).items():
-        totals[key] = totals.get(key, 0) + value
-
-
-def _sweep_batch(refs: int) -> Tuple[int, Counters]:
-    """8-config sweep over one shared trace, batched on the fast kernel.
-
-    The traces come from the runner worker's memo; the batch compiles
-    each trace's columns once and shares them across the 8 points, and
-    every point simulates its own warm-up.  Counters are the per-config
-    sums, byte-identical to ``sweep_indep``'s.
-    """
-    configs = _sweep_configs()
-    warm, main = get_traces("eon", refs, 0, configs[0].l2.size_bytes)
-    totals: Counters = {}
-    for stats in simulate_batch(main, configs, warmup_trace=warm, fast=True):
-        _accumulate(totals, stats)
-    return refs * len(configs), totals
-
-
-def _sweep_indep(refs: int) -> Tuple[int, Counters]:
-    """The same 8-config sweep as N independent reference simulations.
-
-    Each point rebuilds its warm-up and main traces and runs the
-    reference kernel end to end — the pre-batching sweep cost model.
-    ``fast=False`` pins the reference kernel, so the batch/independent
-    ratio in one bench file is always fast-batched vs reference-naive.
-    """
-    from repro.workloads import build_trace
-    from repro.workloads.registry import build_warmup_trace
-
-    configs = _sweep_configs()
-    totals: Counters = {}
-    for config in configs:
-        warm = build_warmup_trace("eon", seed=0, l2_bytes=config.l2.size_bytes)
-        main = build_trace("eon", refs, seed=0)
-        _accumulate(
-            totals, simulate(main, config, warmup_trace=warm, fast=False)
-        )
-    return refs * len(configs), totals
-
-
 def _trace_gen(refs: int) -> Tuple[int, Counters]:
     from repro.workloads import build_trace
     from repro.workloads.registry import build_warmup_trace
@@ -260,20 +189,6 @@ SCENARIOS: Dict[str, Scenario] = {
             run=_prefetch_heavy,
             full_refs=30_000,
             quick_refs=6_000,
-        ),
-        Scenario(
-            name="sweep_batch",
-            description="8-config sweep, one shared trace, batched fast kernel",
-            run=_sweep_batch,
-            full_refs=12_000,
-            quick_refs=3_000,
-        ),
-        Scenario(
-            name="sweep_indep",
-            description="8-config sweep, independent reference simulate calls",
-            run=_sweep_indep,
-            full_refs=12_000,
-            quick_refs=3_000,
         ),
         Scenario(
             name="trace_gen",

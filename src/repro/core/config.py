@@ -213,8 +213,8 @@ def _default_backend() -> str:
 #: pinned.  :meth:`SystemConfig.digest` prunes each of these from the
 #: hashed payload when it still holds the value below, so every config
 #: expressible before the backend registry existed keeps its exact
-#: pre-registry digest — the on-disk result cache, the service dedup
-#: store, and the bench history stay warm across the refactor — while
+#: pre-registry digest — the on-disk result cache and the service
+#: dedup store stay warm across the refactor — while
 #: any non-default backend (or tuning knob) yields a distinct digest.
 _DRAM_DIGEST_DEFAULTS: Dict[str, object] = {
     "backend": "drdram",

@@ -68,20 +68,16 @@ class System:
         self.core = OutOfOrderCore(config, self.hierarchy, self.stats, probe=self.probe)
         self._clock = 0.0
 
-    def run(self, trace: Trace, columns=None) -> SimStats:
-        """Execute ``trace`` on this system; returns accumulated stats.
-
-        ``columns`` optionally passes the precompiled trace columns
-        (``CompiledTrace.base_columns()``) through to the core loop.
-        """
-        self._clock = self.core.run(trace, start_time=self._clock, columns=columns)
+    def run(self, trace: Trace) -> SimStats:
+        """Execute ``trace`` on this system; returns accumulated stats."""
+        self._clock = self.core.run(trace, start_time=self._clock)
         if self.probe is not None:
             # The sanitizer's end-of-run sweep: tag/recency mirrors,
             # conservation counts, shadow-vs-real DRAM bank state.
             self.probe.quiesce(self._clock)
         return self.stats
 
-    def warmup(self, trace: Trace, columns=None) -> None:
+    def warmup(self, trace: Trace) -> None:
         """Run ``trace`` to warm caches and DRAM state, then zero the
         statistics; the simulated clock keeps advancing so utilization
         accounting stays consistent.  The probe is told, so the observer
@@ -91,7 +87,7 @@ class System:
         if probe is not None:
             probe.warmup_begin()
         try:
-            self.run(trace, columns=columns)
+            self.run(trace)
         finally:
             if probe is not None:
                 probe.warmup_end()

@@ -57,15 +57,12 @@ class OutOfOrderCore:
         self.stats = stats
         self._probe = probe
 
-    def run(self, trace: Trace, start_time: float = 0.0, columns=None) -> float:
+    def run(self, trace: Trace, start_time: float = 0.0) -> float:
         """Simulate the whole trace starting at ``start_time``.
 
         Returns the finish time.  Instruction and cycle counts are
         accumulated into the shared stats; callers that interleave
         warm-up and measurement runs reset the stats in between.
-        ``columns`` optionally supplies the five trace columns as plain
-        lists (``CompiledTrace.base_columns()``), so batched sweeps
-        convert each shared trace to lists once instead of per run.
 
         This loop executes once per trace record and dominates the
         simulator's profile, so it is written flat: bound methods and
@@ -120,17 +117,12 @@ class OutOfOrderCore:
         SWPF = AccessKind.SWPF
 
         # Plain Python lists iterate ~3x faster than numpy scalars here.
-        if columns is None:
-            columns = (
-                trace.kinds.tolist(),
-                trace.gaps.tolist(),
-                trace.addrs.tolist(),
-                trace.deps.tolist(),
-                trace.pcs.tolist(),
-            )
-        kinds_col, gaps_col, addrs_col, deps_col, pcs_col = columns
         for kind, gap, addr, dep, pc in zip(
-            kinds_col, gaps_col, addrs_col, deps_col, pcs_col
+            trace.kinds.tolist(),
+            trace.gaps.tolist(),
+            trace.addrs.tolist(),
+            trace.deps.tolist(),
+            trace.pcs.tolist(),
         ):
             if kind == SWPF and not use_swpf:
                 # Discarded at fetch (Section 4.7 baseline behaviour):

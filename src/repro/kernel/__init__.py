@@ -1,4 +1,4 @@
-"""Batched, precompiled, and specialized simulation kernels.
+"""Precompiled and specialized simulation kernels.
 
 This package is the performance layer over the reference simulator:
 
@@ -8,9 +8,9 @@ This package is the performance layer over the reference simulator:
   (it drives each backend's own geometry, timings and row-timing
   policy, and keeps no state between points);
 * :mod:`repro.kernel.compiled` — a trace's columns as plain lists,
-  built once per point (or once per ``simulate_batch`` call);
-* :mod:`repro.kernel.batch` — ``simulate_fast`` for one point and
-  ``simulate_batch`` for multi-config sweeps over one compiled trace;
+  built once per point;
+* :mod:`repro.kernel.batch` — ``simulate_fast``, one point on the
+  fast kernel;
 * :mod:`repro.kernel.store` — the content-addressed on-disk trace
   store (``REPRO_TRACE_STORE``) that shares built traces across
   worker processes.
@@ -22,8 +22,8 @@ probe events) and every call passing ``fast=False``, the handle the
 A/B tests use; ``use_fast_kernel`` is that rule.
 """
 
-from repro.kernel.batch import simulate_batch, simulate_fast
-from repro.kernel.compiled import CompiledTrace, compile_trace, trace_digest
+from repro.kernel.batch import simulate_fast
+from repro.kernel.compiled import CompiledTrace, compile_trace
 from repro.kernel.fastcore import FastSystem, use_fast_kernel
 from repro.kernel.store import TraceStore, trace_store_from_env
 
@@ -32,9 +32,7 @@ __all__ = [
     "FastSystem",
     "TraceStore",
     "compile_trace",
-    "simulate_batch",
     "simulate_fast",
-    "trace_digest",
     "trace_store_from_env",
     "use_fast_kernel",
 ]

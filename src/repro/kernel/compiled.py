@@ -3,10 +3,8 @@
 A :class:`CompiledTrace` wraps an immutable :class:`~repro.cpu.trace.Trace`
 and converts its numpy columns into plain Python lists once
 (``ndarray.__getitem__`` in a tight loop is several times slower than
-list iteration, so both the reference core and the fast kernel walk
-lists).  ``simulate_batch`` shares one compilation across the configs
-of a batch; nothing is kept across calls, so a compilation is freed
-with the point that built it.
+list iteration, so the fast kernel walks lists).  Nothing is kept
+across calls, so a compilation is freed with the point that built it.
 
 :meth:`CompiledTrace.l1_columns` and :meth:`CompiledTrace.coord_map`
 are vectorized views of the per-record L1 and DRAM arithmetic.  The
@@ -17,7 +15,6 @@ name) and as vectorized cross-checks of that arithmetic in the tests.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Optional, Tuple
 
 import numpy as np
@@ -27,17 +24,7 @@ from repro.core.config import CacheConfig, DRAMConfig
 from repro.cpu.trace import Trace
 from repro.dram.mapping import make_mapping
 
-__all__ = ["CompiledTrace", "compile_trace", "trace_digest"]
-
-
-def trace_digest(trace: Trace) -> str:
-    """Content digest of a trace: sha256 over its columns and name."""
-    h = hashlib.sha256()
-    h.update(trace.name.encode("utf-8"))
-    h.update(b"\0")
-    for column in (trace.kinds, trace.gaps, trace.addrs, trace.deps, trace.pcs):
-        h.update(np.ascontiguousarray(column).tobytes())
-    return h.hexdigest()
+__all__ = ["CompiledTrace", "compile_trace"]
 
 
 class CompiledTrace:

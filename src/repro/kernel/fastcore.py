@@ -68,18 +68,8 @@ from repro.kernel.compiled import CompiledTrace
 from repro.prefetch.engine import THROTTLE_PROBE_PERIOD
 from repro.prefetch.stride import StridePrefetcher
 
-__all__ = ["FastSystem", "use_fast_kernel", "HAVE_NUMBA"]
+__all__ = ["FastSystem", "use_fast_kernel"]
 
-# Optional JIT hook: when numba is importable the columnar precompute
-# helpers could be njit-compiled.  The container image does not ship
-# numba, so the flag simply records availability; all code paths below
-# are pure Python + numpy and do not require it.
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba  # noqa: F401
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
 
 def use_fast_kernel(fast: bool = True, obs=None, sanitize=None) -> bool:
     """The kernel rule: does a point with these options run on the fast
@@ -88,7 +78,7 @@ def use_fast_kernel(fast: bool = True, obs=None, sanitize=None) -> bool:
     Yes unless an observer or sanitizer is attached (the fast kernel
     emits no probe events) or the caller passes ``fast=False``, the
     handle the A/B tests use to run the reference kernel as an oracle.
-    ``simulate`` and ``simulate_batch`` both decide through here.
+    ``simulate`` decides through here.
     """
     return fast and obs is None and not sanitize
 

@@ -74,7 +74,9 @@ class TraceStore:
         """(warm, main) for ``key``, or None on miss/corruption."""
         path = self._path(key)
         try:
-            with np.load(path, allow_pickle=False) as data:
+            # np.load keeps a file it opened itself open when the zip
+            # parse raises; a handle passed in is closed here either way.
+            with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as data:
                 warm = self._unpack(data, "warm")
                 main = self._unpack(data, "main")
         except (OSError, ValueError, KeyError, zipfile.BadZipFile):

@@ -429,9 +429,9 @@ class Runner:
 
         # Group pending points by their trace recipe before dispatch:
         # points sharing a trace land consecutively, so each process's
-        # trace / compiled-column / warm-state memos (repro.kernel) hit
-        # instead of thrashing.  Results are re-ordered by ``keys`` at
-        # the end, so callers still see their original order.
+        # bounded trace memo (repro.runner.worker) hits instead of
+        # thrashing.  Results are re-ordered by ``keys`` at the end, so
+        # callers still see their original order.
         pending.sort(
             key=lambda kp: (
                 kp[1].benchmark,

@@ -6,9 +6,8 @@ rejection, registration-order-independent naming), digest stability
 so every cached result and golden stays valid), the per-backend
 row-timing policies in isolation and in channel/sanitizer lockstep,
 the A/B byte-identity of sanitized vs plain runs on every backend,
-the fast kernel running every backend, the service schema's backend
-enumeration, and the bench history's refusal to pool samples across
-backends.
+the fast kernel running every backend, and the service schema's
+backend enumeration.
 """
 
 import dataclasses
@@ -340,76 +339,6 @@ class TestServiceSchema:
         from repro.service.schema import contract_description
 
         assert contract_description()["dram_backends"] == list(backend_names())
-
-
-class TestBenchHistory:
-    def _record(self, backend):
-        from repro.bench.harness import machine_fingerprint
-        from repro.bench.history import HistoryRecord
-
-        return HistoryRecord(
-            timestamp="2026-01-01T00:00:00+00:00",
-            label="ci",
-            mode="quick",
-            machine=machine_fingerprint(),
-            scenarios={
-                "dram_bound": {"work_items": 100, "wall_seconds": [1.0, 1.0, 1.0]}
-            },
-            backend=backend,
-        )
-
-    def _result(self, backend):
-        from repro.bench.harness import BenchResult, ScenarioResult
-
-        result = BenchResult(
-            label="ci", mode="quick", repeat=3, warmup=1, backend=backend
-        )
-        result.scenarios["dram_bound"] = ScenarioResult(
-            name="dram_bound",
-            description="",
-            work_items=100,
-            wall_seconds=[5.0, 5.0, 5.0],  # 5x the recorded baseline
-        )
-        return result
-
-    def test_gate_never_pools_across_backends(self):
-        from repro.bench.history import check_history
-
-        history = [self._record("drdram")]
-        slow_on_tldram = check_history(self._result("tldram"), history)
-        assert slow_on_tldram.ok
-        assert any("backend 'tldram'" in note for note in slow_on_tldram.notes)
-        # The same slow run *within* the recorded backend fails the gate.
-        slow_on_drdram = check_history(self._result("drdram"), history)
-        assert not slow_on_drdram.ok
-
-    def test_history_records_parse_backend(self, tmp_path):
-        import json
-
-        from repro.bench.history import load_history
-
-        path = tmp_path / "history.jsonl"
-        path.write_text(
-            json.dumps(
-                {
-                    "timestamp": "t",
-                    "label": "l",
-                    "mode": "quick",
-                    "machine": {},
-                    "scenarios": {},
-                    "backend": "ddr",
-                }
-            )
-            + "\n"
-            + json.dumps(
-                {"timestamp": "t", "label": "l", "mode": "quick",
-                 "machine": {}, "scenarios": {}}
-            )
-            + "\n"
-        )
-        records = load_history(path)
-        assert records[0].backend == "ddr"
-        assert records[1].backend == "drdram"  # pre-backend record
 
 
 class TestExperimentCLI:

@@ -8,10 +8,8 @@ from repro.bench.cli import main as bench_main
 from repro.bench.harness import (
     BenchResult,
     ScenarioResult,
-    append_history,
     compare_counters,
     load_result,
-    machine_fingerprint,
     run_benchmarks,
     write_result,
 )
@@ -28,19 +26,10 @@ class TestScenarios:
             "hot_cache",
             "dram_bound",
             "prefetch_heavy",
-            "sweep_batch",
-            "sweep_indep",
             "trace_gen",
         }
         for scenario in SCENARIOS.values():
             assert scenario.quick_refs < scenario.full_refs
-
-    def test_sweep_pair_shares_refs_geometry(self):
-        """The batch/independent pair must stay comparable: same sizes,
-        so one bench file always reports an apples-to-apples ratio."""
-        batch, indep = SCENARIOS["sweep_batch"], SCENARIOS["sweep_indep"]
-        assert batch.full_refs == indep.full_refs
-        assert batch.quick_refs == indep.quick_refs
 
     def test_cache_micro_counters_are_exact(self):
         seconds, work, counters = time_scenario(SCENARIOS["cache_hit_micro"], 5_000)
@@ -125,8 +114,8 @@ class TestHarness:
         assert len(scen["wall_seconds"]) == 1
 
 
-def _result_with(counters, work_items=100, name="cache_hit_micro"):
-    result = BenchResult(label="x", mode="quick", repeat=1, warmup=0)
+def _result_with(counters, work_items=100, name="cache_hit_micro", backend="drdram"):
+    result = BenchResult(label="x", mode="quick", repeat=1, warmup=0, backend=backend)
     result.scenarios[name] = ScenarioResult(
         name=name, description="d", work_items=work_items,
         wall_seconds=[0.1], counters=dict(counters),
@@ -178,31 +167,19 @@ class TestCompareCounters:
         current = _result_with({"hits": 100, "misses": 0})
         assert compare_counters(current, baseline) == []
 
-
-class TestHistory:
-    def test_machine_fingerprint_fields(self):
-        fingerprint = machine_fingerprint()
-        assert set(fingerprint) == {
-            "platform", "machine", "processor", "python", "implementation",
-            "cpu_count",
-        }
-        assert isinstance(fingerprint["cpu_count"], int)
-        assert all(
-            isinstance(v, str) for k, v in fingerprint.items() if k != "cpu_count"
-        )
-
-    def test_append_history_record_shape(self, tmp_path):
-        result = _result_with({"hits": 100, "misses": 0})
-        path = append_history(result, tmp_path / "h.jsonl")
-        record = json.loads(path.read_text())
-        assert record["label"] == "x"
-        assert record["mode"] == "quick"
-        assert record["machine"] == machine_fingerprint()
-        scen = record["scenarios"]["cache_hit_micro"]
-        assert scen["work_items"] == 100
-        assert scen["wall_seconds_median"] == 0.1
-        # ISO-8601 UTC timestamp, to the second.
-        assert record["timestamp"].endswith("+00:00")
+    def test_backend_mismatch_is_one_problem_naming_both(self):
+        """A baseline without a backend is a drdram baseline; a run on
+        another backend is one mismatch, not a drift of every counter."""
+        current = _result_with({"hits": 99, "misses": 1}, backend="ddr")
+        assert compare_counters(current, self.BASE) == [
+            "backend differs (baseline 'drdram', current 'ddr'); "
+            "counters compare within one backend"
+        ]
+        baseline = dict(self.BASE, backend="ddr")
+        assert compare_counters(current, baseline) == [
+            "cache_hit_micro: counter 'hits' drifted (baseline 100, current 99)",
+            "cache_hit_micro: counter 'misses' drifted (baseline 0, current 1)",
+        ]
 
 
 class TestCli:
@@ -248,38 +225,6 @@ class TestCli:
         )
         assert rc == 2
         assert "cannot load baseline" in capsys.readouterr().err
-
-    def test_append_history_writes_jsonl(self, tmp_path, capsys):
-        history = tmp_path / "history.jsonl"
-        for label in ("a", "b"):
-            rc = bench_main(
-                self.ARGS
-                + ["--label", label, "--out-dir", str(tmp_path)]
-                + ["--append-history", str(history)]
-            )
-            assert rc == 0
-        assert "appended history record" in capsys.readouterr().out
-        lines = history.read_text().splitlines()
-        assert len(lines) == 2
-        records = [json.loads(line) for line in lines]
-        assert [r["label"] for r in records] == ["a", "b"]
-        for record in records:
-            assert record["mode"] == "quick"
-            assert record["machine"] == machine_fingerprint()
-            scen = record["scenarios"]["cache_hit_micro"]
-            assert scen["wall_seconds_median"] > 0
-            assert scen["items_per_second"] > 0
-
-    def test_append_history_unwritable_path_fails_cleanly(self, tmp_path, capsys):
-        blocked = tmp_path / "file"
-        blocked.write_text("not a directory")
-        rc = bench_main(
-            self.ARGS
-            + ["--label", "a", "--out-dir", str(tmp_path)]
-            + ["--append-history", str(blocked / "sub" / "history.jsonl")]
-        )
-        assert rc == 2
-        assert "cannot append history" in capsys.readouterr().err
 
     def test_committed_ci_baseline_matches_quick_geometry(self):
         """The committed CI baseline must stay in sync with the scenarios."""

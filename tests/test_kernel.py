@@ -4,27 +4,25 @@ Covers the compiled-trace columns (against the reference per-record
 computations), the memory contract (no compilation outlives its point),
 the content-addressed on-disk trace store, the kernel rule (fast unless
 observed, sanitized or ``fast=False``, whatever ``REPRO_FAST`` says),
-every L1 geometry on the fast kernel, and ``simulate_batch``'s argument
-validation and sanitized fallback.
+and every L1 geometry on the fast kernel.
 """
 
 import gc
 import json
+import warnings
 import weakref
 
+import numpy as np
 import pytest
 
 from repro.core.config import CacheConfig, DRAMConfig, SystemConfig
 from repro.core.system import simulate
-from repro.cpu.trace import Trace
 from repro.dram.mapping import make_mapping
 from repro.kernel import (
     TraceStore,
     batch,
     compile_trace,
-    simulate_batch,
     simulate_fast,
-    trace_digest,
     trace_store_from_env,
 )
 from repro.runner.runner import SimPoint
@@ -35,6 +33,13 @@ from repro.workloads.registry import build_warmup_trace
 
 def _trace(benchmark="mcf", refs=800, seed=0):
     return build_trace(benchmark, refs, seed=seed)
+
+
+def _same_trace(a, b):
+    return a.name == b.name and all(
+        np.array_equal(getattr(a, column), getattr(b, column))
+        for column in ("kinds", "gaps", "addrs", "deps", "pcs")
+    )
 
 
 @pytest.fixture
@@ -100,11 +105,6 @@ class TestCompileMemo:
     """``compile_trace`` memoizes nothing: a compilation lives exactly as
     long as the point that built it."""
 
-    def test_different_content_differs(self):
-        assert trace_digest(_trace("gzip", 400)) != trace_digest(
-            _trace("gzip", 400, seed=1)
-        )
-
     def test_no_compiled_trace_outlives_its_point(self, monkeypatch):
         built = []
         compile_original = batch.compile_trace
@@ -134,9 +134,8 @@ class TestTraceStore:
         loaded = store.load(key)
         assert loaded is not None
         loaded_warm, loaded_main = loaded
-        assert trace_digest(loaded_warm) == trace_digest(warm)
-        assert trace_digest(loaded_main) == trace_digest(main)
-        assert loaded_main.name == main.name
+        assert _same_trace(loaded_warm, warm)
+        assert _same_trace(loaded_main, main)
 
     def test_load_miss_returns_none(self, tmp_path):
         assert TraceStore(tmp_path).load("0" * 64) is None
@@ -149,6 +148,16 @@ class TestTraceStore:
         path = tmp_path / f"{key}.npz"
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         assert store.load(key) is None
+
+    def test_torn_zip_entry_closes_its_file(self, tmp_path):
+        """An entry with a zip header and garbage after it is a miss, and
+        the file ``load`` opened is closed, not left to the collector."""
+        (tmp_path / "k.npz").write_bytes(b"PK\x03\x04" + b"garbage" * 8)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert TraceStore(tmp_path).load("k") is None
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_unwritable_root_returns_false(self, tmp_path):
         blocked = tmp_path / "file"
@@ -234,44 +243,6 @@ class TestKernelRule:
         assert fast == simulate(trace, config, fast=False).to_dict()
 
 
-class TestSimulateBatch:
-    def test_warmup_argument_validation(self):
-        trace = _trace(refs=200)
-        warm = build_warmup_trace("mcf", seed=0, l2_bytes=1 << 20)
-        with pytest.raises(ValueError, match="not both"):
-            simulate_batch(
-                trace, [SystemConfig()], warmup_trace=warm, warmup_traces=[warm]
-            )
-        with pytest.raises(ValueError, match="entries"):
-            simulate_batch(trace, [SystemConfig()], warmup_traces=[warm, warm])
-
-    def test_per_config_warmup_traces(self):
-        trace = _trace(refs=400)
-        warm = build_warmup_trace("mcf", seed=0, l2_bytes=1 << 20)
-        configs = [SystemConfig(), SystemConfig()]
-        batched = simulate_batch(
-            trace, configs, warmup_traces=[warm, None], fast=True
-        )
-        assert (
-            batched[0].to_dict()
-            == simulate(trace, configs[0], warmup_trace=warm, fast=False).to_dict()
-        )
-        assert (
-            batched[1].to_dict()
-            == simulate(trace, configs[1], fast=False).to_dict()
-        )
-
-    def test_sanitized_batch_is_clean_and_identical(self):
-        """The batched driver under the sanitizer: reference path, zero
-        violations, and statistics identical to the fast batch."""
-        trace = _trace("swim", refs=800)
-        configs = [SystemConfig(), SystemConfig().with_prefetch(enabled=True)]
-        sanitized = simulate_batch(trace, configs, sanitize=True)
-        fast = simulate_batch(trace, configs, fast=True)
-        for clean, quick in zip(sanitized, fast):
-            assert clean.to_dict() == quick.to_dict()
-
-
 class TestSimulateFastEntryPoint:
     def test_matches_reference_with_warmup(self):
         config = SystemConfig()
@@ -306,36 +277,11 @@ class TestStoreBackedTraces:
         # the loaded traces are content-identical to the built ones.
         monkeypatch.setattr(worker, "_TRACE_MEMO", {})
         warm2, main2 = worker.get_traces("mcf", 500, 0, 1 << 20)
-        assert trace_digest(main2) == trace_digest(main)
-        assert trace_digest(warm2) == trace_digest(warm)
+        assert _same_trace(main2, main)
+        assert _same_trace(warm2, warm)
         assert list(tmp_path.glob("*.npz")) == entries
 
 
 def test_compiled_trace_len():
     trace = _trace(refs=200)
     assert len(compile_trace(trace)) == len(trace)
-
-
-def test_trace_digest_covers_every_column():
-    base = _trace(refs=64)
-
-    def clone(**overrides):
-        fields = {
-            "name": base.name,
-            "description": base.description,
-            "kinds": base.kinds.copy(),
-            "gaps": base.gaps.copy(),
-            "addrs": base.addrs.copy(),
-            "deps": base.deps.copy(),
-            "pcs": base.pcs.copy(),
-        }
-        fields.update(overrides)
-        return Trace(**fields)
-
-    reference = trace_digest(clone())
-    assert reference == trace_digest(base)
-    for column in ("kinds", "gaps", "addrs", "deps", "pcs"):
-        mutated = getattr(base, column).copy()
-        mutated[0] = mutated[0] + 1
-        assert trace_digest(clone(**{column: mutated})) != reference
-    assert trace_digest(clone(name="other")) != reference

@@ -2,14 +2,13 @@
 
 The contract of :mod:`repro.kernel` is byte-identity: every statistic of
 the specialized interpreter must equal the reference simulator's, for
-every configuration, with and without warm-up, one point at a time and
-batched.  Hypothesis drives randomly drawn configurations spanning the
-paper's axes (DRAM mapping and row policy, L1I and L2 geometry, both
-prefetch engines with their policy/scheduling/throttle variants,
-idealized hierarchies, non-dyadic clocks) and every registered DRAM
-backend with its tuning knobs (so the TL-DRAM and ChargeCache row-timing
-policies ride through every property) through both kernels and asserts
-exact ``to_dict`` equality.
+every configuration, with and without warm-up.  Hypothesis drives
+randomly drawn configurations spanning the paper's axes (DRAM mapping
+and row policy, L1I and L2 geometry, both prefetch engines with their
+policy/scheduling/throttle variants, idealized hierarchies, non-dyadic
+clocks) and every registered DRAM backend with its tuning knobs (so the
+TL-DRAM and ChargeCache row-timing policies ride through every
+property) through both kernels and asserts exact ``to_dict`` equality.
 
 Under ``HYPOTHESIS_PROFILE=ci`` (see ``conftest.py``) the examples are
 derandomized, so CI runs are reproducible; locally the defaults keep
@@ -30,7 +29,6 @@ from repro.core.config import (
     SystemConfig,
 )
 from repro.core.system import simulate
-from repro.kernel import batch, simulate_batch
 from repro.workloads import build_trace
 from repro.workloads.registry import build_warmup_trace
 
@@ -114,7 +112,7 @@ def system_configs(draw):
 
 
 class TestFuzzFastVsReference:
-    @settings(max_examples=14, deadline=None)
+    @settings(max_examples=28, deadline=None)
     @given(
         config=system_configs(),
         benchmark=st.sampled_from(BENCHMARK_POOL),
@@ -133,40 +131,6 @@ class TestFuzzFastVsReference:
         reference = simulate(trace, config, warmup_trace=warmup, fast=False)
         fast = simulate(trace, config, warmup_trace=warmup, fast=True)
         assert _dump(fast) == _dump(reference)
-
-    @settings(max_examples=8, deadline=None)
-    @given(
-        config=system_configs(),
-        benchmark=st.sampled_from(BENCHMARK_POOL),
-        refs=st.integers(min_value=300, max_value=800),
-        warm=st.booleans(),
-    )
-    def test_singleton_batch_equals_simulate(self, config, benchmark, refs, warm):
-        """``simulate_batch([c])`` is exactly ``[simulate(c)]``."""
-        trace = build_trace(benchmark, refs, seed=0)
-        warmup = (
-            build_warmup_trace(benchmark, seed=0, l2_bytes=config.l2.size_bytes)
-            if warm
-            else None
-        )
-        batched = simulate_batch(trace, [config], warmup_trace=warmup, fast=True)
-        assert len(batched) == 1
-        reference = simulate(trace, config, warmup_trace=warmup, fast=False)
-        assert _dump(batched[0]) == _dump(reference)
-
-    @settings(max_examples=6, deadline=None)
-    @given(
-        configs=st.lists(system_configs(), min_size=2, max_size=3),
-        benchmark=st.sampled_from(BENCHMARK_POOL),
-        refs=st.integers(min_value=300, max_value=800),
-    )
-    def test_batch_equals_independent_simulations(self, configs, benchmark, refs):
-        """A multi-config batch over one shared trace equals N independent
-        reference simulations, config for config."""
-        trace = build_trace(benchmark, refs, seed=0)
-        batched = simulate_batch(trace, configs, fast=True)
-        for config, stats in zip(configs, batched):
-            assert _dump(stats) == _dump(simulate(trace, config, fast=False))
 
 
 class TestDeterministicEdgeCases:
@@ -231,27 +195,3 @@ class TestDeterministicEdgeCases:
         for i in (first, second, first):
             fast = simulate(main, configs[i], warmup_trace=warmup)
             assert _dump(fast) == references[i], i
-
-    def test_batch_mixes_l1i_geometries(self, monkeypatch):
-        """A batch mixing the default L1I with one whose block exceeds the
-        L2 block runs every point on the fast kernel, each equal to the
-        reference."""
-        built = []
-
-        class SpyFastSystem(batch.FastSystem):
-            def __init__(self, config):
-                built.append(config.l1i.block_bytes)
-                super().__init__(config)
-
-        monkeypatch.setattr(batch, "FastSystem", SpyFastSystem)
-        l2 = CacheConfig(size_bytes=64 * 1024, assoc=1, block_bytes=64, hit_latency=12)
-        odd_l1i = SystemConfig(
-            l1i=CacheConfig(size_bytes=1024, assoc=1, block_bytes=256, hit_latency=1),
-            l2=l2,
-        )
-        configs = [SystemConfig(l2=l2), odd_l1i]
-        trace = build_trace("mcf", 2_000, seed=0)
-        batched = simulate_batch(trace, configs)
-        assert built == [64, 256]
-        for config, stats in zip(configs, batched):
-            assert _dump(stats) == _dump(simulate(trace, config, fast=False))

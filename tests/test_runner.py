@@ -347,7 +347,7 @@ class TestCachePayload:
         assert "stats" in payload and "wall_seconds" in payload
 
 
-def _trace_digest(name, refs):
+def _trace_sha256(name, refs):
     import hashlib
 
     trace = build_trace(name, refs)
@@ -372,5 +372,5 @@ class TestCrossProcessDeterminism:
 
         ctx = multiprocessing.get_context("spawn")
         with ctx.Pool(1) as pool:
-            child = pool.apply(_trace_digest, ("mcf", 1_500))
-        assert child == _trace_digest("mcf", 1_500)
+            child = pool.apply(_trace_sha256, ("mcf", 1_500))
+        assert child == _trace_sha256("mcf", 1_500)
