@@ -544,7 +544,14 @@ class SystemConfig:
         default DRDRAM system hashes exactly as it did before the
         backend registry existed and every non-default backend hashes
         distinctly.
+
+        The instance is frozen, so the digest is computed once and kept
+        on it (outside the dataclass fields: equality, ``asdict`` and
+        ``replace`` never see it).
         """
+        cached = self.__dict__.get("_digest")
+        if cached is not None:
+            return cached
         tree = asdict(self)
         dram = tree.get("dram")
         if isinstance(dram, dict):
@@ -552,7 +559,9 @@ class SystemConfig:
                 if dram.get(key) == default:
                     dram.pop(key, None)
         payload = json.dumps(tree, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("ascii")).hexdigest()
+        digest = hashlib.sha256(payload.encode("ascii")).hexdigest()
+        object.__setattr__(self, "_digest", digest)
+        return digest
 
     # -- convenience builders -------------------------------------------------
 

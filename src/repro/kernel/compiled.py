@@ -8,9 +8,11 @@ across calls, so a compilation is freed with the point that built it.
 
 :meth:`CompiledTrace.l1_columns` and :meth:`CompiledTrace.coord_map`
 are vectorized views of the per-record L1 and DRAM arithmetic.  The
-fast kernel derives both inline from each address instead; the views
-stay as public entry points (``perfbench/tracing.py`` wraps them by
-name) and as vectorized cross-checks of that arithmetic in the tests.
+fast kernel derives L1 blocks and sets inline from each address and
+translates DRAM coordinates on first use into a per-point memo instead;
+the views stay as public entry points (``perfbench/tracing.py`` wraps
+them by name) and as vectorized cross-checks of that arithmetic in the
+tests.
 """
 
 from __future__ import annotations

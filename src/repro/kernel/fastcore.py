@@ -20,6 +20,17 @@ geometry, address mapping, packets per block and idle guard come from
 ``resolve`` before scheduling and its ``observe`` after, at the same two
 points ``LogicalChannel.access`` does.
 
+**The row-hit path.**  Warm-up sweeps stride through open rows, so
+nearly every DRAM access they make is a row hit.  When the channel has
+no row-timing policy, keeps pages open and moves a block in one data
+packet (the default DRDRAM geometry), a row hit schedules only the
+column and data buses and returns; every other access, and every access
+of a policy backend (whose ``resolve`` and ``observe`` must see it),
+takes the whole walk.  Counters that others determine — each DRAM
+class's accesses, the data packets, the cache accesses and the L2
+demand fetches — are derived when a run folds its accumulators into the
+stats instead of being counted per event.
+
 **Bit-exactness contract.**  The reference kernel is authoritative;
 this one must produce byte-identical ``SimStats`` (enforced by the A/B
 fuzzer in ``tests/test_kernel_ab.py`` and the fast-on/off golden gate).
@@ -40,11 +51,16 @@ Three rules keep the float results exact rather than merely close:
 **Nothing outlives a point.**  A ``FastSystem`` holds the machine
 state of one point (warm-up, then the measured run) and the kernel keeps
 no process-wide memo: each run reads only the trace's base columns and
-derives every record's L1 block and set, its L2 block (from the raw
-address, as ``MemoryHierarchy._l2_access`` does, so every L1 geometry is
-exact) and each DRAM access's ``(bank, row)`` inline, with the same
-arithmetic as the reference components.  A cold sweep never repeats a
-``(config, warm-up)`` pair, so a memo would only hold memory.
+derives every record's L1 block and set and its L2 block inline (from
+the raw address, as ``MemoryHierarchy._l2_access`` does, so every L1
+geometry is exact), with the same arithmetic as the reference
+components.  DRAM coordinates are memoized per point: a block's
+``(bank, row)`` depends only on ``block >> coord_shift``, so each such
+key is translated on its first access, by the controller's own
+``AddressMapping.translate``, and kept in a dict on the instance, which
+dies with the point like the cache and bank state.  A
+cold sweep never repeats a ``(config, warm-up)`` pair, so a process-wide
+memo would only hold memory.
 
 State layout notes: a cache line is ``[block, dirty, prefetched,
 ready_time]``; L1 fills skip the reference's merge check because
@@ -171,19 +187,14 @@ class FastSystem:
         self._col_free = 0.0
         self._data_free = 0.0
 
-        # The mapping's private field split drives the inline coordinate
-        # arithmetic (AddressMapping.translate, without the column).
+        # The controller's own address mapping.  A block's bank and row
+        # depend only on the bits above its column (``block >>
+        # coord_shift``), so each such key is translated once per point
+        # and memoized in ``_coords`` (which dies with the instance).
         self._mapping = make_mapping(dram)
         m = self._mapping
         self._coord_shift = m._offset_bits + m._channel_bits + m._column_bits
-        self._devbank_mask = m._devbank_mask
-        self._devbank_bits = m._devbank_bits
-        self._row_mask = m._row_mask
-        self._device_mask = m._device_mask
-        self._device_bits = m._device_bits
-        self._bank_mask = m._bank_mask
-        self._bank_bits = m._bank_bits
-        self._is_xor = dram.mapping == "xor"
+        self._coords: dict = {}
 
         prefetch = config.prefetch
         self._prefetcher = None  # object engine (stride only)
@@ -332,14 +343,12 @@ class FastSystem:
         throttled_n = 0
 
         coord_shift = self._coord_shift
-        devbank_mask = self._devbank_mask
-        devbank_bits = self._devbank_bits
-        row_mask = self._row_mask
-        device_mask = self._device_mask
-        device_bits = self._device_bits
-        bank_mask = self._bank_mask
-        bank_bits = self._bank_bits
-        is_xor = self._is_xor
+        coords = self._coords
+        translate = self._mapping.translate
+        # A row hit with no row-timing policy to observe, no automatic
+        # precharge and one data packet moves only the column and data
+        # buses: chan_access returns from a short path for it.
+        short_hit = policy is None and not closed_page and single_packet
 
         # Channel bus state: carry-in floats shared with the closures.
         row_free = self._row_free
@@ -352,39 +361,43 @@ class FastSystem:
         row_busy = stats.row_bus_busy
         col_busy = stats.col_bus_busy
         data_busy = stats.data_bus_busy
-        data_pkts = 0
         l2_lat_sum = stats.l2_miss_latency_sum
-        rd_cls = [0, 0, 0, 0, 0]  # accesses, hits, empty, misses, adjacency
-        wb_cls = [0, 0, 0, 0, 0]
-        pf_cls = [0, 0, 0, 0, 0]
-        l1i_acc = l1i_hits = l1i_del = l1i_miss = l1i_wb = l1i_evict = 0
-        l1d_acc = l1d_hits = l1d_del = l1d_miss = l1d_wb = l1d_evict = 0
-        l2_acc = l2_hits = l2_del = l2_miss = l2_wb = l2_evict = 0
-        l2_dem = 0
+        # Counters that others determine (accesses, data packets, demand
+        # fetches) are derived at the fold instead of counted per event.
+        rd_cls = [0, 0, 0, 0]  # row hits, empty, misses, adjacency flushes
+        wb_cls = [0, 0, 0, 0]
+        pf_cls = [0, 0, 0, 0]
+        l1i_hits = l1i_del = l1i_miss = l1i_wb = l1i_evict = 0
+        l1d_hits = l1d_del = l1d_miss = l1d_wb = l1d_evict = 0
+        l2_hits = l2_del = l2_miss = l2_wb = l2_evict = 0
         pf_issued = pf_useful = pf_late = pf_evicted = 0
         i_stalls = d_stalls = 0
 
-        def coord(block):
-            # AddressMapping.translate -> (bank, row), inlined.
-            shifted = block >> coord_shift
-            devbank = shifted & devbank_mask
-            row = (shifted >> devbank_bits) & row_mask
-            if is_xor:
-                swizzled = devbank ^ (row & devbank_mask)
-                device = swizzled & device_mask
-                bank = (swizzled >> device_bits) & bank_mask
-                if bank_bits > 0:
-                    bank = ((bank & 1) << (bank_bits - 1)) | (bank >> 1)
-                return (bank << device_bits) | device, row
-            return devbank, row
-
-        def chan_access(time, bnk, row, cls):
+        def chan_access(time, block, cls):
             # LogicalChannel.access, flattened (obs/san are never
             # present under the fast kernel).
             nonlocal row_free, col_free, data_free
-            nonlocal row_busy, col_busy, data_busy, data_pkts
-            cls[0] += 1
+            nonlocal row_busy, col_busy, data_busy
+            key = block >> coord_shift
+            try:
+                bnk, row = coords[key]
+            except KeyError:
+                at = translate(block)
+                bnk, row = coords[key] = at.bank, at.row
             open_row = open_rows[bnk]
+            if short_hit and open_row == row:
+                cls[0] += 1
+                cmd_start = time if time > col_free else col_free
+                col_free = cmd_start + t_packet
+                col_busy += t_packet
+                data_end = cmd_start + t_rdwr
+                if data_free > data_end:
+                    data_end = data_free
+                data_end += t_transfer
+                data_free = data_end
+                data_busy += t_transfer
+                busy_until[bnk] = data_end
+                return data_end
             if policy is None:
                 a_prer = t_prer
                 a_act = t_act
@@ -400,21 +413,21 @@ class FastSystem:
                     outcome = row_miss
                 a_prer, a_act, a_rdwr = resolve(bnk, row, time, outcome)
             if open_row == row:
-                cls[1] += 1
+                cls[0] += 1
                 row_ready = time
             else:
                 bank_busy = busy_until[bnk]
                 if open_row is None:
-                    cls[2] += 1
+                    cls[1] += 1
                     if flushed_rows[bnk] == row:
-                        cls[4] += 1
+                        cls[3] += 1
                     act_start = time
                     if row_free > act_start:
                         act_start = row_free
                     if bank_busy > act_start:
                         act_start = bank_busy
                 else:
-                    cls[3] += 1
+                    cls[2] += 1
                     prer_start = time
                     if row_free > prer_start:
                         prer_start = row_free
@@ -445,7 +458,6 @@ class FastSystem:
                 data_end += t_transfer
                 data_free = data_end
                 data_busy += t_transfer
-                data_pkts += 1
             else:
                 for _ in range(block_packets):
                     cmd_start = row_ready if row_ready > col_free else col_free
@@ -457,7 +469,6 @@ class FastSystem:
                     data_end += t_transfer
                     data_free = data_end
                     data_busy += t_transfer
-                    data_pkts += 1
             completion = data_free
             busy_until[bnk] = completion
             if closed_page:
@@ -509,8 +520,7 @@ class FastSystem:
             lines.insert(pf_slot if pf_slot < len(lines) else len(lines), line)
             tags[block] = line
             if victim is not None and victim[1]:
-                vbank, vrow = coord(victim[0])
-                chan_access(ready_time, vbank, vrow, wb_cls)
+                chan_access(ready_time, victim[0], wb_cls)
                 l2_wb += 1
 
         if region_on:
@@ -565,7 +575,12 @@ class FastSystem:
                         if not pf_bank_aware:
                             break
                     if pf_bank_aware:
-                        bnk, row = coord(addr)
+                        key = addr >> coord_shift
+                        try:
+                            bnk, row = coords[key]
+                        except KeyError:
+                            at = translate(addr)
+                            bnk, row = coords[key] = at.bank, at.row
                         if open_rows[bnk] == row:
                             chosen_entry = entry
                             chosen_addr = addr
@@ -584,8 +599,7 @@ class FastSystem:
                 if bitmap == pf_all_set or scan >= pf_last:
                     pf_entries.remove(chosen_entry)
                     regions_comp += 1
-                bnk, row = coord(chosen_addr)
-                completion = chan_access(time, bnk, row, pf_cls)
+                completion = chan_access(time, chosen_addr, pf_cls)
                 pf_issued += 1
                 pf_fill(chosen_addr, completion)
                 return completion
@@ -598,8 +612,7 @@ class FastSystem:
                 addr = pf_select(shim, mapping, resident, now=time)
                 if addr is None:
                     return None
-                bnk, row = coord(addr)
-                completion = chan_access(time, bnk, row, pf_cls)
+                completion = chan_access(time, addr, pf_cls)
                 pf_issued += 1
                 pf_fill(addr, completion)
                 return completion
@@ -627,11 +640,10 @@ class FastSystem:
 
         def l2_access(t2, block, index, pc):
             # MemoryHierarchy._l2_access + controller demand path.
-            nonlocal l2_acc, l2_hits, l2_del, l2_miss, l2_evict, l2_wb
-            nonlocal l2_dem, l2_lat_sum, pf_useful, pf_late, pf_evicted
+            nonlocal l2_hits, l2_del, l2_miss, l2_evict, l2_wb
+            nonlocal l2_lat_sum, pf_useful, pf_late, pf_evicted
             nonlocal ot_total, ot_useful
             nonlocal regions_enq, regions_rep, regions_comp, regions_prom
-            l2_acc += 1
             if perfect_l2:
                 l2_hits += 1
                 return t2 + l2_lat
@@ -669,8 +681,7 @@ class FastSystem:
             l2_miss += 1
             if drain_on and col_free + idle_guard <= t2:
                 drain(t2)
-            bnk, row = coord(block)
-            completion = chan_access(t2, bnk, row, rd_cls)
+            completion = chan_access(t2, block, rd_cls)
             if have_pf:
                 if region_on:
                     # RegionPrefetcher.on_demand_miss, inlined.
@@ -711,7 +722,6 @@ class FastSystem:
                     pf_demand_miss(block, pc=pc, now=t2)
                 if burst_on:
                     drain_burst(t2)
-            l2_dem += 1
             l2_lat_sum += completion - t2
             if have_pf:
                 # Demand fill, insertion "mru": merge first — a
@@ -725,7 +735,6 @@ class FastSystem:
                     line[2] = False
                     return completion
             lines = l2_sets[index]
-            victim = None
             if len(lines) >= l2_assoc:
                 victim = lines.pop()
                 del tags[victim[0]]
@@ -739,13 +748,14 @@ class FastSystem:
                             ot_useful //= 2
                     elif have_pf:
                         pf_outcome(False)
+                if victim[1]:
+                    # Written back before the fill lands, unlike the
+                    # reference: the channel walk reads no cache state.
+                    chan_access(completion, victim[0], wb_cls)
+                    l2_wb += 1
             line = [block, False, False, completion]
             lines.insert(0, line)
             tags[block] = line
-            if victim is not None and victim[1]:
-                vbank, vrow = coord(victim[0])
-                chan_access(completion, vbank, vrow, wb_cls)
-                l2_wb += 1
             return completion
 
         # Per-run core state (fresh each run, like the reference).
@@ -754,6 +764,7 @@ class FastSystem:
         win_index: list = []
         win_done: list = []
         win_head = 0  # popleft index into the parallel win_* lists
+        win_live = 0  # len(win_index) - win_head
         chain_completion: dict = {}
         chain_get = chain_completion.get
         dispatch = start_time
@@ -791,7 +802,6 @@ class FastSystem:
                 if perfect_memory:
                     completion = ready + l1i_lat
                 else:
-                    l1i_acc += 1
                     blk = addr & l1i_block_mask
                     sidx = (blk >> l1i_offset_bits) & l1i_index_mask
                     tags = l1i_tags[sidx]
@@ -837,8 +847,7 @@ class FastSystem:
                             if vline is not None:
                                 vline[1] = True
                             elif not perfect_l2:
-                                vbank, vrow = coord(vblock)
-                                chan_access(completion, vbank, vrow, wb_cls)
+                                chan_access(completion, vblock, wb_cls)
                                 l2_wb += 1
                             l1i_wb += 1
                         heappush(i_heap, completion)
@@ -852,14 +861,14 @@ class FastSystem:
             index = inst_count
             dispatch += issue_slot
 
-            if win_head < len(win_index):
+            if win_live:
                 horizon = index - window_size
-                while win_head < len(win_index) and (
-                    win_index[win_head] <= horizon
-                    or len(win_index) - win_head >= lsq_size
+                while win_live and (
+                    win_index[win_head] <= horizon or win_live >= lsq_size
                 ):
                     done = win_done[win_head]
                     win_head += 1
+                    win_live -= 1
                     if done > commit_front:
                         commit_front = done
                         if commit_front > dispatch:
@@ -889,7 +898,6 @@ class FastSystem:
                 completion = issue + l1d_lat
                 missed = False
             else:
-                l1d_acc += 1
                 blk = addr & l1d_block_mask
                 sidx = (blk >> l1d_offset_bits) & l1d_index_mask
                 tags = l1d_tags[sidx]
@@ -918,27 +926,26 @@ class FastSystem:
                         t2, block, (block >> l2_offset_bits) & l2_index_mask, pc
                     )
                     lines = l1d_sets[sidx]
-                    victim = None
                     if len(lines) >= l1d_assoc:
                         victim = lines.pop()
                         del tags[victim[0]]
                         l1d_evict += 1
+                        if victim[1]:
+                            # _l1_writeback(completion, victim_addr), ahead
+                            # of the L1 fill it reads nothing of.
+                            vblock = victim[0] & l2_block_mask
+                            vline = l2_tags[
+                                (vblock >> l2_offset_bits) & l2_index_mask
+                            ].get(vblock)
+                            if vline is not None:
+                                vline[1] = True
+                            elif not perfect_l2:
+                                chan_access(completion, vblock, wb_cls)
+                                l2_wb += 1
+                            l1d_wb += 1
                     line = [blk, kind == 1, False, completion]
                     lines.insert(0, line)
                     tags[blk] = line
-                    if victim is not None and victim[1]:
-                        # _l1_writeback(completion, victim_addr)
-                        vblock = victim[0] & l2_block_mask
-                        vline = l2_tags[
-                            (vblock >> l2_offset_bits) & l2_index_mask
-                        ].get(vblock)
-                        if vline is not None:
-                            vline[1] = True
-                        elif not perfect_l2:
-                            vbank, vrow = coord(vblock)
-                            chan_access(completion, vbank, vrow, wb_cls)
-                            l2_wb += 1
-                        l1d_wb += 1
                     missed = True
 
             if missed:
@@ -946,11 +953,13 @@ class FastSystem:
 
             if kind == 0:  # load
                 loads += 1
+                win_live += 1
                 win_index.append(index)
                 win_done.append(completion)
                 chain_completion[pc] = completion
             elif kind == 1:  # store
                 stores += 1
+                win_live += 1
                 win_index.append(index)
                 win_done.append(issue + 1)  # STORE_COMMIT_LATENCY
             else:  # executed software prefetch
@@ -983,42 +992,46 @@ class FastSystem:
         stats.l1d_mshr_stalls += d_stalls
         stats.l1i_mshr_stalls += i_stalls
         s = stats.l1i
-        s.accesses += l1i_acc
+        s.accesses += l1i_hits + l1i_miss
         s.hits += l1i_hits
         s.delayed_hits += l1i_del
         s.misses += l1i_miss
         s.writebacks += l1i_wb
         s.evictions += l1i_evict
         s = stats.l1d
-        s.accesses += l1d_acc
+        s.accesses += l1d_hits + l1d_miss
         s.hits += l1d_hits
         s.delayed_hits += l1d_del
         s.misses += l1d_miss
         s.writebacks += l1d_wb
         s.evictions += l1d_evict
         s = stats.l2
-        s.accesses += l2_acc
+        s.accesses += l2_hits + l2_miss
         s.hits += l2_hits
         s.delayed_hits += l2_del
         s.misses += l2_miss
         s.writebacks += l2_wb
         s.evictions += l2_evict
-        stats.l2_demand_fetches += l2_dem
+        stats.l2_demand_fetches += l2_miss
         stats.l2_miss_latency_sum = l2_lat_sum
+        dram_accesses = 0
         for cls, bucket in (
             (rd_cls, stats.dram_reads),
             (wb_cls, stats.dram_writebacks),
             (pf_cls, stats.dram_prefetches),
         ):
-            bucket.accesses += cls[0]
-            bucket.row_hits += cls[1]
-            bucket.row_empty += cls[2]
-            bucket.row_misses += cls[3]
-            bucket.adjacency_flushes += cls[4]
+            hits, empty, misses, flushes = cls
+            accesses = hits + empty + misses
+            dram_accesses += accesses
+            bucket.accesses += accesses
+            bucket.row_hits += hits
+            bucket.row_empty += empty
+            bucket.row_misses += misses
+            bucket.adjacency_flushes += flushes
         stats.row_bus_busy = row_busy
         stats.col_bus_busy = col_busy
         stats.data_bus_busy = data_busy
-        stats.data_packets += data_pkts
+        stats.data_packets += dram_accesses * block_packets
         stats.prefetches_issued += pf_issued
         stats.prefetches_useful += pf_useful
         stats.prefetches_late += pf_late

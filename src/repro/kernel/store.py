@@ -76,9 +76,15 @@ class TraceStore:
         try:
             # np.load keeps a file it opened itself open when the zip
             # parse raises; a handle passed in is closed here either way.
-            with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as data:
-                warm = self._unpack(data, "warm")
-                main = self._unpack(data, "main")
+            with open(path, "rb") as handle:
+                data = np.load(handle, allow_pickle=False)
+                if not isinstance(data, np.lib.npyio.NpzFile):
+                    # A plain .npy array (or anything else np.load
+                    # reads that is no archive) holds no trace pair.
+                    return None
+                with data:
+                    warm = self._unpack(data, "warm")
+                    main = self._unpack(data, "main")
         except (OSError, ValueError, KeyError, zipfile.BadZipFile):
             # Missing, unreadable, truncated, or stale-format entry:
             # treat as a miss; a corrupt file is overwritten on save.

@@ -258,3 +258,67 @@ class TestSystemConfigValidate:
         config = SystemConfig().with_block_size(8192)
         assert not config.prefetch.enabled
         config.validate()
+
+
+class TestDigestCache:
+    """``SystemConfig.digest`` is computed once per frozen instance and
+    kept outside the dataclass fields."""
+
+    @staticmethod
+    def _count_asdict(monkeypatch):
+        import repro.core.config as config_module
+
+        calls = []
+        real = config_module.asdict
+
+        def counting(obj):
+            calls.append(obj)
+            return real(obj)
+
+        monkeypatch.setattr(config_module, "asdict", counting)
+        return calls
+
+    def test_asdict_runs_once_per_instance(self, monkeypatch):
+        calls = self._count_asdict(monkeypatch)
+        config = SystemConfig().with_backend("tldram")
+        first = config.digest()
+        assert config.digest() == first
+        assert len(calls) == 1
+        # An equal instance computes (once) the same digest.
+        assert SystemConfig().with_backend("tldram").digest() == first
+        assert len(calls) == 2
+
+    def test_digest_survives_pickling(self, monkeypatch):
+        import pickle
+
+        config = SystemConfig().with_prefetch(enabled=True)
+        digest = config.digest()
+        calls = self._count_asdict(monkeypatch)
+        clone = pickle.loads(pickle.dumps(config))
+        assert clone == config
+        assert clone.digest() == digest
+        assert not calls  # carried over, not recomputed
+        # A config pickled before its first digest computes the same one.
+        fresh = pickle.loads(pickle.dumps(SystemConfig().with_prefetch(enabled=True)))
+        assert fresh.digest() == digest
+
+    def test_replace_yields_a_fresh_correct_digest(self):
+        from dataclasses import replace
+
+        config = SystemConfig()
+        base = config.digest()
+        wider = config.with_channels(8)
+        assert wider.digest() != base
+        assert wider.digest() == SystemConfig(dram=DRAMConfig(channels=8)).digest()
+        same = replace(config)
+        assert "_digest" not in same.__dict__
+        assert same.digest() == base
+
+    def test_cached_digest_stays_out_of_the_fields(self):
+        from dataclasses import asdict
+
+        config = SystemConfig()
+        config.digest()
+        assert "_digest" not in asdict(config)
+        assert config == SystemConfig()
+        assert hash(config) == hash(SystemConfig())

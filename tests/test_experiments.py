@@ -181,10 +181,14 @@ class TestCLI:
         }
         assert set(cli.EXPERIMENTS) == expected
 
-    def test_cli_runs_one(self, capsys, monkeypatch):
+    def test_cli_runs_one(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(
             common, "PROFILES", dict(common.PROFILES, tiny=MICRO), raising=True
         )
+        # Private result cache and trace store: the defaults live under
+        # ~/.cache/repro, which a test must neither fill nor read back.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "results"))
+        monkeypatch.setenv("REPRO_TRACE_STORE", str(tmp_path / "traces"))
         # run via profile objects directly: use the real tiny but patched
         assert cli.main(["mapping", "--profile", "tiny"]) == 0
         out = capsys.readouterr().out

@@ -159,6 +159,18 @@ class TestTraceStore:
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
+    def test_plain_npy_entry_degrades_to_miss(self, tmp_path):
+        """An entry holding ``np.save`` output (an array, not an archive)
+        is a miss, not a ``TypeError``, and the next save replaces it."""
+        store = TraceStore(tmp_path)
+        key = store.recipe_key("mcf", 800, 0, 1 << 20)
+        with open(tmp_path / f"{key}.npz", "wb") as fh:
+            np.save(fh, np.arange(4))
+        assert store.load(key) is None
+        warm = build_warmup_trace("mcf", seed=0, l2_bytes=1 << 20)
+        assert store.save(key, warm, _trace())
+        assert store.load(key) is not None
+
     def test_unwritable_root_returns_false(self, tmp_path):
         blocked = tmp_path / "file"
         blocked.write_text("not a directory")

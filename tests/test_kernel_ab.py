@@ -9,6 +9,8 @@ policy/scheduling/throttle variants, idealized hierarchies, non-dyadic
 clocks) and every registered DRAM backend with its tuning knobs (so the
 TL-DRAM and ChargeCache row-timing policies ride through every
 property) through both kernels and asserts exact ``to_dict`` equality.
+A second property checks, on the reference kernel alone, each counter
+identity the fast kernel relies on to derive counters at fold time.
 
 Under ``HYPOTHESIS_PROFILE=ci`` (see ``conftest.py``) the examples are
 derandomized, so CI runs are reproducible; locally the defaults keep
@@ -29,6 +31,7 @@ from repro.core.config import (
     SystemConfig,
 )
 from repro.core.system import simulate
+from repro.dram.backends import get_backend
 from repro.workloads import build_trace
 from repro.workloads.registry import build_warmup_trace
 
@@ -45,10 +48,12 @@ def _dump(stats) -> str:
 def system_configs(draw):
     """A valid SystemConfig spanning the axes the fast kernel specializes.
 
-    The L1I block is drawn up to 256 B, past a 128 B L2 block, and the
-    L1I down to 1 KB, so fetches re-enter evicted blocks mid-block: the
-    fast kernel takes the L2 block from the raw address, so no L1I
-    geometry needs the reference kernel."""
+    The L1I block is drawn up to 256 B, past a 64 or 128 B L2 block, and
+    the L1I down to 1 KB, so fetches re-enter evicted blocks mid-block:
+    the fast kernel takes the L2 block from the raw address, so no L1I
+    geometry needs the reference kernel.  A 64 B L2 block on four
+    channels moves in one data packet, the default geometry's case,
+    which the fast kernel's short row-hit path serves."""
     prefetch = PrefetchConfig(
         enabled=draw(st.booleans()),
         engine=draw(st.sampled_from(["region", "stride"])),
@@ -91,7 +96,7 @@ def system_configs(draw):
     l2 = CacheConfig(
         size_bytes=draw(st.sampled_from([64 * 1024, 256 * 1024])),
         assoc=draw(st.sampled_from([1, 2, 4])),
-        block_bytes=draw(st.sampled_from([128, 256])),
+        block_bytes=draw(st.sampled_from([64, 128, 256])),
         hit_latency=12,
         mshrs=draw(st.sampled_from([4, 8])),
     )
@@ -131,6 +136,57 @@ class TestFuzzFastVsReference:
         reference = simulate(trace, config, warmup_trace=warmup, fast=False)
         fast = simulate(trace, config, warmup_trace=warmup, fast=True)
         assert _dump(fast) == _dump(reference)
+
+
+def _block_packets(config) -> int:
+    effective = get_backend(config.dram.backend).effective(config.dram)
+    return effective.transfer_packets(config.l2.block_bytes)
+
+
+#: The counters the fast kernel derives at fold time instead of counting
+#: per event, each as ``(counted, derived)`` pairs over reference stats.
+COUNTER_IDENTITIES = {
+    "dram-class-accesses": lambda stats, config: [
+        (cls.accesses, cls.row_hits + cls.row_empty + cls.row_misses)
+        for cls in (stats.dram_reads, stats.dram_writebacks, stats.dram_prefetches)
+    ],
+    "data-packets": lambda stats, config: [
+        (stats.data_packets, stats.dram_accesses * _block_packets(config))
+    ],
+    "cache-accesses": lambda stats, config: [
+        (cache.accesses, cache.hits + cache.misses)
+        for cache in (stats.l1i, stats.l1d, stats.l2)
+    ],
+    "l2-demand-fetches": lambda stats, config: [
+        (stats.l2_demand_fetches, stats.l2.misses)
+    ],
+}
+
+
+class TestReferenceCounterIdentities:
+    """Each identity the fast kernel derives a counter from holds on the
+    reference kernel, so a reference change that breaks one fails here
+    under the identity's name instead of as an opaque A/B diff."""
+
+    @pytest.mark.parametrize("identity", sorted(COUNTER_IDENTITIES))
+    @settings(max_examples=6, deadline=None)
+    @given(
+        config=system_configs(),
+        benchmark=st.sampled_from(BENCHMARK_POOL),
+        refs=st.integers(min_value=300, max_value=1_200),
+        seed=st.integers(min_value=0, max_value=3),
+        warm=st.booleans(),
+    )
+    def test_identity_holds(self, identity, config, benchmark, refs, seed, warm):
+        trace = build_trace(benchmark, refs, seed=seed)
+        warmup = (
+            build_warmup_trace(benchmark, seed=seed, l2_bytes=config.l2.size_bytes)
+            if warm
+            else None
+        )
+        stats = simulate(trace, config, warmup_trace=warmup, fast=False)
+        for counted, derived in COUNTER_IDENTITIES[identity](stats, config):
+            assert counted == derived
 
 
 class TestDeterministicEdgeCases:
