@@ -19,7 +19,7 @@ Design notes:
   while the exposition divides the bucket bounds back into seconds.
 * **Mirrored counters** — much of the service already keeps
   authoritative monotonic counts (store hits, admission rejects,
-  breaker trips).  Rather than double-count at every call site,
+  watchdog expiries).  Rather than double-count at every call site,
   :meth:`Counter.set_total` lets a collect callback copy the
   authoritative value in at render time; the guard keeps the series
   monotonic, as Prometheus counters must be.

@@ -47,10 +47,10 @@ The simulation service (:mod:`repro.service.engine`) is built on the
 same core: it holds one runner and resolves every point through its
 store, its failure step (:meth:`Runner.fail`) and its success step
 (:meth:`Runner.completed`), so both engines share one retry policy,
-one failure taxonomy, one run-log vocabulary and one store.  Only how
-one attempt runs and times out differs: here a process pool whose hung
-worker can be killed, there a thread whose hung simulation can only be
-fenced.
+one failure taxonomy, one run-log vocabulary and one store.  Both run
+attempts in a process pool and kill a hung worker with
+:meth:`Runner._kill_pool`; only the scheduling around the pool differs:
+a blocking loop over one batch here, an asyncio task per point there.
 
 Every recovery path is exercised deterministically by the
 fault-injection harness in :mod:`repro.runner.faults`.
@@ -328,6 +328,8 @@ class Runner:
     #: how many times a broken process pool is rebuilt before the
     #: runner gives up on pooling and finishes the batch inline.
     MAX_POOL_REBUILDS = 1
+    #: seconds a terminated pool worker gets to exit before it is killed.
+    KILL_GRACE = 5.0
 
     def __init__(
         self,
@@ -579,17 +581,29 @@ class Runner:
         """Terminate worker processes and discard queued work.
 
         ``shutdown`` alone would block on hung workers; terminating the
-        processes first guarantees progress and leaves no orphans.
+        processes first guarantees progress.  A worker still alive
+        :data:`KILL_GRACE` seconds after ``SIGTERM`` (one that ignores
+        it) is killed, so none is orphaned.  The pool's manager thread
+        also reaps the workers, and it is joined last: on return every
+        worker reports its exit and every future of the pool is done.
         """
         processes = list((getattr(pool, "_processes", None) or {}).values())
+        manager = getattr(pool, "_executor_manager_thread", None)
         for proc in processes:
             try:
                 proc.terminate()
             except Exception:
                 pass
         pool.shutdown(wait=False, cancel_futures=True)
+        deadline = time.monotonic() + Runner.KILL_GRACE
         for proc in processes:
-            proc.join(timeout=5.0)
+            proc.join(timeout=max(0.0, deadline - time.monotonic()))
+        for proc in processes:
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+        if manager is not None:
+            manager.join(timeout=Runner.KILL_GRACE)
 
     def _run_inline(self, runs: List[PointRun], fatal: List[FailureRecord]) -> None:
         queue: Deque[PointRun] = deque(runs)
@@ -648,21 +662,15 @@ class Runner:
                 **fields,
             )
 
-    def fail(
-        self,
-        run: PointRun,
-        error: Optional[BaseException],
-        reason: Optional[str] = None,
-    ) -> FailureRecord:
+    def fail(self, run: PointRun, error: Optional[BaseException]) -> FailureRecord:
         """Record one failed attempt; move ``run`` on or give it up.
 
         ``error`` is what the attempt raised, or None when it outlived
         the watchdog.  The point is given up once its retry budget is
-        spent, on a sanitizer violation (the simulator is deterministic,
-        so a violated invariant reproduces identically on every retry),
-        or for a ``reason`` the caller passes, which the message then
-        carries.  Otherwise ``run`` moves to its next attempt, which
-        must not start before ``run.eligible``.
+        spent, or on a sanitizer violation (the simulator is
+        deterministic, so a violated invariant reproduces identically on
+        every retry).  Otherwise ``run`` moves to its next attempt,
+        which must not start before ``run.eligible``.
         """
         if error is None:
             kind, message = "timeout", f"exceeded the {self.timeout:g}s watchdog"
@@ -672,8 +680,6 @@ class Runner:
             kind, message = "sanitizer", error.render()
         else:
             kind, message = "crash", f"{type(error).__name__}: {error}"
-        if reason is not None:
-            message = f"{message}; {reason}"
         label = run.point.label()
         record = FailureRecord(
             label=label,
@@ -681,11 +687,7 @@ class Runner:
             kind=kind,
             attempt=run.attempt,
             message=message,
-            fatal=(
-                run.attempt >= self.max_retries
-                or kind == "sanitizer"
-                or reason is not None
-            ),
+            fatal=run.attempt >= self.max_retries or kind == "sanitizer",
         )
         self.failures.append(record)
         if kind == "timeout":

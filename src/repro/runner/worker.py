@@ -33,8 +33,8 @@ __all__ = ["execute_point", "get_traces"]
 
 _TRACE_MEMO: Dict[Tuple[str, int, int, int], Tuple[Trace, Trace]] = {}
 _TRACE_MEMO_LIMIT = 8
-#: the service simulates on a thread pool: concurrent callers of one key
-#: must share one build, and evictions must not race.
+#: callers on several threads of one process must share one build of a
+#: key, and evictions must not race.
 _TRACE_MEMO_LOCK = threading.Lock()
 
 

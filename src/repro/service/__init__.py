@@ -16,10 +16,10 @@ The service turns the batch reproduction into a traffic-serving system:
   :class:`~repro.runner.Runner`'s result store, failure step and
   success step, the same ones batch runs use.  Around that core it
   adds what a server needs: admission control with ``429`` +
-  ``Retry-After`` backpressure, priority dispatch, a per-point
-  watchdog that fences hung threads with a circuit breaker on repeated
-  hangs, cooperative cancellation of running jobs, graceful drain on
-  shutdown, and journal compaction;
+  ``Retry-After`` backpressure, priority dispatch, simulation in a
+  pool of spawned worker processes with a per-point watchdog that
+  kills a hung worker, cooperative cancellation of running jobs,
+  graceful drain on shutdown, and journal compaction;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — a
   stdlib-only asyncio HTTP API (submit sweep → job id → poll / stream)
   and the matching blocking client;

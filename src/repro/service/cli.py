@@ -16,8 +16,8 @@ Subcommands:
 drain* (stop admitting, finish in-flight jobs up to
 ``--drain-deadline`` seconds, re-queue the rest, journal a clean
 shutdown marker), and every robustness knob — admission caps, per-point
-watchdog, circuit breaker, journal compaction — is settable by flag or
-by a ``REPRO_SERVE_*`` environment variable (the flag wins).  See the
+watchdog, journal compaction — is settable by flag or by a
+``REPRO_SERVE_*`` environment variable (the flag wins).  See the
 "Operating the service" section of the README for the full table of
 knobs, the drain semantics, and the chaos-harness workflow that
 exercises them.
@@ -83,8 +83,6 @@ def _build_service(args: argparse.Namespace) -> ServiceServer:
         max_queued_points=args.max_queued_points,
         max_inflight_bytes=args.max_inflight_bytes,
         point_timeout=args.point_timeout or None,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown=args.breaker_cooldown,
         journal_max_bytes=args.journal_max_bytes,
     )
     return ServiceServer(SimulationService(config), host=args.host, port=args.port)
@@ -357,7 +355,7 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
                 "repro_store_hits_total",
                 "repro_store_misses_total",
                 "repro_admission_rejected_total",
-                "repro_breaker_trips_total",
+                "repro_watchdog_timeouts_total",
                 "repro_uptime_seconds",
             ),
         )
@@ -420,7 +418,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--no-cache", action="store_true", help="memo-only, no on-disk store"
     )
     serve.add_argument(
-        "--workers", type=int, default=2, help="simulation threads (default 2)"
+        "--workers", type=int, default=2,
+        help="simulation worker processes, one point each at a time (default 2)",
     )
     serve.add_argument(
         "--max-retries", type=int, default=2,
@@ -453,18 +452,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=_env_default("POINT_TIMEOUT", float, 0.0),
         help="per-point watchdog seconds, 0 disables "
         "(default 0; env REPRO_SERVE_POINT_TIMEOUT)",
-    )
-    serve.add_argument(
-        "--breaker-threshold", type=int,
-        default=_env_default("BREAKER_THRESHOLD", int, 3),
-        help="consecutive timeouts that trip the circuit breaker "
-        "(default 3; env REPRO_SERVE_BREAKER_THRESHOLD)",
-    )
-    serve.add_argument(
-        "--breaker-cooldown", type=float,
-        default=_env_default("BREAKER_COOLDOWN", float, 30.0),
-        help="seconds a tripped key fast-fails before a half-open probe "
-        "(default 30; env REPRO_SERVE_BREAKER_COOLDOWN)",
     )
     serve.add_argument(
         "--journal-max-bytes", type=int,

@@ -15,20 +15,22 @@ execution core together:
   its store serves what is already known, and on a true miss
   :class:`~repro.service.dedup.SingleFlight` elects one leader per
   key.  The leader runs :func:`repro.runner.worker.execute_point` (the
-  function behind ``Runner.run_points``) on a thread pool and hands
-  every failed attempt to the runner's failure step and the result to
-  its success step, so retries, the failure taxonomy, the run log and
-  the on-disk entries are the batch runner's own.
+  function behind ``Runner.run_points``) in the service's pool of
+  ``workers`` spawned processes, so simulations run in parallel and
+  off the event loop's GIL, and hands every failed attempt to the
+  runner's failure step and the result to its success step, so
+  retries, the failure taxonomy, the run log and the on-disk entries
+  are the batch runner's own.
 
 What stays here is what a long-lived server needs and a batch does not.
-A thread cannot be killed, so the **watchdog** (``point_timeout``)
-abandons an attempt that outlives it: the attempt's future is
-cancelled and its stamp invalidated, so the orphaned thread's late
-result is never published.  Each orphan still holds one of ``workers``
-threads until its simulation returns, so repeated timeouts on one
-content key trip a **circuit breaker** that fast-fails that key for a
-cooldown window instead of burning more threads, then half-opens to
-probe recovery.
+The **watchdog** (``point_timeout``) times each attempt from the moment
+its worker starts it, not from submission: a freshly spawned worker
+first spends a few tenths of a second importing the simulator.  An
+attempt that outlives it is handled as ``Runner._run_pooled`` handles
+one: the pool is killed and rebuilt, the expired attempt fails as a
+``timeout``, and the other attempts in flight are resubmitted at the
+same attempt number.  A worker that dies by itself instead costs every
+attempt in flight one ``crash``, the runner's rule too.
 
 Shutdown is two-mode.  ``stop()`` is the hard path: dispatchers are
 cancelled mid-job and the journal's replay re-queues whatever was
@@ -37,25 +39,33 @@ running (crash-equivalent, and crash-safe for the same reason).
 closes, dispatchers finish the jobs they hold (up to the deadline,
 after which stragglers are cancelled), interrupted jobs are explicitly
 re-queued, and a ``service-shutdown`` marker is journaled so the next
-instance knows the shutdown was clean.
+instance knows the shutdown was clean.  Either way the pool is killed,
+not joined, so a hung simulation never holds shutdown past its
+deadline.
 
 The run log carries the runner's point events plus the service-level
 events ``job-submitted``, ``job-rejected``, ``job-completed``,
-``job-failed``, ``job-cancelled``, ``point-cache-hit``,
-``point-deduped``, ``breaker-tripped`` and ``breaker-recovered`` — so
-"this point was computed exactly once" is directly checkable by
-counting ``point-completed`` records per key.
+``job-failed``, ``job-cancelled``, ``point-cache-hit`` and
+``point-deduped`` — so "this point was computed exactly once" is
+directly checkable by counting ``point-completed`` records per key.
 """
 
 from __future__ import annotations
 
 import asyncio
 import datetime
+import functools
+import inspect
 import json
+import multiprocessing
+import os
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+import weakref
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import AsyncIterator, Dict, List, Optional
+from typing import AsyncIterator, Dict, List, Optional, Tuple
 
 from repro import __version__
 from repro.obs.log import JsonlSink, get_logger
@@ -73,6 +83,41 @@ __all__ = [
 ]
 
 _log = get_logger("repro.service")
+
+#: pool workers are spawned, never forked: the server process has
+#: threads (the pool's own manager thread among them).
+_SPAWN = multiprocessing.get_context("spawn")
+
+#: in a pool worker, the start stamps shared with the service (one
+#: monotonic time per slot; 0 = not started).  Unset in the server.
+_started = None
+
+
+def _init_worker(started) -> None:
+    global _started
+    _started = started
+    # a server killed outright (SIGKILL, the OOM killer) cannot kill its
+    # pool, and an orphaned worker would wait for work forever.
+    threading.Thread(target=_exit_with_server, daemon=True).start()
+
+
+def _exit_with_server() -> None:
+    multiprocessing.parent_process().join()
+    os._exit(1)
+
+
+def _stamped(target, slot: int, point: SimPoint, attempt: int):
+    """One attempt in a pool worker: stamp its start, then run it.
+
+    ``time.monotonic`` is one clock for every process on the host, so
+    the server's watchdog reads the stamp directly.
+    """
+    _started[slot] = time.monotonic()
+    return target(point, attempt)
+
+
+class _Expired(Exception):
+    """The attempt outlived the watchdog; its worker is dead."""
 
 
 class AdmissionError(RuntimeError):
@@ -98,16 +143,6 @@ class AdmissionError(RuntimeError):
 
 
 @dataclass
-class _BreakerState:
-    """Per-content-key circuit-breaker bookkeeping."""
-
-    consecutive: int = 0
-    #: monotonic deadline until which the key fast-fails; 0 = closed.
-    open_until: float = 0.0
-    tripped: bool = False
-
-
-@dataclass
 class ServiceConfig:
     """Knobs for one service instance."""
 
@@ -115,7 +150,8 @@ class ServiceConfig:
     journal_path: str
     #: shared on-disk result store; None = memo-only (no persistence).
     cache_dir: Optional[str] = None
-    #: simulation threads (one point simulates per thread at a time).
+    #: simulation worker processes (one point simulates per process at
+    #: a time).
     workers: int = 2
     #: jobs dispatched concurrently; defaults to ``workers``.
     job_concurrency: Optional[int] = None
@@ -134,10 +170,6 @@ class ServiceConfig:
     max_inflight_bytes: int = 8 << 20
     #: per-point watchdog in seconds; None disables the watchdog.
     point_timeout: Optional[float] = None
-    #: consecutive timeouts on one key that trip the circuit breaker.
-    breaker_threshold: int = 3
-    #: seconds a tripped key fast-fails before a half-open probe.
-    breaker_cooldown: float = 30.0
     #: journal size that triggers snapshot compaction (0 disables).
     journal_max_bytes: int = 4 << 20
 
@@ -160,14 +192,6 @@ class ServiceConfig:
             raise ValueError(
                 f"point_timeout must be positive or None, got {self.point_timeout}"
             )
-        if self.breaker_threshold < 1:
-            raise ValueError(
-                f"breaker_threshold must be >= 1, got {self.breaker_threshold}"
-            )
-        if self.breaker_cooldown <= 0:
-            raise ValueError(
-                f"breaker_cooldown must be positive, got {self.breaker_cooldown}"
-            )
 
     def limits(self) -> Dict[str, object]:
         """The admission/robustness knobs, for ``/v1/contract``."""
@@ -176,8 +200,6 @@ class ServiceConfig:
             "max_queued_points": self.max_queued_points,
             "max_inflight_bytes": self.max_inflight_bytes,
             "point_timeout": self.point_timeout,
-            "breaker_threshold": self.breaker_threshold,
-            "breaker_cooldown": self.breaker_cooldown,
             "max_retries": self.max_retries,
         }
 
@@ -204,16 +226,22 @@ class SimulationService:
         self.flight = SingleFlight()
         self.run_log = config.run_log
         self.timeouts = 0
-        self.breaker_trips = 0
-        self.breaker_fast_fails = 0
-        self.breaker_recoveries = 0
         self.rejected: Dict[str, int] = {}
-        self._breaker: Dict[str, _BreakerState] = {}
-        #: per-key attempt stamps; a timed-out attempt's stamp is
-        #: invalidated so its orphaned thread can never publish.
-        self._stamps: Dict[str, int] = {}
         self._job_tasks: Dict[str, List["asyncio.Task"]] = {}
-        self._executor: Optional[ThreadPoolExecutor] = None
+        #: the pool attempts go to: spawned by the first attempt, so no
+        #: worker starts before the service answers, and replaced after
+        #: a kill or a worker's death.
+        self._pool: Optional[ProcessPoolExecutor] = None
+        #: pools the watchdog or ``stop()`` killed, and when: their
+        #: attempts in flight are resubmitted, not failed.
+        self._killed: "weakref.WeakKeyDictionary[ProcessPoolExecutor, float]" = (
+            weakref.WeakKeyDictionary()
+        )
+        #: free slot numbers; an attempt holds one until its worker is
+        #: done with it, so at most ``workers`` are in the pool at once.
+        self._slots: Optional["asyncio.Queue[int]"] = None
+        #: per slot, when its attempt began in the worker (shared memory).
+        self._started = None
         self._dispatchers: List["asyncio.Task"] = []
         self._wake: Optional[asyncio.Event] = None
         self._progress: Optional[asyncio.Condition] = None
@@ -279,19 +307,6 @@ class SimulationService:
         self._m_timeouts = m.counter(
             "repro_watchdog_timeouts_total", "Per-point watchdog expiries"
         )
-        self._m_breaker_trips = m.counter(
-            "repro_breaker_trips_total", "Circuit-breaker trips"
-        )
-        self._m_breaker_fast_fails = m.counter(
-            "repro_breaker_fast_fails_total",
-            "Points fast-failed by an open circuit breaker",
-        )
-        self._m_breaker_recoveries = m.counter(
-            "repro_breaker_recoveries_total", "Circuit-breaker recoveries"
-        )
-        self._m_breaker_open = m.gauge(
-            "repro_breaker_open_keys", "Content keys currently fast-failing"
-        )
         self._m_jobs = m.gauge(
             "repro_jobs", "Jobs known to the queue, by lifecycle state", ("state",)
         )
@@ -316,15 +331,8 @@ class SimulationService:
         self._m_simulated.set_total(self.runner.simulated)
         self._m_sim_seconds.set_total(self.runner.sim_seconds)
         self._m_timeouts.set_total(self.timeouts)
-        self._m_breaker_trips.set_total(self.breaker_trips)
-        self._m_breaker_fast_fails.set_total(self.breaker_fast_fails)
-        self._m_breaker_recoveries.set_total(self.breaker_recoveries)
         for reason, count in self.rejected.items():
             self._m_rejected.labels(reason=reason).set_total(count)
-        now = time.monotonic()
-        self._m_breaker_open.set(
-            sum(1 for state in self._breaker.values() if state.open_until > now)
-        )
         by_state: Dict[str, int] = {}
         for job in self.queue.jobs.values():
             by_state[job.state] = by_state.get(job.state, 0) + 1
@@ -333,7 +341,7 @@ class SimulationService:
         self._m_queued_jobs.set(self.queue.pending())
         self._m_backlog_points.set(self.queue.backlog_points())
         self._m_inflight_bytes.set(self.queue.inflight_bytes())
-        self._m_uptime.set(round(now - self._started_monotonic, 3))
+        self._m_uptime.set(self.uptime_seconds())
 
     def observe_http(
         self, method: str, route: str, status: int, seconds: float
@@ -355,9 +363,9 @@ class SimulationService:
 
     async def start(self) -> None:
         """Spawn the dispatchers; resumes any journal-recovered jobs."""
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.workers, thread_name_prefix="repro-sim"
-        )
+        self._slots = asyncio.Queue()
+        for slot in range(self.config.workers):
+            self._slots.put_nowait(slot)
         self._wake = asyncio.Event()
         self._progress = asyncio.Condition()
         self._stopping = False
@@ -389,6 +397,9 @@ class SimulationService:
         jobs they hold (up to ``deadline`` seconds, then cancels the
         stragglers), re-queues every interrupted job at its original
         priority, and journals a clean ``service-shutdown`` marker.
+
+        Either way the pool is killed, so an attempt still simulating
+        (hung or not) ends here instead of holding shutdown.
         """
         self._draining = True
         if self._wake is not None:
@@ -426,9 +437,8 @@ class SimulationService:
                     f"[service] drain deadline expired: re-queued "
                     f"{len(requeued)} interrupted job(s)"
                 )
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
+        if self._pool is not None:
+            self._drop(self._pool, killed=True)
         self.queue.close()
         if self.run_log is not None:
             self.run_log.close()
@@ -649,88 +659,118 @@ class SimulationService:
 
     # -- the leader path ---------------------------------------------------
 
-    def _breaker_open(self, key: str) -> Optional[str]:
-        """Why ``key`` fast-fails right now, or None; half-open passes."""
-        state = self._breaker.get(key)
-        remaining = state.open_until - time.monotonic() if state else 0.0
-        if remaining <= 0:
-            return None
-        self.breaker_fast_fails += 1
-        return (
-            f"circuit breaker open after {state.consecutive} consecutive "
-            f"timeouts; fast-failing for another {remaining:.2f}s"
-        )
-
-    def _note_timeout(self, key: str) -> Optional[str]:
-        """Count one watchdog expiry; returns why the key is given up
-        when this expiry leaves its breaker open."""
-        self.timeouts += 1
-        state = self._breaker.setdefault(key, _BreakerState())
-        state.consecutive += 1
-        if state.consecutive < self.config.breaker_threshold:
-            return None
-        state.open_until = time.monotonic() + self.config.breaker_cooldown
-        if not state.tripped:
-            state.tripped = True
-            self.breaker_trips += 1
-            self._log(
-                "breaker-tripped", key=key,
-                consecutive=state.consecutive,
-                cooldown=self.config.breaker_cooldown,
-            )
-        return f"circuit breaker open after {state.consecutive} consecutive timeouts"
-
-    def _note_success(self, key: str) -> None:
-        state = self._breaker.pop(key, None)
-        if state is not None and state.tripped:
-            self.breaker_recoveries += 1
-            self._log("breaker-recovered", key=key)
-
     async def _compute(self, job: Job, point: SimPoint, key: str) -> None:
         """Leader path: attempts under the watchdog until one lands or
         the runner's failure step gives the point up."""
-        assert self._executor is not None
-        loop = asyncio.get_running_loop()
         run = PointRun(key, point, trace_id=job.trace_id)
         records: list = []
-        fast_fail = self._breaker_open(key)
-        if fast_fail is not None:
-            self._failure(job, run, records, None, fast_fail)
         while True:
             self.runner.log_event("point-started", run)
-            stamp = self._stamps[key] = self._stamps.get(key, 0) + 1
-            future = loop.run_in_executor(
-                self._executor, execute_point, point, run.attempt
-            )
             try:
-                await asyncio.wait((future,), timeout=self.config.point_timeout)
-            finally:
-                # an attempt still running is abandoned: cancelling its
-                # future drops the orphaned thread's late result.
-                expired = future.cancel()
-            if expired:
-                self._stamps[key] = stamp + 1  # fence the orphan
-                self._failure(job, run, records, None, self._note_timeout(key))
-            elif future.exception() is not None:
-                self._failure(job, run, records, future.exception())
+                result = await self._attempt(run)
+            except _Expired:
+                self.timeouts += 1
+                self._failure(job, run, records, None)
+            except Exception as exc:
+                self._failure(job, run, records, exc)
             else:
-                break
+                if result is not None:
+                    break
+                continue  # killed for another attempt: the same attempt again
             await asyncio.sleep(max(0.0, run.eligible - time.monotonic()))
-        if self._stamps.get(key) != stamp:
-            # defensive fence: a stale attempt must never publish.  The
-            # awaited path always carries the current stamp, so reaching
-            # here means bookkeeping broke — drop the result.
-            _log.warning(f"[service] discarding stale result for {point.label()}")
-            return
-        stats, wall = future.result()
-        self._note_success(key)
+        stats, wall = result
         self._m_point_seconds.observe(wall)
         self.runner.completed(run, stats, wall)
 
-    def _failure(self, job, run, records, error, reason=None) -> None:
+    async def _attempt(
+        self, run: PointRun
+    ) -> Optional[Tuple[Dict[str, object], float]]:
+        """Run one attempt in the pool: ``(stats, wall)``, or None when
+        a kill meant for another attempt (or a worker that died before
+        this one was submitted) took it down unharmed.  Raises what the
+        attempt raised, or :class:`_Expired`."""
+        assert self._slots is not None
+        slot = await self._slots.get()
+        # a wrapper installed in this process (a profiler's span) cannot
+        # cross into the worker: the worker runs the function it wraps.
+        target = inspect.unwrap(execute_point)
+        while True:
+            pool = self._live_pool()
+            self._started[slot] = 0.0
+            try:
+                future = asyncio.wrap_future(
+                    pool.submit(_stamped, target, slot, run.point, run.attempt)
+                )
+            except BrokenProcessPool:
+                self._drop(pool)  # a worker died before anyone noticed
+                continue
+            break
+        # the slot frees when the worker does, even if this task is
+        # cancelled first: a worker still busy takes no new attempt.
+        future.add_done_callback(functools.partial(self._free, slot, pool))
+        timeout = self.config.point_timeout
+        began: Optional[float] = None
+        while not future.done():
+            remaining = None
+            if timeout is not None:
+                # not started yet: the window cannot open before now.
+                began = self._started[slot] or None
+                remaining = (began or time.monotonic()) + timeout - time.monotonic()
+                if remaining <= 0:
+                    self._drop(pool, killed=True)
+                    raise _Expired()
+            await asyncio.wait((future,), timeout=remaining)
+        if future.cancelled():
+            return None  # still queued when a kill shut the pool down
+        try:
+            return future.result()
+        except BrokenProcessPool:
+            killed_at = self._killed.get(pool)
+            if killed_at is None:
+                raise
+            if began is not None and began + timeout <= killed_at:
+                raise _Expired() from None  # expired beside the killer
+            return None
+
+    def _live_pool(self) -> ProcessPoolExecutor:
+        if self._pool is None:
+            if self._started is None:
+                self._started = _SPAWN.Array("d", self.config.workers, lock=False)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.config.workers,
+                mp_context=_SPAWN,
+                initializer=_init_worker,
+                initargs=(self._started,),
+            )
+        return self._pool
+
+    def _drop(self, pool: ProcessPoolExecutor, killed: bool = False) -> None:
+        """Send no more attempts to ``pool``; kill and reap its workers.
+
+        ``killed`` marks a kill by this service (watchdog or ``stop``)
+        rather than a worker's own death, so the pool's other attempts
+        in flight are resubmitted instead of failed.
+        """
+        if killed:
+            self._killed[pool] = time.monotonic()
+        if self._pool is pool:
+            self._pool = None
+        Runner._kill_pool(pool)
+
+    def _free(self, slot: int, pool: ProcessPoolExecutor, future) -> None:
+        """Done-callback of an attempt's future: its worker is free."""
+        if (
+            not future.cancelled()
+            and isinstance(future.exception(), BrokenProcessPool)
+            and self._pool is pool
+        ):
+            self._drop(pool)  # a worker died: the pool takes no more work
+        self._slots.put_nowait(slot)
+
+    def _failure(self, job, run, records, error) -> None:
         """Hand one failed attempt to the runner's failure step; raises
         :class:`PointFailureError` once the point is given up."""
-        record = self.runner.fail(run, error, reason)
+        record = self.runner.fail(run, error)
         records.append(record)
         job.failures.append(record.to_dict())
         if record.fatal:
@@ -827,10 +867,6 @@ class SimulationService:
         by_state: Dict[str, int] = {}
         for job in jobs:
             by_state[job.state] = by_state.get(job.state, 0) + 1
-        now = time.monotonic()
-        open_keys = sum(
-            1 for state in self._breaker.values() if state.open_until > now
-        )
         return {
             "version": __version__,
             "started_at": datetime.datetime.fromtimestamp(
@@ -862,14 +898,6 @@ class SimulationService:
             "watchdog": {
                 "point_timeout": self.config.point_timeout,
                 "timeouts": self.timeouts,
-            },
-            "breaker": {
-                "threshold": self.config.breaker_threshold,
-                "cooldown": self.config.breaker_cooldown,
-                "trips": self.breaker_trips,
-                "fast_fails": self.breaker_fast_fails,
-                "recoveries": self.breaker_recoveries,
-                "open_keys": open_keys,
             },
             "journal": {
                 "path": str(self.queue.journal_path),

@@ -16,8 +16,10 @@ serial run, and tables rendered from them are byte-identical.
 
 import dataclasses
 import os
+import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +52,13 @@ def _clean_fault_plan():
     set_fault_plan(None)
     yield
     set_fault_plan(None)
+
+
+def _ignore_sigterm_then_sleep(ready):
+    """Pool task: become a worker that only ``SIGKILL`` stops."""
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    Path(ready).touch()
+    time.sleep(60)
 
 
 def make_points(benchmarks=SUITE, refs=REFS):
@@ -444,6 +453,26 @@ class TestInterrupt:
         Runner._kill_pool(pool)
         for proc in processes:
             assert not proc.is_alive()
+
+    def test_kill_pool_kills_a_worker_that_ignores_sigterm(self, tmp_path):
+        pool = ProcessPoolExecutor(max_workers=1)
+        ready = tmp_path / "ready"
+        pool.submit(_ignore_sigterm_then_sleep, str(ready))
+        deadline = time.monotonic() + 30
+        while not ready.exists():
+            if time.monotonic() > deadline:  # pragma: no cover
+                pytest.fail("pool worker never started")
+            time.sleep(0.05)
+        processes = list(pool._processes.values())
+        try:
+            Runner._kill_pool(pool)
+            for proc in processes:
+                assert not proc.is_alive()
+        finally:
+            for proc in processes:
+                if proc.is_alive():
+                    proc.kill()
+                    proc.join()
 
 
 class TestEnvironmentKnobs:

@@ -114,8 +114,8 @@ class TestTraceGrouping:
 
 
 class TestTraceMemoThreads:
-    """The service simulates on a thread pool, so the per-process trace
-    memo is shared state: its check-build-insert must not race."""
+    """The per-process trace memo is shared by every thread of its
+    process: its check-build-insert must not race."""
 
     @staticmethod
     def _race(target, threads=4):

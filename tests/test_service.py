@@ -1,15 +1,15 @@
 """Tests for the simulation service: contract, queue, dedup, engine, HTTP.
 
 The load-generation tests drive the real engine with a stubbed
-``execute_point`` so a thousand mostly-duplicate submissions settle in
-seconds; the fidelity tests use the real simulator on tiny points and
-assert the service's statistics are field-for-field identical to
-calling the worker directly.
+``execute_point`` (from :mod:`tests.service_doubles`, importable by the
+service's pool workers) so a thousand mostly-duplicate submissions
+settle in seconds; the fidelity tests use the real simulator on tiny
+points and assert the service's statistics are field-for-field
+identical to calling the worker directly.
 """
 
 import asyncio
 import json
-import threading
 import time
 
 import pytest
@@ -34,6 +34,8 @@ from repro.service.schema import (
     contract_description,
 )
 from repro.obs.log import JsonlSink
+from tests import service_doubles as doubles
+from tests.service_doubles import fake_execute
 
 
 def _sweep(**overrides):
@@ -307,15 +309,6 @@ class TestSingleFlight:
 # ---------------------------------------------------------------------------
 
 
-def _fake_execute(point, attempt=0, obs=None, sanitize=False):
-    """Deterministic stand-in for the simulator: key-dependent stats."""
-    time.sleep(0.001)
-    return (
-        {"benchmark": point.benchmark, "seed": point.seed, "cycles": 100.0},
-        0.001,
-    )
-
-
 async def _drain(service, timeout=120.0):
     """Wait until every submitted job reaches a terminal state."""
     deadline = time.monotonic() + timeout
@@ -331,7 +324,7 @@ class TestEngineLoad:
     def test_thousand_mostly_duplicate_submissions_compute_each_point_once(
         self, tmp_path, monkeypatch
     ):
-        monkeypatch.setattr("repro.service.engine.execute_point", _fake_execute)
+        monkeypatch.setattr("repro.service.engine.execute_point", fake_execute)
         run_log = tmp_path / "run.jsonl"
         config = ServiceConfig(
             journal_path=str(tmp_path / "journal.jsonl"),
@@ -378,16 +371,8 @@ class TestEngineLoad:
         assert served == 1000 - unique_seeds
 
     def test_priority_dispatch_order_under_contention(self, tmp_path, monkeypatch):
-        release = threading.Event()
-
-        def blocking_execute(point, attempt=0, obs=None, sanitize=False):
-            if point.seed == 999:
-                release.wait(30)
-            return ({"cycles": 1.0}, 0.0)
-
-        monkeypatch.setattr(
-            "repro.service.engine.execute_point", blocking_execute
-        )
+        # the blocker holds the only worker until the gate opens
+        doubles.install(monkeypatch, doubles.gated_execute, tmp_path)
         journal = tmp_path / "journal.jsonl"
         config = ServiceConfig(
             journal_path=str(journal), workers=1, job_concurrency=1
@@ -402,7 +387,7 @@ class TestEngineLoad:
             lazy = service.submit_payload(_sweep(seed=1, priority=7))
             urgent = service.submit_payload(_sweep(seed=2, priority=1))
             normal = service.submit_payload(_sweep(seed=3, priority=3))
-            release.set()
+            doubles.open_gate(tmp_path)
             await _drain(service)
             await service.stop()
             return blocker.id, urgent.id, normal.id, lazy.id
@@ -414,11 +399,8 @@ class TestEngineLoad:
         assert started == expected
 
     def test_failing_point_records_runner_taxonomy(self, tmp_path, monkeypatch):
-        def crashing_execute(point, attempt=0, obs=None, sanitize=False):
-            raise ValueError("synthetic fault")
-
         monkeypatch.setattr(
-            "repro.service.engine.execute_point", crashing_execute
+            "repro.service.engine.execute_point", doubles.crashing_execute
         )
         config = ServiceConfig(
             journal_path=str(tmp_path / "journal.jsonl"),
@@ -445,15 +427,7 @@ class TestEngineLoad:
         assert [f["fatal"] for f in job.failures] == [False, False, True]
 
     def test_transient_failure_is_retried_to_success(self, tmp_path, monkeypatch):
-        calls = []
-
-        def flaky_execute(point, attempt=0, obs=None, sanitize=False):
-            calls.append(attempt)
-            if attempt < 2:
-                raise ValueError("transient")
-            return ({"cycles": 5.0}, 0.0)
-
-        monkeypatch.setattr("repro.service.engine.execute_point", flaky_execute)
+        doubles.install(monkeypatch, doubles.flaky_execute, tmp_path)
         config = ServiceConfig(
             journal_path=str(tmp_path / "journal.jsonl"),
             workers=1,
@@ -471,6 +445,7 @@ class TestEngineLoad:
             return done, results
 
         job, results = asyncio.run(scenario())
+        calls = [call["attempt"] for call in doubles.calls(tmp_path)]
         assert job.state == JobState.COMPLETED
         assert calls == [0, 1, 2]
         assert results[0]["stats"] == {"cycles": 5.0}
@@ -495,15 +470,7 @@ class TestEngineLoad:
         queue.close()  # process dies here: no terminal journal event
 
         # --- after restart: only the unfinished point may simulate
-        simulated = []
-
-        def tracking_execute(point, attempt=0, obs=None, sanitize=False):
-            simulated.append(point.cache_key())
-            return ({"cycles": 2.0}, 0.0)
-
-        monkeypatch.setattr(
-            "repro.service.engine.execute_point", tracking_execute
-        )
+        doubles.install(monkeypatch, doubles.tracking_execute, tmp_path)
         config = ServiceConfig(
             journal_path=str(journal), cache_dir=str(cache_dir), workers=1
         )
@@ -518,6 +485,7 @@ class TestEngineLoad:
             return done, results
 
         recovered, results = asyncio.run(scenario())
+        simulated = [call["key"] for call in doubles.calls(tmp_path)]
         assert recovered.state == JobState.COMPLETED
         assert simulated == [job.keys[1]]  # the finished point never re-ran
         assert results[0]["stats"] == {"cycles": 1.0}
@@ -563,7 +531,7 @@ class TestServiceFidelity:
 
 @pytest.fixture()
 def http_service(tmp_path, monkeypatch):
-    monkeypatch.setattr("repro.service.engine.execute_point", _fake_execute)
+    monkeypatch.setattr("repro.service.engine.execute_point", fake_execute)
     config = ServiceConfig(
         journal_path=str(tmp_path / "journal.jsonl"),
         cache_dir=str(tmp_path / "cache"),
@@ -706,7 +674,7 @@ class TestRobustnessSatellites:
     def test_500_body_does_not_echo_internal_exception_text(
         self, tmp_path, monkeypatch
     ):
-        monkeypatch.setattr("repro.service.engine.execute_point", _fake_execute)
+        monkeypatch.setattr("repro.service.engine.execute_point", fake_execute)
 
         def explode(self):
             raise RuntimeError("secret-internal-detail /etc/passwd")
@@ -724,14 +692,8 @@ class TestRobustnessSatellites:
     def test_sse_disconnect_mid_stream_does_not_wedge_dispatcher(
         self, tmp_path, monkeypatch
     ):
-        gate = threading.Event()
-
-        def gated_execute(point, attempt=0, obs=None, sanitize=False):
-            if point.seed == 77:  # only the streamed job is slow
-                gate.wait(timeout=30)
-            return _fake_execute(point, attempt)
-
-        monkeypatch.setattr("repro.service.engine.execute_point", gated_execute)
+        # the streamed job is held until the gate opens
+        doubles.install(monkeypatch, doubles.gated_execute, tmp_path)
         config = ServiceConfig(journal_path=str(tmp_path / "journal.jsonl"))
         with EphemeralServer(config) as server:
             client = ServiceClient(server.url, timeout=30.0)
@@ -749,7 +711,7 @@ class TestRobustnessSatellites:
             )
             assert sock.recv(64).startswith(b"HTTP/1.1 200")
             sock.close()
-            gate.set()
+            doubles.open_gate(tmp_path)
             # the dispatcher must finish the streamed job and keep
             # serving fresh work afterwards
             assert client.wait(job["id"], timeout=30)["state"] == "completed"
@@ -759,15 +721,7 @@ class TestRobustnessSatellites:
     def test_watch_terminates_when_queued_job_is_cancelled(
         self, tmp_path, monkeypatch
     ):
-        release = threading.Event()
-
-        def blocking_execute(point, attempt=0, obs=None, sanitize=False):
-            release.wait(timeout=30)
-            return _fake_execute(point, attempt)
-
-        monkeypatch.setattr(
-            "repro.service.engine.execute_point", blocking_execute
-        )
+        doubles.install(monkeypatch, doubles.gated_execute, tmp_path)
         config = ServiceConfig(
             journal_path=str(tmp_path / "journal.jsonl"),
             workers=1,
@@ -794,30 +748,31 @@ class TestRobustnessSatellites:
                 "id": queued.id,
                 "state": JobState.CANCELLED,
             }
-            release.set()
+            doubles.open_gate(tmp_path)
             await _drain(service)
             await service.stop()
 
         asyncio.run(scenario())
 
     def test_http_delete_cancels_running_job(self, tmp_path, monkeypatch):
-        started = threading.Event()
-        release = threading.Event()
+        doubles.install(monkeypatch, doubles.gated_execute, tmp_path)
 
-        def gated_execute(point, attempt=0, obs=None, sanitize=False):
-            started.set()
-            release.wait(timeout=30)
-            return _fake_execute(point, attempt)
+        def started(timeout=30.0):
+            deadline = time.monotonic() + timeout
+            while not doubles.calls(tmp_path):
+                if time.monotonic() > deadline:
+                    return False
+                time.sleep(0.01)
+            return True
 
-        monkeypatch.setattr("repro.service.engine.execute_point", gated_execute)
         config = ServiceConfig(journal_path=str(tmp_path / "journal.jsonl"))
         with EphemeralServer(config) as server:
             client = ServiceClient(server.url, timeout=30.0)
             job = client.submit(_sweep(benchmarks=["mcf", "swim"], seed=5))
-            assert started.wait(timeout=30)
+            assert started(timeout=30)
             reply = client.cancel(job["id"])
             assert reply == {"id": job["id"], "state": "cancelled"}
-            release.set()
+            doubles.open_gate(tmp_path)
             status = client.wait(job["id"], timeout=30)
             assert status["state"] == "cancelled"
             # a second DELETE reports the terminal state, not success

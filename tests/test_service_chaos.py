@@ -7,18 +7,22 @@ and asserts the robustness invariants the service promises:
 
 * no point is lost or computed twice (counted from the run log);
 * per-point watchdog timeouts produce runner-taxonomy
-  ``FailureRecord(kind="timeout")`` entries, the orphaned thread never
-  publishes, and repeated timeouts trip (then recover) the breaker;
+  ``FailureRecord(kind="timeout")`` entries, the expired attempt's
+  worker process is killed and never publishes, and the attempts in
+  flight beside it are resubmitted unharmed;
 * over-limit submissions get ``429`` + ``Retry-After`` and succeed on
   client retry;
 * drain + restart resumes exactly the unfinished remainder — including
   a real ``repro-serve serve`` process killed with SIGTERM;
 * served statistics stay field-for-field identical to calling
   :func:`repro.runner.worker.execute_point` directly, even when the
-  point only succeeded after an injected-then-recovered fault.
+  point only succeeded after an injected-then-recovered fault or a
+  worker's death.
 
 The faults are pure functions of ``(label, occurrence)`` — no RNG, no
 wall clock — so every failure mode in this file reproduces exactly.
+Where a test needs no real simulation, the service runs a stand-in
+from :mod:`tests.service_doubles`, which its pool workers can import.
 """
 
 import asyncio
@@ -30,6 +34,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -46,6 +51,8 @@ from repro.service.cli import EphemeralServer
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.queue import JobQueue
 from repro.service.schema import build_config
+from tests import service_doubles as doubles
+from tests.service_doubles import fake_execute
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -86,12 +93,27 @@ def _install(plan, monkeypatch):
     monkeypatch.setenv(faults.ENV_FAULT_PLAN, plan.to_json())
 
 
-def _fake_stats(point):
-    return {
-        "benchmark": point.benchmark,
-        "seed": point.seed,
-        "cycles": 100.0 + point.seed,
-    }
+def _alive(pid):
+    """Whether process ``pid`` still runs (a zombie or a reaped one does not)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _pool_workers(pid):
+    """The spawned pool worker processes of process ``pid``."""
+    workers = []
+    for task in Path(f"/proc/{pid}/task").iterdir():
+        for child in (task / "children").read_text().split():
+            try:
+                cmdline = Path(f"/proc/{child}/cmdline").read_bytes()
+            except FileNotFoundError:
+                continue
+            if b"multiprocessing.spawn" in cmdline:
+                workers.append(int(child))
+    return workers
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +140,7 @@ class TestMixedFaults:
             ]
         )
         _install(plan, monkeypatch)
-
-        def chaos_execute(point, attempt=0, obs=None, sanitize=False):
-            faults.maybe_inject(point.label(), attempt)
-            return _fake_stats(point), 0.001
-
-        monkeypatch.setattr("repro.service.engine.execute_point", chaos_execute)
+        monkeypatch.setattr("repro.service.engine.execute_point", fake_execute)
         run_log = tmp_path / "run.jsonl"
         config = ServiceConfig(
             journal_path=str(tmp_path / "journal.jsonl"),
@@ -171,7 +188,7 @@ class TestMixedFaults:
 
 
 # ---------------------------------------------------------------------------
-# watchdog + orphan fencing + circuit breaker
+# watchdog: the expired attempt's worker is killed, its neighbours resubmitted
 # ---------------------------------------------------------------------------
 
 
@@ -179,22 +196,20 @@ class TestWatchdogAndBreaker:
     def test_timeout_yields_runner_taxonomy_record_and_orphan_never_publishes(
         self, tmp_path, monkeypatch
     ):
-        hang = threading.Event()  # released in teardown via timeout
-
-        def hanging_execute(point, attempt=0, obs=None, sanitize=False):
-            hang.wait(timeout=0.4)  # far beyond the watchdog
-            return _fake_stats(point), 0.001
-
-        monkeypatch.setattr(
-            "repro.service.engine.execute_point", hanging_execute
+        _install(
+            faults.FaultPlan(
+                # far beyond the watchdog
+                [faults.FaultSpec(match="mcf", fault="hang", hang_seconds=0.4)]
+            ),
+            monkeypatch,
         )
+        doubles.install(monkeypatch, fake_execute, tmp_path)
         run_log = tmp_path / "run.jsonl"
         config = ServiceConfig(
             journal_path=str(tmp_path / "journal.jsonl"),
             workers=1,
             max_retries=0,
             point_timeout=0.05,
-            breaker_threshold=10,  # not under test here
             run_log=JsonlSink(run_log, mode="a"),
         )
 
@@ -212,8 +227,10 @@ class TestWatchdogAndBreaker:
             assert record["attempt"] == 0
             assert record["fatal"] is True
             assert "watchdog" in record["message"]
-            # let the orphaned thread finish, then prove it was fenced:
-            # its late result must never have been published.
+            # the expired attempt's worker is dead, and outliving its
+            # hang changes nothing: its result was never published.
+            [call] = doubles.calls(tmp_path)
+            assert not _alive(call["pid"])
             await asyncio.sleep(0.5)
             assert service.store.get(job.keys[0]) is None
             stats = service.stats()
@@ -226,84 +243,59 @@ class TestWatchdogAndBreaker:
         assert "point-failed" in events
         assert "point-completed" not in events
 
-    def test_breaker_trips_fast_fails_then_recovers_on_half_open_probe(
+    def test_expiry_resubmits_the_attempt_in_flight_beside_it(
         self, tmp_path, monkeypatch
     ):
-        plan = faults.FaultPlan(
-            [
-                # the first three *executions* hang; the fourth is healthy
-                faults.FaultSpec(
-                    match="mcf", fault="hang",
-                    attempts=(0, 1, 2), hang_seconds=0.2,
-                ),
-            ]
+        _install(
+            faults.FaultPlan(
+                [
+                    faults.FaultSpec(match="mcf", fault="hang", hang_seconds=30.0),
+                    # submitted 1.5 s after mcf began, swim is mid-flight
+                    # and inside its own window when mcf's expiry kills
+                    # the pool at 3 s
+                    faults.FaultSpec(match="swim", fault="slow", hang_seconds=2.0),
+                ]
+            ),
+            monkeypatch,
         )
-        _install(plan, monkeypatch)
-        occurrences = {}
-        lock = threading.Lock()
-
-        def counted_execute(point, attempt=0, obs=None, sanitize=False):
-            label = point.label()
-            with lock:
-                occ = occurrences.get(label, 0)
-                occurrences[label] = occ + 1
-            spec = faults.service_fault("hang", label, occ)
-            if spec is not None:
-                time.sleep(spec.hang_seconds)
-            return _fake_stats(point), 0.001
-
-        monkeypatch.setattr(
-            "repro.service.engine.execute_point", counted_execute
-        )
+        doubles.install(monkeypatch, fake_execute, tmp_path)
         run_log = tmp_path / "run.jsonl"
         config = ServiceConfig(
             journal_path=str(tmp_path / "journal.jsonl"),
-            # one idle thread per attempt: each timed-out attempt leaves
-            # an orphaned thread sleeping, and the *next* attempt must
-            # still start promptly to consume its fault occurrence
-            workers=4,
-            max_retries=2,
+            workers=2,
             retry_backoff=0.001,
-            point_timeout=0.05,
-            breaker_threshold=3,
-            breaker_cooldown=0.4,
+            point_timeout=3.0,
             run_log=JsonlSink(run_log, mode="a"),
         )
 
         async def scenario():
             service = SimulationService(config)
             await service.start()
-            # three timed-out attempts -> breaker trips, job fails
-            first = service.submit_payload(_sweep(seed=6))
-            done = await service.wait_for(first.id, timeout=30)
-            assert done.state == JobState.FAILED
-            assert [f["kind"] for f in done.failures] == ["timeout"] * 3
-            assert service.breaker_trips == 1
-            # identical key inside the cooldown window: fast-fail, no
-            # worker burned
-            second = service.submit_payload(_sweep(seed=6))
-            done2 = await service.wait_for(second.id, timeout=30)
-            assert done2.state == JobState.FAILED
-            assert service.breaker_fast_fails >= 1
-            assert "circuit breaker open" in done2.failures[0]["message"]
-            assert service.stats()["watchdog"]["timeouts"] == 3
-            # past the cooldown the half-open probe goes through,
-            # succeeds, and closes the breaker
-            await asyncio.sleep(0.5)
-            third = service.submit_payload(_sweep(seed=6))
-            done3 = await service.wait_for(third.id, timeout=30)
-            assert done3.state == JobState.COMPLETED
-            assert service.breaker_recoveries == 1
+            hung = service.submit_payload(_sweep(seed=1))
+            while not doubles.calls(tmp_path):
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(1.5)
+            beside = service.submit_payload(_sweep(benchmarks=["swim"], seed=1))
+            done = [await service.wait_for(j.id, timeout=60) for j in (hung, beside)]
             stats = service.stats()
-            assert stats["breaker"]["trips"] == 1
-            assert stats["breaker"]["recoveries"] == 1
-            assert stats["breaker"]["open_keys"] == 0
             await service.stop()
+            return done, stats
 
-        asyncio.run(scenario())
-        events = [e["event"] for e in _events(run_log)]
-        assert "breaker-tripped" in events
-        assert "breaker-recovered" in events
+        (hung, beside), stats = asyncio.run(scenario())
+        assert hung.state == beside.state == JobState.COMPLETED
+        assert [(f["kind"], f["attempt"]) for f in hung.failures] == [("timeout", 0)]
+        # the innocent attempt lost no attempt: it ran again as attempt 0
+        assert beside.failures == []
+        swim = [
+            (e["event"], e["attempt"])
+            for e in _events(run_log)
+            if e.get("key") == beside.keys[0]
+        ]
+        assert swim == [
+            ("point-started", 0), ("point-started", 0), ("point-completed", 0)
+        ]
+        assert stats["watchdog"]["timeouts"] == 1
+        assert set(_per_key_completions(run_log).values()) == {1}
 
     @pytest.mark.parametrize("point_timeout", [None, 10.0])
     def test_simulations_own_timeout_error_is_a_crash_not_an_expiry(
@@ -312,11 +304,8 @@ class TestWatchdogAndBreaker:
         # asyncio.TimeoutError is the builtin TimeoutError on Python
         # >= 3.11: an expiry is decided by the attempt's future still
         # running at the deadline, never by the exception's type.
-        def timing_out_execute(point, attempt=0, obs=None, sanitize=False):
-            raise TimeoutError("socket read timed out")
-
         monkeypatch.setattr(
-            "repro.service.engine.execute_point", timing_out_execute
+            "repro.service.engine.execute_point", doubles.timing_out_execute
         )
         config = ServiceConfig(
             journal_path=str(tmp_path / "journal.jsonl"),
@@ -345,8 +334,7 @@ class TestWatchdogAndBreaker:
             for attempt in range(3)
         ]
         assert stats["watchdog"]["timeouts"] == 0
-        assert stats["breaker"]["trips"] == 0
-        assert stats["breaker"]["open_keys"] == 0
+        assert "breaker" not in stats
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +411,8 @@ class TestOneExecutionCore:
                 {"jobs": 1, "max_retries": 1},
                 {"max_retries": 1},
             ),
-            # the runner pools (two points, two jobs) so its watchdog
-            # kills the hung worker; the service fences the hung thread,
-            # and stop() waits for that thread, so the hang stays short.
+            # the runner pools (two points, two jobs) so that its
+            # watchdog applies; both engines kill the hung worker.
             (
                 faults.FaultSpec(
                     match="mcf", fault="hang", attempts=(0,), hang_seconds=3.0
@@ -492,12 +479,7 @@ class TestStoreDegradation:
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(ResultCache, "put", full_disk)
-        monkeypatch.setattr(
-            "repro.service.engine.execute_point",
-            lambda point, attempt=0, obs=None, sanitize=False: (
-                _fake_stats(point), 0.001
-            ),
-        )
+        monkeypatch.setattr("repro.service.engine.execute_point", fake_execute)
         config = ServiceConfig(
             journal_path=str(tmp_path / "journal.jsonl"),
             cache_dir=str(tmp_path / "cache"),
@@ -530,13 +512,7 @@ class TestBackpressure:
     def test_over_capacity_gets_429_and_client_retry_succeeds(
         self, tmp_path, monkeypatch
     ):
-        release = threading.Event()
-
-        def gated_execute(point, attempt=0, obs=None, sanitize=False):
-            release.wait(timeout=30)
-            return _fake_stats(point), 0.001
-
-        monkeypatch.setattr("repro.service.engine.execute_point", gated_execute)
+        doubles.install(monkeypatch, doubles.gated_execute, tmp_path)
         config = ServiceConfig(
             journal_path=str(tmp_path / "journal.jsonl"),
             workers=1,
@@ -560,19 +536,14 @@ class TestBackpressure:
             assert excinfo.value.retry_after is not None
             assert excinfo.value.retry_after > 0
             # the retrying client path succeeds once capacity frees up
-            threading.Timer(0.2, release.set).start()
+            threading.Timer(0.2, doubles.open_gate, (tmp_path,)).start()
             summary = client.submit(_sweep(seed=2))
             assert client.wait(summary["id"], timeout=60)["state"] == "completed"
             stats = client.stats()
             assert stats["admission"]["rejected"]["queue-full"] >= 1
 
     def test_draining_service_refuses_with_503(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            "repro.service.engine.execute_point",
-            lambda point, attempt=0, obs=None, sanitize=False: (
-                _fake_stats(point), 0.001
-            ),
-        )
+        monkeypatch.setattr("repro.service.engine.execute_point", fake_execute)
         config = ServiceConfig(journal_path=str(tmp_path / "journal.jsonl"))
 
         async def scenario():
@@ -599,14 +570,14 @@ class TestDrainAndRestart:
     def test_drain_deadline_requeues_and_restart_resumes_remainder(
         self, tmp_path, monkeypatch
     ):
-        release = threading.Event()
-
-        def phase1_execute(point, attempt=0, obs=None, sanitize=False):
-            if point.benchmark == "swim":
-                release.wait(timeout=3)  # held past the drain deadline
-            return _fake_stats(point), 0.001
-
-        monkeypatch.setattr("repro.service.engine.execute_point", phase1_execute)
+        # swim is held past the drain deadline
+        _install(
+            faults.FaultPlan(
+                [faults.FaultSpec(match="swim", fault="hang", hang_seconds=3.0)]
+            ),
+            monkeypatch,
+        )
+        doubles.install(monkeypatch, fake_execute, tmp_path)
         journal = tmp_path / "journal.jsonl"
         cache_dir = tmp_path / "cache"
         run_log = tmp_path / "run.jsonl"
@@ -635,18 +606,12 @@ class TestDrainAndRestart:
             return job.id
 
         job_id = asyncio.run(phase1())
-        release.set()
+        phase1_calls = len(doubles.calls(tmp_path))
         journal_events = [e["event"] for e in _events(journal)]
         assert "job-requeued" in journal_events
         assert "service-shutdown" in journal_events
 
-        phase2_calls = []
-
-        def phase2_execute(point, attempt=0, obs=None, sanitize=False):
-            phase2_calls.append(point.benchmark)
-            return _fake_stats(point), 0.001
-
-        monkeypatch.setattr("repro.service.engine.execute_point", phase2_execute)
+        monkeypatch.delenv(faults.ENV_FAULT_PLAN)
 
         async def phase2():
             service = SimulationService(config())
@@ -658,11 +623,46 @@ class TestDrainAndRestart:
             await service.stop()
 
         asyncio.run(phase2())
+        phase2_calls = [
+            call["benchmark"] for call in doubles.calls(tmp_path)[phase1_calls:]
+        ]
         # only the interrupted point re-simulated; the finished one came
         # from the shared store
         assert phase2_calls == ["swim"]
         counts = _per_key_completions(run_log)
         assert set(counts.values()) == {1}
+
+    def test_drain_deadline_holds_when_a_simulation_hangs(
+        self, tmp_path, monkeypatch
+    ):
+        _install(
+            faults.FaultPlan(
+                [faults.FaultSpec(match="mcf", fault="hang", hang_seconds=30.0)]
+            ),
+            monkeypatch,
+        )
+        doubles.install(monkeypatch, fake_execute, tmp_path)
+        config = ServiceConfig(
+            journal_path=str(tmp_path / "journal.jsonl"), workers=1
+        )
+
+        async def scenario():
+            service = SimulationService(config)
+            await service.start()
+            job = service.submit_payload(_sweep())
+            while not doubles.calls(tmp_path):
+                await asyncio.sleep(0.01)
+            began = time.monotonic()
+            await service.stop(drain=True, deadline=0.3)
+            return job, time.monotonic() - began
+
+        job, stopping = asyncio.run(scenario())
+        assert stopping < 3.0
+        assert job.state == JobState.QUEUED
+        journal_events = [e["event"] for e in _events(tmp_path / "journal.jsonl")]
+        assert "job-requeued" in journal_events
+        [call] = doubles.calls(tmp_path)
+        assert not _alive(call["pid"])
 
     def test_clean_drain_with_idle_queue_journals_marker(self, tmp_path):
         journal = tmp_path / "journal.jsonl"
@@ -688,12 +688,7 @@ class TestTransportAndJournalChaos:
     def test_connection_drop_mid_request_surfaces_and_service_survives(
         self, tmp_path, monkeypatch
     ):
-        monkeypatch.setattr(
-            "repro.service.engine.execute_point",
-            lambda point, attempt=0, obs=None, sanitize=False: (
-                _fake_stats(point), 0.001
-            ),
-        )
+        monkeypatch.setattr("repro.service.engine.execute_point", fake_execute)
         plan = faults.FaultPlan(
             [faults.FaultSpec(match="/v1/stats", fault="drop", attempts=(0,))]
         )
@@ -715,12 +710,7 @@ class TestTransportAndJournalChaos:
     def test_compaction_bounds_journal_and_survives_restart_with_torn_tail(
         self, tmp_path, monkeypatch
     ):
-        monkeypatch.setattr(
-            "repro.service.engine.execute_point",
-            lambda point, attempt=0, obs=None, sanitize=False: (
-                _fake_stats(point), 0.001
-            ),
-        )
+        monkeypatch.setattr("repro.service.engine.execute_point", fake_execute)
         journal = tmp_path / "journal.jsonl"
         config = ServiceConfig(
             journal_path=str(journal),
@@ -765,15 +755,12 @@ class TestTransportAndJournalChaos:
 
 
 class TestFidelityUnderChaos:
-    def test_served_stats_identical_to_direct_execute_after_recovered_fault(
-        self, tmp_path, monkeypatch
-    ):
-        from repro.runner import SimPoint
-        from repro.runner.worker import execute_point
-        from repro.service.schema import build_config
-
+    @staticmethod
+    def _served_after(fault, tmp_path, monkeypatch):
+        """Serve mcf while ``fault`` hits its first attempt; return the
+        served statistics and the failure kinds on the job's record."""
         plan = faults.FaultPlan(
-            [faults.FaultSpec(match="mcf", fault="raise", attempts=(0,))]
+            [faults.FaultSpec(match="mcf", fault=fault, attempts=(0,))]
         )
         _install(plan, monkeypatch)
         config = ServiceConfig(
@@ -790,22 +777,39 @@ class TestFidelityUnderChaos:
             job = service.submit_payload(payload)
             done = await service.wait_for(job.id, timeout=120)
             assert done.state == JobState.COMPLETED
-            # the crash is on the record, but did not stick
-            assert [f["kind"] for f in done.failures] == ["crash"]
             served = service.results(done)[0]["stats"]
             await service.stop()
-            return served
+            return served, [f["kind"] for f in done.failures]
 
-        served = asyncio.run(scenario())
-        faults.set_fault_plan(None)
+        outcome = asyncio.run(scenario())
+        faults.set_fault_plan(None)  # the direct run must not fault
+        return outcome
+
+    @staticmethod
+    def _direct():
+        from repro.runner.worker import execute_point
+
         point = SimPoint(
             benchmark="mcf",
             config=build_config({}),
             memory_refs=500,
             seed=12,
         )
-        direct, _ = execute_point(point)
-        assert served == direct
+        return execute_point(point)[0]
+
+    def test_served_stats_identical_to_direct_execute_after_recovered_fault(
+        self, tmp_path, monkeypatch
+    ):
+        served, kinds = self._served_after("raise", tmp_path, monkeypatch)
+        # the crash is on the record, but did not stick
+        assert kinds == ["crash"]
+        assert served == self._direct()
+
+    def test_served_stats_identical_after_a_worker_dies(self, tmp_path, monkeypatch):
+        # ``exit`` kills the pool worker mid-attempt, as a segfault would
+        served, kinds = self._served_after("exit", tmp_path, monkeypatch)
+        assert kinds == ["crash"]
+        assert served == self._direct()
 
 
 # ---------------------------------------------------------------------------
@@ -813,7 +817,13 @@ class TestFidelityUnderChaos:
 # ---------------------------------------------------------------------------
 
 
-def _spawn_serve(tmp_path, env, extra_args=()):
+@contextmanager
+def _serving(tmp_path, env):
+    """A real ``repro-serve serve`` process and a client for it.
+
+    On exit the process is killed if it still runs, reaped, and its
+    output pipe closed.
+    """
     args = [
         sys.executable, "-m", "repro.service.cli", "serve",
         "--host", "127.0.0.1", "--port", "0",
@@ -821,26 +831,30 @@ def _spawn_serve(tmp_path, env, extra_args=()):
         "--cache-dir", str(tmp_path / "cache"),
         "--workers", "1",
         "--drain-deadline", "0.5",
-        *extra_args,
     ]
     proc = subprocess.Popen(
         args, env=env, stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT, text=True,
     )
-    port = None
-    deadline = time.monotonic() + 30
-    while time.monotonic() < deadline:
-        line = proc.stdout.readline()
-        if not line and proc.poll() is not None:
-            break
-        match = re.search(r"listening on http://[\d.]+:(\d+)", line)
-        if match:
-            port = int(match.group(1))
-            break
-    if port is None:
-        proc.kill()
-        raise AssertionError("repro-serve did not report a listening port")
-    return proc, ServiceClient(f"http://127.0.0.1:{port}", timeout=30.0)
+    try:
+        port = None
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            line = proc.stdout.readline()
+            if not line and proc.poll() is not None:
+                break
+            match = re.search(r"listening on http://[\d.]+:(\d+)", line)
+            if match:
+                port = int(match.group(1))
+                break
+        if port is None:
+            raise AssertionError("repro-serve did not report a listening port")
+        yield proc, ServiceClient(f"http://127.0.0.1:{port}", timeout=30.0)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait()
+        proc.stdout.close()
 
 
 class TestSigtermDrill:
@@ -859,8 +873,7 @@ class TestSigtermDrill:
             ]
         )
         env[faults.ENV_FAULT_PLAN] = plan.to_json()
-        proc, client = _spawn_serve(tmp_path, env)
-        try:
+        with _serving(tmp_path, env) as (proc, client):
             job = client.submit(
                 {"benchmarks": ["swim", "mcf"], "memory_refs": 500}
             )
@@ -870,9 +883,6 @@ class TestSigtermDrill:
                 time.sleep(0.05)
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=60) == 0
-        finally:
-            if proc.poll() is None:
-                proc.kill()
         journal_events = [
             e["event"] for e in _events(tmp_path / "journal.jsonl")
         ]
@@ -882,8 +892,7 @@ class TestSigtermDrill:
         # restart with no faults: recovery resumes the unfinished
         # remainder and the job completes
         env.pop(faults.ENV_FAULT_PLAN, None)
-        proc, client = _spawn_serve(tmp_path, env)
-        try:
+        with _serving(tmp_path, env) as (proc, client):
             status = client.wait(job["id"], timeout=120)
             assert status["state"] == "completed"
             assert status["completed"] == 2
@@ -893,6 +902,29 @@ class TestSigtermDrill:
             assert client.stats()["points_simulated"] == 1
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=60) == 0
-        finally:
-            if proc.poll() is None:
-                proc.kill()
+
+    @pytest.mark.skipif(
+        not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+        reason="needs /proc/<pid>/task/<tid>/children",
+    )
+    def test_sigkill_leaves_no_worker_behind(self, tmp_path):
+        env = os.environ.copy()
+        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+        plan = faults.FaultPlan(
+            [faults.FaultSpec(match="mcf", fault="hang", hang_seconds=60.0)]
+        )
+        env[faults.ENV_FAULT_PLAN] = plan.to_json()
+        with _serving(tmp_path, env) as (proc, client):
+            client.submit({"benchmarks": ["mcf"], "memory_refs": 500})
+            deadline = time.monotonic() + 60
+            while not _pool_workers(proc.pid):
+                assert time.monotonic() < deadline, "no pool worker started"
+                time.sleep(0.05)
+            workers = _pool_workers(proc.pid)
+            # killed outright, the server cannot kill its pool itself
+            proc.kill()
+            proc.wait()
+        deadline = time.monotonic() + 10
+        while any(_alive(pid) for pid in workers):
+            assert time.monotonic() < deadline, "pool worker outlived its server"
+            time.sleep(0.05)

@@ -1,8 +1,10 @@
 """Tests for service observability: /metrics, uptime, trace ids.
 
 These follow the patterns of ``test_service.py`` — a stubbed
-``execute_point`` behind the real engine and HTTP stack — because the
-metrics under test are about the service machinery, not the simulator.
+``execute_point`` (from :mod:`tests.service_doubles`, importable by the
+service's pool workers) behind the real engine and HTTP stack — because
+the metrics under test are about the service machinery, not the
+simulator.
 """
 
 import asyncio
@@ -21,20 +23,13 @@ from repro.service.cli import EphemeralServer, _format_duration
 from repro.service.client import ServiceClient
 from repro.service.server import _route_of
 from repro.obs.metrics import validate_exposition
+from tests.service_doubles import fake_execute
 
 
 def _sweep(**overrides):
     payload = {"benchmarks": ["mcf"], "memory_refs": 500}
     payload.update(overrides)
     return payload
-
-
-def _fake_execute(point, attempt=0, obs=None, sanitize=False):
-    time.sleep(0.001)
-    return (
-        {"benchmark": point.benchmark, "seed": point.seed, "cycles": 100.0},
-        0.001,
-    )
 
 
 EXPECTED_FAMILIES = (
@@ -45,7 +40,7 @@ EXPECTED_FAMILIES = (
     "repro_store_hits_total",
     "repro_store_misses_total",
     "repro_admission_rejected_total",
-    "repro_breaker_trips_total",
+    "repro_watchdog_timeouts_total",
     "repro_queued_jobs",
     "repro_uptime_seconds",
 )
@@ -53,7 +48,7 @@ EXPECTED_FAMILIES = (
 
 @pytest.fixture()
 def http_service(tmp_path, monkeypatch):
-    monkeypatch.setattr("repro.service.engine.execute_point", _fake_execute)
+    monkeypatch.setattr("repro.service.engine.execute_point", fake_execute)
     config = ServiceConfig(
         journal_path=str(tmp_path / "journal.jsonl"),
         cache_dir=str(tmp_path / "cache"),
@@ -109,7 +104,7 @@ def _journal_events(path):
 
 class TestEngineObservability:
     def _run(self, tmp_path, monkeypatch, payload):
-        monkeypatch.setattr("repro.service.engine.execute_point", _fake_execute)
+        monkeypatch.setattr("repro.service.engine.execute_point", fake_execute)
         config = ServiceConfig(
             journal_path=str(tmp_path / "journal.jsonl"),
             cache_dir=str(tmp_path / "cache"),
@@ -164,7 +159,7 @@ class TestEngineObservability:
         assert "repro_points_simulated_total 1" in out["metrics"]
 
     def test_trace_id_survives_journal_replay(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("repro.service.engine.execute_point", _fake_execute)
+        monkeypatch.setattr("repro.service.engine.execute_point", fake_execute)
         config = ServiceConfig(
             journal_path=str(tmp_path / "journal.jsonl"),
             cache_dir=str(tmp_path / "cache"),
