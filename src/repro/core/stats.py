@@ -19,14 +19,32 @@ The metric definitions follow the paper:
   packets are transmitted.
 * **Prefetch accuracy** — fraction of prefetched blocks that are
   referenced by a demand access before eviction.
+
+Why did a number change?  ``python -m repro.core.stats diff A.json
+B.json`` compares two golden files (``tests/golden/*.json``) or two
+``SimStats.to_dict()`` files point by point: every changed counter, old
+and new, with its relative change, then the headline metrics derived
+from them that changed.  It exits 1 when anything differs.
 """
 
 from __future__ import annotations
 
+import json
+import sys
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Sequence
+from pathlib import Path
+from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["CacheStats", "DRAMClassStats", "SimStats", "harmonic_mean", "merge_stats"]
+__all__ = [
+    "CacheStats",
+    "DRAMClassStats",
+    "SimStats",
+    "diff_points",
+    "harmonic_mean",
+    "load_points",
+    "main",
+    "merge_stats",
+]
 
 
 def harmonic_mean(values: Sequence[float]) -> float:
@@ -298,3 +316,112 @@ def merge_stats(runs: List[SimStats]) -> SimStats:
     for run in runs:
         total.merge(run)
     return total
+
+
+# -- diff ---------------------------------------------------------------------
+
+#: derived metrics shown before -> after wherever they changed.
+DIFF_DERIVED = ("ipc", "avg_l2_miss_latency", "overall_row_hit_rate", "prefetch_accuracy")
+
+
+def load_points(path) -> Dict[str, Dict[str, object]]:
+    """The statistics in a JSON file, by point label.
+
+    A golden file maps sections to benchmarks to ``SimStats.to_dict()``
+    beside plain metadata; its points are labelled ``section/benchmark``.
+    A single ``SimStats.to_dict()`` file is one point labelled ``stats``.
+    """
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    points: Dict[str, Dict[str, object]] = {}
+    if isinstance(data, dict):
+        if "cycles" in data:
+            return {"stats": data}
+        for section, entries in data.items():
+            if isinstance(entries, dict):
+                points.update(
+                    (f"{section}/{benchmark}", stats)
+                    for benchmark, stats in entries.items()
+                    if isinstance(stats, dict) and "cycles" in stats
+                )
+    if not points:
+        raise ValueError(f"{path}: neither a golden file nor a SimStats file")
+    return points
+
+
+def _flat(stats: Dict[str, object], prefix: str = "") -> Dict[str, object]:
+    out: Dict[str, object] = {}
+    for key, value in stats.items():
+        if isinstance(value, dict):
+            out.update(_flat(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
+def _change(name: str, old, new) -> str:
+    relative = f"{(new - old) / abs(old) * 100:+.3g}%" if old else "from 0"
+    return f"  {name}: {old!r} -> {new!r} ({relative})"
+
+
+def diff_points(
+    before: Dict[str, Dict[str, object]], after: Dict[str, Dict[str, object]]
+) -> Tuple[List[str], int, int]:
+    """Report lines for every changed point, and the identical and
+    changed point counts; a point on one side only counts as changed."""
+    lines: List[str] = []
+    identical = changed = 0
+    for label in sorted(before.keys() | after.keys()):
+        old, new = before.get(label), after.get(label)
+        if old == new:
+            identical += 1
+            continue
+        changed += 1
+        if old is None or new is None:
+            lines.append(f"{label}: only in {'B' if old is None else 'A'}")
+            continue
+        flat_old, flat_new = _flat(old), _flat(new)
+        fields_changed = [
+            key
+            for key in sorted(flat_old.keys() | flat_new.keys())
+            if flat_old.get(key) != flat_new.get(key)
+        ]
+        lines.append(f"{label}: {len(fields_changed)} field(s) changed")
+        for key in fields_changed:
+            lines.append(_change(key, flat_old.get(key, 0), flat_new.get(key, 0)))
+        stats_old, stats_new = SimStats.from_dict(old), SimStats.from_dict(new)
+        for name in DIFF_DERIVED:
+            derived_old, derived_new = getattr(stats_old, name), getattr(stats_new, name)
+            if derived_old != derived_new:
+                lines.append(_change(f"{name} (derived)", derived_old, derived_new))
+    return lines, identical, changed
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.core.stats",
+        description="Compare simulation statistics point by point.",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    diff = commands.add_parser(
+        "diff",
+        help="report every changed point and field of B against A; "
+        "exit 1 if anything differs",
+    )
+    diff.add_argument("a", metavar="A.json", help="golden or SimStats file (before)")
+    diff.add_argument("b", metavar="B.json", help="golden or SimStats file (after)")
+    args = parser.parse_args(argv)
+    try:
+        before, after = load_points(args.a), load_points(args.b)
+    except (OSError, ValueError) as error:
+        parser.error(str(error))
+    lines, identical, changed = diff_points(before, after)
+    for line in lines:
+        print(line)
+    print(f"{identical} identical, {changed} changed")
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

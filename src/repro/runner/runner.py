@@ -82,7 +82,7 @@ from repro.core.config import SystemConfig
 from repro.core.stats import SimStats
 from repro.obs.log import JsonlSink, get_logger
 from repro.runner.cache import RESULT_VERSION, ResultStore
-from repro.runner.worker import execute_point
+from repro.runner.worker import execute_point, exit_with_parent
 from repro.sanitize.errors import SanitizerError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -488,7 +488,10 @@ class Runner:
         ready: Deque[PointRun] = deque(runs)
         waiting: List[PointRun] = []  # runs sitting out a backoff delay
         running: Dict[object, Tuple[PointRun, Optional[float]]] = {}
-        pool = ProcessPoolExecutor(max_workers=workers)
+        new_pool = functools.partial(
+            ProcessPoolExecutor, max_workers=workers, initializer=exit_with_parent
+        )
+        pool = new_pool()
         try:
             while ready or waiting or running:
                 now = time.monotonic()
@@ -548,7 +551,7 @@ class Runner:
                         return list(ready) + waiting
                     self.pool_rebuilds += 1
                     _log.warning("[runner] worker pool broke; rebuilding it once")
-                    pool = ProcessPoolExecutor(max_workers=workers)
+                    pool = new_pool()
                     continue
                 now = time.monotonic()
                 expired = [
@@ -566,7 +569,7 @@ class Runner:
                     running.clear()
                     self._kill_pool(pool)
                     ready.extend(survivors)
-                    pool = ProcessPoolExecutor(max_workers=workers)
+                    pool = new_pool()
             pool.shutdown(wait=True)
             return []
         except BaseException:

@@ -14,10 +14,15 @@ traces (the parent's memo also backs
 :func:`repro.experiments.common.get_traces`), and a machine-wide
 content-addressed store (:mod:`repro.kernel.store`) shares built traces
 across worker processes and runner invocations.
+
+:func:`exit_with_parent` is the pool initializer of both the runner's
+and the service's worker pools.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import threading
 import time
 from typing import Dict, Optional, Tuple
@@ -29,7 +34,7 @@ from repro.runner import faults
 from repro.workloads import build_trace
 from repro.workloads.registry import build_warmup_trace
 
-__all__ = ["execute_point", "get_traces"]
+__all__ = ["execute_point", "exit_with_parent", "get_traces"]
 
 _TRACE_MEMO: Dict[Tuple[str, int, int, int], Tuple[Trace, Trace]] = {}
 _TRACE_MEMO_LIMIT = 8
@@ -77,6 +82,20 @@ def get_traces(
             )
     warm, main = traces
     return (warm if len(warm) else None), main
+
+
+def exit_with_parent() -> None:
+    """End this pool worker when the process that started it dies.
+
+    A parent killed outright (SIGKILL, the OOM killer) cannot kill its
+    pool, and an orphaned worker would wait for work forever.
+    """
+    threading.Thread(target=_exit_on_parent_death, daemon=True).start()
+
+
+def _exit_on_parent_death() -> None:
+    multiprocessing.parent_process().join()
+    os._exit(1)
 
 
 def execute_point(

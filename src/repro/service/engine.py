@@ -58,8 +58,6 @@ import functools
 import inspect
 import json
 import multiprocessing
-import os
-import threading
 import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor
@@ -71,7 +69,7 @@ from repro import __version__
 from repro.obs.log import JsonlSink, get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.runner import PointFailureError, PointRun, Runner, SimPoint
-from repro.runner.worker import execute_point
+from repro.runner.worker import execute_point, exit_with_parent
 from repro.service.dedup import FlightCancelled, SingleFlight
 from repro.service.queue import Job, JobQueue, JobState
 from repro.service.schema import SweepRequest, parse_sweep_request
@@ -96,14 +94,7 @@ _started = None
 def _init_worker(started) -> None:
     global _started
     _started = started
-    # a server killed outright (SIGKILL, the OOM killer) cannot kill its
-    # pool, and an orphaned worker would wait for work forever.
-    threading.Thread(target=_exit_with_server, daemon=True).start()
-
-
-def _exit_with_server() -> None:
-    multiprocessing.parent_process().join()
-    os._exit(1)
+    exit_with_parent()
 
 
 def _stamped(target, slot: int, point: SimPoint, attempt: int):

@@ -34,8 +34,6 @@ __all__ = [
     "build_warmup_trace",
     "build_components",
     "CODE_BASE",
-    "PRETOUCH_CAP",
-    "PRETOUCH_SKIP_ABOVE",
 ]
 
 MB = 1 << 20
@@ -89,14 +87,6 @@ def _instantiate(spec: ComponentSpec, cid: int, base: int) -> Component:
     raise ValueError(f"unknown component kind {spec.kind!r}")
 
 
-#: per-component cap on the footprint walked by the warm-up pretouch.
-PRETOUCH_CAP = 3 * MB
-
-#: components larger than this are assumed never cache-resident and are
-#: not pretouched at all (their references miss regardless of history).
-PRETOUCH_SKIP_ABOVE = 4 * MB
-
-
 #: dedicated address region used to fill the L2 with dirty data during
 #: warm-up (no workload component ever touches it).
 FILLER_BASE = 160 * MB
@@ -107,24 +97,26 @@ FILLER_MAX = 24 * MB
 
 
 def build_warmup_trace(name: str, seed: int = 0, l2_bytes: int = 1 << 20) -> Trace:
-    """Initialization phase: touch the data, fill the cache dirty.
+    """Initialization phase: fill the cache dirty, then touch the data.
 
     Real programs begin by writing their data structures; synthesizing
     that phase explicitly lets short steady-state traces start from
     warm caches, so residency is decided by cache capacity rather than
     by how long a random walk takes to visit every block.  The phase
-    has four parts, in LRU-significant order:
+    has three parts, in LRU-significant order:
 
-    1. a store sweep over each component's (capped) footprint —
-       components above ``PRETOUCH_SKIP_ABOVE`` are skipped, nothing
-       that big stays resident anyway;
-    2. a half-dirty sweep over a dedicated *filler* region sized past
+    1. a half-dirty sweep over a dedicated *filler* region sized past
        the L2 capacity, so the cache enters the measured window full
        and steady-state fills immediately produce writeback traffic at
        a realistic rate (the DRAM mapping study depends on it);
-    3. a clean re-touch of each component's resident set (after the
-       cold sweeps, which would otherwise have evicted it);
-    4. an instruction-fetch walk over the code footprint.
+    2. a clean re-touch of each component's resident set (after the
+       filler, which evicts everything touched before it);
+    3. an instruction-fetch walk over the code footprint.
+
+    The filler covers the L2 contiguously, so every L1D and L2 set
+    takes at least as many filler blocks as it has ways: a sweep over
+    the data before it would leave no line behind in any cache, so the
+    phase does not open with one.
     """
     prof = profile(name)
     components = build_components(prof)
@@ -142,11 +134,6 @@ def build_warmup_trace(name: str, seed: int = 0, l2_bytes: int = 1 << 20) -> Tra
         pc_parts.append(np.full(len(offsets), pc, dtype=np.uint32))
         return offsets
 
-    for comp in components:
-        if comp.footprint > PRETOUCH_SKIP_ABOVE:
-            continue
-        span = min(comp.footprint, PRETOUCH_CAP)
-        segment(AccessKind.STORE, comp.base, span, comp.cid << 8)
     filler_span = min(int(l2_bytes * FILLER_FACTOR), FILLER_MAX)
     # Alternate dirty/clean so steady-state evictions write back at
     # a realistic ~50% rate rather than on every fill.

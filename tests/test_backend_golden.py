@@ -23,9 +23,11 @@ backend (fast enough for every tier-1 invocation); the CI matrix jobs
 set ``REPRO_GOLDEN_FULL=1`` to sweep all 26 workloads.  The golden file
 always carries all 26, so flipping the switch never regenerates.
 
-Regenerate after an intentional timing-model change (its own commit):
+Regenerate after an intentional timing-model change (its own commit),
+and explain it with the point-by-point diff against the old file:
 
     PYTHONPATH=src python tests/test_backend_golden.py tests/golden/tiny_stats_backends.json
+    PYTHONPATH=src python -m repro.core.stats diff OLD.json tests/golden/tiny_stats_backends.json
 """
 
 import json

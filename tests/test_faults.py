@@ -17,6 +17,8 @@ serial run, and tables rendered from them are byte-identical.
 import dataclasses
 import os
 import signal
+import subprocess
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -44,6 +46,16 @@ from repro.runner.worker import execute_point
 
 REFS = 1_200
 SUITE = ("swim", "mcf", "twolf", "eon", "facerec", "parser")
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+#: a runner process whose two pool workers outlive it unless they watch it:
+#: swim's worker goes idle, mcf's sleeps in a planned hang.
+_POOLED_RUNNER = (
+    "from repro.core.config import SystemConfig\n"
+    "from repro.runner import Runner, SimPoint\n"
+    "points = [SimPoint(name, SystemConfig(), 500, 0) for name in ('swim', 'mcf')]\n"
+    "Runner(jobs=2, cache_dir=None, timeout=0).run_points(points)\n"
+)
 
 
 @pytest.fixture(autouse=True)
@@ -59,6 +71,26 @@ def _ignore_sigterm_then_sleep(ready):
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     Path(ready).touch()
     time.sleep(60)
+
+
+def _children(pid):
+    """The child processes of process ``pid``, from every thread."""
+    children = []
+    for task in Path(f"/proc/{pid}/task").iterdir():
+        try:
+            children.extend(int(c) for c in (task / "children").read_text().split())
+        except FileNotFoundError:
+            continue
+    return children
+
+
+def _alive(pid):
+    """Whether process ``pid`` still runs (a zombie or a reaped one does not)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 def make_points(benchmarks=SUITE, refs=REFS):
@@ -473,6 +505,36 @@ class TestInterrupt:
                 if proc.is_alive():
                     proc.kill()
                     proc.join()
+
+    def test_sigkill_leaves_no_pool_worker_behind(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        plan = FaultPlan([FaultSpec(match="mcf", fault="hang", hang_seconds=20.0)])
+        env[faults_mod.ENV_FAULT_PLAN] = plan.to_json()
+        proc = subprocess.Popen([sys.executable, "-c", _POOLED_RUNNER], env=env)
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2:
+                assert time.monotonic() < deadline, "pool workers never started"
+                time.sleep(0.05)
+                workers = _children(proc.pid)
+            time.sleep(1.0)  # swim's point completes, mcf's hang begins
+            # killed outright, the runner cannot kill its pool itself
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 5
+            while any(_alive(pid) for pid in workers):
+                assert time.monotonic() < deadline, "a pool worker outlived its runner"
+                time.sleep(0.05)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            for pid in workers:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
 
 class TestEnvironmentKnobs:

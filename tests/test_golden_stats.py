@@ -6,9 +6,11 @@ references, seed 0) under the baseline configuration, plus the tiny
 profile's six benchmarks under the prefetch-enabled configuration.
 Performance work on the simulation kernel must leave every number
 byte-identical; any intentional behaviour change must regenerate the
-snapshot *in its own commit* so the diff documents the change:
+snapshot *in its own commit* so the diff documents the change, and
+explain it point by point against the old file:
 
     PYTHONPATH=src python tests/test_golden_stats.py tests/golden/tiny_stats.json
+    PYTHONPATH=src python -m repro.core.stats diff OLD.json tests/golden/tiny_stats.json
 """
 
 import json

@@ -1,5 +1,11 @@
 """Unit tests for repro.core.stats."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.stats import (
@@ -7,8 +13,13 @@ from repro.core.stats import (
     DRAMClassStats,
     SimStats,
     harmonic_mean,
+    load_points,
+    main,
     merge_stats,
 )
+
+GOLDEN = Path(__file__).parent / "golden" / "tiny_stats.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestHarmonicMean:
@@ -185,3 +196,91 @@ class TestSerialization:
         restored = SimStats.from_dict(stats.to_dict())
         assert restored.l1d_mshr_stalls == 4
         assert restored.l1i_mshr_stalls == 2
+
+
+class TestDiff:
+    """``python -m repro.core.stats diff A.json B.json``."""
+
+    def test_identical_golden_files_exit_0(self, capsys):
+        assert main(["diff", str(GOLDEN), str(GOLDEN)]) == 0
+        points = len(load_points(GOLDEN))
+        assert capsys.readouterr().out == f"{points} identical, 0 changed\n"
+
+    def test_one_field_change_is_reported(self, tmp_path, capsys):
+        golden = json.loads(GOLDEN.read_text())
+        golden["baseline"]["mcf"]["l2"]["misses"] += 1
+        changed = tmp_path / "changed.json"
+        changed.write_text(json.dumps(golden))
+        assert main(["diff", str(GOLDEN), str(changed)]) == 1
+        misses = golden["baseline"]["mcf"]["l2"]["misses"]
+        assert capsys.readouterr().out.splitlines() == [
+            "baseline/mcf: 1 field(s) changed",
+            f"  l2.misses: {misses - 1} -> {misses} "
+            f"({100 / (misses - 1):+.3g}%)",
+            f"{len(load_points(GOLDEN)) - 1} identical, 1 changed",
+        ]
+
+    def test_changed_derived_metrics_follow_the_fields(self, tmp_path, capsys):
+        golden = json.loads(GOLDEN.read_text())
+        golden["prefetch"]["swim"]["cycles"] *= 2
+        golden["prefetch"]["swim"]["dram_prefetches"]["row_hits"] += 1
+        changed = tmp_path / "changed.json"
+        changed.write_text(json.dumps(golden))
+        assert main(["diff", str(GOLDEN), str(changed)]) == 1
+        names = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert names == [
+            "prefetch/swim",
+            "  cycles",
+            "  dram_prefetches.row_hits",
+            "  ipc (derived)",
+            "  overall_row_hit_rate (derived)",
+            f"{len(load_points(GOLDEN)) - 1} identical, 1 changed",
+        ]
+
+    def test_a_point_on_one_side_only_counts_as_changed(self, tmp_path, capsys):
+        golden = json.loads(GOLDEN.read_text())
+        del golden["baseline"]["eon"]
+        fewer = tmp_path / "fewer.json"
+        fewer.write_text(json.dumps(golden))
+        assert main(["diff", str(GOLDEN), str(fewer)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "baseline/eon: only in A",
+            f"{len(load_points(GOLDEN)) - 1} identical, 1 changed",
+        ]
+
+    def test_reads_golden_and_single_stats_files(self, tmp_path):
+        golden = json.loads(GOLDEN.read_text())
+        points = load_points(GOLDEN)
+        assert points["prefetch/swim"] == golden["prefetch"]["swim"]
+        assert len(points) == sum(len(golden[s]) for s in golden["configs"])
+        single = tmp_path / "stats.json"
+        single.write_text(json.dumps(SimStats(instructions=7, cycles=2.0).to_dict()))
+        assert load_points(single)["stats"]["instructions"] == 7
+
+    def test_single_stats_files_diff(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps(SimStats(instructions=8, cycles=4.0).to_dict()))
+        b.write_text(json.dumps(SimStats(instructions=8, cycles=5.0).to_dict()))
+        assert main(["diff", str(a), str(b)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "stats: 1 field(s) changed",
+            "  cycles: 4.0 -> 5.0 (+25%)",
+            "  ipc (derived): 2.0 -> 1.6 (-20%)",
+            "0 identical, 1 changed",
+        ]
+
+    def test_rejects_a_file_with_no_statistics(self, tmp_path):
+        bogus = tmp_path / "bogus.json"
+        bogus.write_text(json.dumps({"configs": {"baseline": "ab"}}))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["diff", str(bogus), str(GOLDEN)])
+        assert exit_info.value.code == 2
+
+    def test_runs_as_a_module(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        run = subprocess.run(
+            [sys.executable, "-m", "repro.core.stats", "diff", str(GOLDEN), str(GOLDEN)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.endswith(" identical, 0 changed\n")

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.hierarchy import AccessKind
+from repro.core.config import SystemConfig
+from repro.cpu.trace import Trace
+from repro.kernel import FastSystem, compile_trace
 from repro.workloads import (
     BENCHMARKS,
     FIGURE5_WINNERS,
@@ -183,9 +186,68 @@ class TestWarmupTrace:
         assert len(large) > len(small)
 
     def test_huge_components_skipped(self):
-        """mcf's 24MB chase pool must not be pretouched."""
+        """The warm-up walks no component's whole footprint, so mcf's
+        24MB chase pool costs it nothing."""
         trace = build_warmup_trace("mcf")
         assert len(trace) < 200_000
+
+
+def _with_store_sweep(warm: Trace, name: str) -> Trace:
+    """``warm`` after a store sweep over each component's footprint:
+    capped at 3MB, skipping components above 4MB (the segment the
+    warm-up once opened with)."""
+    addrs, pcs = [], []
+    for comp in build_components(profile(name)):
+        if comp.footprint > 4 << 20:
+            continue
+        offsets = np.arange(0, min(comp.footprint, 3 << 20), 64, dtype=np.int64)
+        addrs.append(comp.base + offsets)
+        pcs.append(np.full(len(offsets), comp.cid << 8, dtype=np.uint32))
+    sweep = np.concatenate(addrs)
+    return Trace(
+        name=warm.name,
+        kinds=np.concatenate(
+            [np.full(len(sweep), AccessKind.STORE, dtype=np.uint8), warm.kinds]
+        ),
+        gaps=np.concatenate([np.zeros(len(sweep), dtype=np.uint16), warm.gaps]),
+        addrs=np.concatenate([sweep, warm.addrs]),
+        deps=np.concatenate([np.zeros(len(sweep), dtype=np.uint8), warm.deps]),
+        pcs=np.concatenate(pcs + [warm.pcs]),
+    )
+
+
+def _cache_lines(system: FastSystem):
+    """Every cache's sets as (block, dirty, prefetched), MRU first."""
+    return [
+        [[(line[0], line[1], line[2]) for line in lines] for lines in sets]
+        for sets in (system._l1i_sets, system._l1d_sets, system._l2_sets)
+    ]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SystemConfig(),
+        SystemConfig().with_channels(4).with_mapping("base"),
+        SystemConfig().with_l2_size(4 << 20),
+        SystemConfig().with_block_size(256),
+        SystemConfig().with_prefetch(enabled=True),
+    ],
+    ids=["default", "4ch-base", "l2-4mb", "block-256", "prefetch"],
+)
+def test_store_sweep_before_the_filler_leaves_no_cache_state(config):
+    """The filler covers 1.25x the L2 contiguously, so every L1D and L2
+    set takes at least as many new blocks as it has ways: a store sweep
+    over the data before it changes no line, dirty bit, prefetched bit
+    or LRU position of any cache once the warm-up ends."""
+    for name in BENCHMARKS:
+        warm = build_warmup_trace(name, l2_bytes=config.l2.size_bytes)
+        systems = []
+        for trace in (warm, _with_store_sweep(warm, name)):
+            system = FastSystem(config)
+            system.warmup(compile_trace(trace))
+            systems.append(system)
+        assert _cache_lines(systems[0]) == _cache_lines(systems[1]), name
 
 
 @settings(max_examples=20, deadline=None)
