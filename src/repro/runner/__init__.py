@@ -3,8 +3,11 @@
 See :mod:`repro.runner.runner` for the execution model — the one
 execution core, which the simulation service also resolves its points
 through — :mod:`repro.runner.cache` for the result store both engines
-share, and :mod:`repro.runner.faults` for the deterministic
-fault-injection harness that exercises the recovery paths.
+share, :mod:`repro.runner.pool` for the worker pool and attempt loop
+both engines simulate through, and :mod:`repro.runner.faults` for the
+deterministic fault-injection harness that exercises the recovery
+paths.  Only a pooled batch imports :mod:`repro.runner.pool` (and with
+it :mod:`asyncio`), so it is not imported here.
 """
 
 from repro.runner.cache import ResultCache, ResultStore

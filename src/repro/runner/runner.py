@@ -23,8 +23,9 @@ remainder either inline or fanned across a process pool:
 Long sweeps additionally survive misbehaving points and environments:
 
 * **watchdog timeouts** — with ``timeout`` (``REPRO_JOB_TIMEOUT``) set,
-  a pooled simulation running past the deadline has its worker killed
-  and is retried; other in-flight points are resubmitted unharmed;
+  a pooled simulation still running that long after its worker started
+  it has its worker killed and is retried; other in-flight points are
+  resubmitted unharmed;
 * **bounded retries** — a failed attempt is retried up to
   ``max_retries`` (``REPRO_MAX_RETRIES``) times with exponential
   backoff whose jitter derives deterministically from the point's
@@ -47,10 +48,12 @@ The simulation service (:mod:`repro.service.engine`) is built on the
 same core: it holds one runner and resolves every point through its
 store, its failure step (:meth:`Runner.fail`) and its success step
 (:meth:`Runner.completed`), so both engines share one retry policy,
-one failure taxonomy, one run-log vocabulary and one store.  Both run
-attempts in a process pool and kill a hung worker with
-:meth:`Runner._kill_pool`; only the scheduling around the pool differs:
-a blocking loop over one batch here, an asyncio task per point there.
+one failure taxonomy, one run-log vocabulary and one store.  Both also
+run attempts in worker processes through one pool class and one
+attempt loop (:mod:`repro.runner.pool`): a pooled batch here is one
+concurrent resolution per point on a pool that lives for the batch;
+the service resolves its points on a pool that lives as long as it
+does.
 
 Every recovery path is exercised deterministically by the
 fault-injection harness in :mod:`repro.runner.faults`.
@@ -71,8 +74,6 @@ import json
 import os
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
@@ -82,10 +83,12 @@ from repro.core.config import SystemConfig
 from repro.core.stats import SimStats
 from repro.obs.log import JsonlSink, get_logger
 from repro.runner.cache import RESULT_VERSION, ResultStore
-from repro.runner.worker import execute_point, exit_with_parent
+from repro.runner.worker import execute_point
 from repro.sanitize.errors import SanitizerError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import ProcessPoolExecutor
+
     from repro.obs.observer import ObsSession
 
 __all__ = [
@@ -279,7 +282,8 @@ class Runner:
     Fault-tolerance knobs (see the module docstring):
 
     ``timeout``
-        per-job watchdog in seconds for pooled execution (default:
+        per-job watchdog in seconds for pooled execution, timed from
+        when the worker starts the attempt (default:
         ``REPRO_JOB_TIMEOUT``, else no watchdog; inline execution
         cannot be preempted and is never timed out);
     ``max_retries``
@@ -384,6 +388,8 @@ class Runner:
         self.simulated = 0
         self.reused = 0
         self.retries = 0
+        #: attempts that outlived the watchdog.
+        self.timeouts = 0
         self.pool_rebuilds = 0
         self.sim_seconds = 0.0
         self._pool_unusable = False
@@ -464,7 +470,11 @@ class Runner:
             and self.observe is None
         )
         if use_pool:
-            runs = self._run_pooled(runs, fatal)
+            # asyncio loads with the pool: an inline batch never pays
+            # for importing it.
+            from repro.runner.pool import run_batch
+
+            runs = run_batch(self, runs, fatal, execute_point, **self._execute_kwargs())
             if runs:
                 _log.warning(
                     f"[runner] process pool unusable; finishing "
@@ -474,113 +484,17 @@ class Runner:
         if fatal and not self.keep_going:
             raise PointFailureError(fatal)
 
-    def _run_pooled(
-        self, runs: List[PointRun], fatal: List[FailureRecord]
-    ) -> List[PointRun]:
-        """Resolve ``runs`` on a process pool with watchdog + recovery.
-
-        Returns the runs that still need resolving when pooling had to
-        be abandoned (pool broke more than :data:`MAX_POOL_REBUILDS`
-        times); an empty list means everything was resolved or failed
-        permanently here.
-        """
-        workers = min(self.jobs, len(runs))
-        ready: Deque[PointRun] = deque(runs)
-        waiting: List[PointRun] = []  # runs sitting out a backoff delay
-        running: Dict[object, Tuple[PointRun, Optional[float]]] = {}
-        new_pool = functools.partial(
-            ProcessPoolExecutor, max_workers=workers, initializer=exit_with_parent
-        )
-        pool = new_pool()
-        try:
-            while ready or waiting or running:
-                now = time.monotonic()
-                still_waiting = []
-                for run in waiting:
-                    (ready.append if run.eligible <= now else still_waiting.append)(run)
-                waiting = still_waiting
-                # submit at most one run per worker: a future handed to
-                # the pool starts executing immediately, so its watchdog
-                # deadline measures simulation time, never time spent
-                # queued behind a clogged worker.
-                while ready and len(running) < workers:
-                    run = ready.popleft()
-                    self.log_event("point-started", run)
-                    future = pool.submit(
-                        execute_point, run.point, run.attempt, **self._execute_kwargs()
-                    )
-                    deadline = (now + self.timeout) if self.timeout else None
-                    running[future] = (run, deadline)
-                if not running:
-                    # everything left is backing off; sleep to the first
-                    time.sleep(
-                        max(0.0, min(r.eligible for r in waiting) - time.monotonic())
-                    )
-                    continue
-                wait_for: Optional[float] = None
-                deadlines = [d for _, d in running.values() if d is not None]
-                if deadlines:
-                    wait_for = max(0.0, min(deadlines) - time.monotonic())
-                if waiting:
-                    soonest = max(
-                        0.0, min(r.eligible for r in waiting) - time.monotonic()
-                    )
-                    wait_for = soonest if wait_for is None else min(wait_for, soonest)
-                done, _ = wait(list(running), timeout=wait_for, return_when=FIRST_COMPLETED)
-                broken = False
-                for future in done:
-                    run, _deadline = running.pop(future)
-                    try:
-                        stats, wall = future.result()
-                    except Exception as exc:
-                        broken = broken or isinstance(exc, BrokenProcessPool)
-                        self._failed(run, exc, waiting, fatal)
-                    else:
-                        self.completed(run, stats, wall)
-                if broken:
-                    # every other in-flight future is doomed with the pool;
-                    # which run killed the worker is unknowable, so each
-                    # one consumes an attempt.
-                    doomed = BrokenProcessPool("worker pool broke while the job was in flight")
-                    for in_flight, _deadline in running.values():
-                        self._failed(in_flight, doomed, waiting, fatal)
-                    running.clear()
-                    self._kill_pool(pool)
-                    if self.pool_rebuilds >= self.MAX_POOL_REBUILDS:
-                        self._pool_unusable = True
-                        return list(ready) + waiting
-                    self.pool_rebuilds += 1
-                    _log.warning("[runner] worker pool broke; rebuilding it once")
-                    pool = new_pool()
-                    continue
-                now = time.monotonic()
-                expired = [
-                    future
-                    for future, (_run, deadline) in running.items()
-                    if deadline is not None and now >= deadline
-                ]
-                if expired:
-                    for future in expired:
-                        run, _deadline = running.pop(future)
-                        self._failed(run, None, waiting, fatal)
-                    # a running future cannot be cancelled: kill the pool
-                    # and resubmit the unexpired in-flight runs as-is.
-                    survivors = [run for run, _deadline in running.values()]
-                    running.clear()
-                    self._kill_pool(pool)
-                    ready.extend(survivors)
-                    pool = new_pool()
-            pool.shutdown(wait=True)
-            return []
-        except BaseException:
-            # KeyboardInterrupt (or a bug) mid-batch: terminate workers
-            # so none are orphaned; everything already recorded stays in
-            # the memo and on-disk cache.
-            self._kill_pool(pool)
-            raise
+    def _rebuild_pool(self) -> bool:
+        """Whether a batch's pool may replace a worker that died."""
+        if self.pool_rebuilds >= self.MAX_POOL_REBUILDS:
+            self._pool_unusable = True
+            return False
+        self.pool_rebuilds += 1
+        _log.warning("[runner] worker pool broke; rebuilding it once")
+        return True
 
     @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
+    def _kill_pool(pool: "ProcessPoolExecutor") -> None:
         """Terminate worker processes and discard queued work.
 
         ``shutdown`` alone would block on hung workers; terminating the
@@ -694,6 +608,7 @@ class Runner:
         )
         self.failures.append(record)
         if kind == "timeout":
+            self.timeouts += 1
             self.log_event("point-timed-out", run, message=message)
         if record.fatal:
             self.log_event("point-failed", run, kind=kind, message=message)

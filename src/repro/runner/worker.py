@@ -15,8 +15,8 @@ traces (the parent's memo also backs
 content-addressed store (:mod:`repro.kernel.store`) shares built traces
 across worker processes and runner invocations.
 
-:func:`exit_with_parent` is the pool initializer of both the runner's
-and the service's worker pools.
+Every pool worker, the runner's and the service's alike, runs
+:func:`exit_with_parent` when it starts (:mod:`repro.runner.pool`).
 """
 
 from __future__ import annotations

@@ -14,12 +14,13 @@ The service turns the batch reproduction into a traffic-serving system:
 * :mod:`repro.service.engine` — the asyncio engine tying them to the
   execution core: each point resolves through one
   :class:`~repro.runner.Runner`'s result store, failure step and
-  success step, the same ones batch runs use.  Around that core it
-  adds what a server needs: admission control with ``429`` +
-  ``Retry-After`` backpressure, priority dispatch, simulation in a
-  pool of spawned worker processes with a per-point watchdog that
-  kills a hung worker, cooperative cancellation of running jobs,
-  graceful drain on shutdown, and journal compaction;
+  success step, and simulates through the worker pool and attempt
+  loop of :mod:`repro.runner.pool`, the same ones pooled batch runs
+  use (spawned workers, a per-point watchdog that kills a hung
+  worker).  Around that core it adds what a server needs: admission
+  control with ``429`` + ``Retry-After`` backpressure, priority
+  dispatch, cooperative cancellation of running jobs, graceful drain
+  on shutdown, and journal compaction;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — a
   stdlib-only asyncio HTTP API (submit sweep → job id → poll / stream)
   and the matching blocking client;

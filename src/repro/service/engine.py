@@ -14,23 +14,20 @@ execution core together:
   :class:`~repro.runner.Runner` built from the :class:`ServiceConfig`:
   its store serves what is already known, and on a true miss
   :class:`~repro.service.dedup.SingleFlight` elects one leader per
-  key.  The leader runs :func:`repro.runner.worker.execute_point` (the
-  function behind ``Runner.run_points``) in the service's pool of
-  ``workers`` spawned processes, so simulations run in parallel and
-  off the event loop's GIL, and hands every failed attempt to the
-  runner's failure step and the result to its success step, so
-  retries, the failure taxonomy, the run log and the on-disk entries
-  are the batch runner's own.
+  key.  The leader resolves the point with the attempt loop a pooled
+  ``Runner.run_points`` batch uses (:func:`repro.runner.pool.resolve`),
+  running :func:`repro.runner.worker.execute_point` as this module
+  names it at call time (so a double installed here runs instead) in
+  a :class:`~repro.runner.pool.WorkerPool` of ``workers`` spawned
+  processes, so simulations run in parallel and off the event loop's
+  GIL.  Retries, the watchdog (``point_timeout``), what a worker's
+  death costs, the failure taxonomy, the run log and the on-disk
+  entries are therefore the batch runner's own.
 
 What stays here is what a long-lived server needs and a batch does not.
-The **watchdog** (``point_timeout``) times each attempt from the moment
-its worker starts it, not from submission: a freshly spawned worker
-first spends a few tenths of a second importing the simulator.  An
-attempt that outlives it is handled as ``Runner._run_pooled`` handles
-one: the pool is killed and rebuilt, the expired attempt fails as a
-``timeout``, and the other attempts in flight are resubmitted at the
-same attempt number.  A worker that dies by itself instead costs every
-attempt in flight one ``crash``, the runner's rule too.
+The pool lives as long as the service, spawns its workers (this process
+has threads) with the first attempt, and replaces them after every kill
+or death, where a batch gives up after the second death.
 
 Shutdown is two-mode.  ``stop()`` is the hard path: dispatchers are
 cancelled mid-job and the journal's replay re-queues whatever was
@@ -54,22 +51,18 @@ from __future__ import annotations
 
 import asyncio
 import datetime
-import functools
-import inspect
 import json
 import multiprocessing
 import time
-import weakref
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import AsyncIterator, Dict, List, Optional, Tuple
+from typing import AsyncIterator, Dict, List, Optional
 
 from repro import __version__
 from repro.obs.log import JsonlSink, get_logger
 from repro.obs.metrics import MetricsRegistry
-from repro.runner import PointFailureError, PointRun, Runner, SimPoint
-from repro.runner.worker import execute_point, exit_with_parent
+from repro.runner import FailureRecord, PointFailureError, PointRun, Runner, SimPoint
+from repro.runner.pool import WorkerPool, resolve
+from repro.runner.worker import execute_point
 from repro.service.dedup import FlightCancelled, SingleFlight
 from repro.service.queue import Job, JobQueue, JobState
 from repro.service.schema import SweepRequest, parse_sweep_request
@@ -85,30 +78,6 @@ _log = get_logger("repro.service")
 #: pool workers are spawned, never forked: the server process has
 #: threads (the pool's own manager thread among them).
 _SPAWN = multiprocessing.get_context("spawn")
-
-#: in a pool worker, the start stamps shared with the service (one
-#: monotonic time per slot; 0 = not started).  Unset in the server.
-_started = None
-
-
-def _init_worker(started) -> None:
-    global _started
-    _started = started
-    exit_with_parent()
-
-
-def _stamped(target, slot: int, point: SimPoint, attempt: int):
-    """One attempt in a pool worker: stamp its start, then run it.
-
-    ``time.monotonic`` is one clock for every process on the host, so
-    the server's watchdog reads the stamp directly.
-    """
-    _started[slot] = time.monotonic()
-    return target(point, attempt)
-
-
-class _Expired(Exception):
-    """The attempt outlived the watchdog; its worker is dead."""
 
 
 class AdmissionError(RuntimeError):
@@ -216,23 +185,12 @@ class SimulationService:
         self.store = self.runner.store
         self.flight = SingleFlight()
         self.run_log = config.run_log
-        self.timeouts = 0
         self.rejected: Dict[str, int] = {}
         self._job_tasks: Dict[str, List["asyncio.Task"]] = {}
-        #: the pool attempts go to: spawned by the first attempt, so no
-        #: worker starts before the service answers, and replaced after
-        #: a kill or a worker's death.
-        self._pool: Optional[ProcessPoolExecutor] = None
-        #: pools the watchdog or ``stop()`` killed, and when: their
-        #: attempts in flight are resubmitted, not failed.
-        self._killed: "weakref.WeakKeyDictionary[ProcessPoolExecutor, float]" = (
-            weakref.WeakKeyDictionary()
-        )
-        #: free slot numbers; an attempt holds one until its worker is
-        #: done with it, so at most ``workers`` are in the pool at once.
-        self._slots: Optional["asyncio.Queue[int]"] = None
-        #: per slot, when its attempt began in the worker (shared memory).
-        self._started = None
+        #: where every attempt runs, built by ``start()``: its workers
+        #: start with the first attempt, so none starts before the
+        #: service answers, and are replaced after every kill or death.
+        self._pool: Optional[WorkerPool] = None
         self._dispatchers: List["asyncio.Task"] = []
         self._wake: Optional[asyncio.Event] = None
         self._progress: Optional[asyncio.Condition] = None
@@ -321,7 +279,7 @@ class SimulationService:
         self._m_store_misses.set_total(store["misses"])
         self._m_simulated.set_total(self.runner.simulated)
         self._m_sim_seconds.set_total(self.runner.sim_seconds)
-        self._m_timeouts.set_total(self.timeouts)
+        self._m_timeouts.set_total(self.runner.timeouts)
         for reason, count in self.rejected.items():
             self._m_rejected.labels(reason=reason).set_total(count)
         by_state: Dict[str, int] = {}
@@ -354,9 +312,7 @@ class SimulationService:
 
     async def start(self) -> None:
         """Spawn the dispatchers; resumes any journal-recovered jobs."""
-        self._slots = asyncio.Queue()
-        for slot in range(self.config.workers):
-            self._slots.put_nowait(slot)
+        self._pool = WorkerPool(self.config.workers, _SPAWN, self.runner.timeout)
         self._wake = asyncio.Event()
         self._progress = asyncio.Condition()
         self._stopping = False
@@ -429,7 +385,7 @@ class SimulationService:
                     f"{len(requeued)} interrupted job(s)"
                 )
         if self._pool is not None:
-            self._drop(self._pool, killed=True)
+            self._pool.kill()
         self.queue.close()
         if self.run_log is not None:
             self.run_log.close()
@@ -651,121 +607,19 @@ class SimulationService:
     # -- the leader path ---------------------------------------------------
 
     async def _compute(self, job: Job, point: SimPoint, key: str) -> None:
-        """Leader path: attempts under the watchdog until one lands or
-        the runner's failure step gives the point up."""
+        """Leader path: the runner's attempt loop on the service's pool,
+        until an attempt lands or the runner gives the point up."""
         run = PointRun(key, point, trace_id=job.trace_id)
-        records: list = []
-        while True:
-            self.runner.log_event("point-started", run)
-            try:
-                result = await self._attempt(run)
-            except _Expired:
-                self.timeouts += 1
-                self._failure(job, run, records, None)
-            except Exception as exc:
-                self._failure(job, run, records, exc)
-            else:
-                if result is not None:
-                    break
-                continue  # killed for another attempt: the same attempt again
-            await asyncio.sleep(max(0.0, run.eligible - time.monotonic()))
-        stats, wall = result
+        records: List[FailureRecord] = []
+
+        def failed(record: FailureRecord) -> None:
+            records.append(record)
+            job.failures.append(record.to_dict())
+
+        wall = await resolve(self.runner, self._pool, run, execute_point, failed)
+        if wall is None:
+            raise PointFailureError(records)
         self._m_point_seconds.observe(wall)
-        self.runner.completed(run, stats, wall)
-
-    async def _attempt(
-        self, run: PointRun
-    ) -> Optional[Tuple[Dict[str, object], float]]:
-        """Run one attempt in the pool: ``(stats, wall)``, or None when
-        a kill meant for another attempt (or a worker that died before
-        this one was submitted) took it down unharmed.  Raises what the
-        attempt raised, or :class:`_Expired`."""
-        assert self._slots is not None
-        slot = await self._slots.get()
-        # a wrapper installed in this process (a profiler's span) cannot
-        # cross into the worker: the worker runs the function it wraps.
-        target = inspect.unwrap(execute_point)
-        while True:
-            pool = self._live_pool()
-            self._started[slot] = 0.0
-            try:
-                future = asyncio.wrap_future(
-                    pool.submit(_stamped, target, slot, run.point, run.attempt)
-                )
-            except BrokenProcessPool:
-                self._drop(pool)  # a worker died before anyone noticed
-                continue
-            break
-        # the slot frees when the worker does, even if this task is
-        # cancelled first: a worker still busy takes no new attempt.
-        future.add_done_callback(functools.partial(self._free, slot, pool))
-        timeout = self.config.point_timeout
-        began: Optional[float] = None
-        while not future.done():
-            remaining = None
-            if timeout is not None:
-                # not started yet: the window cannot open before now.
-                began = self._started[slot] or None
-                remaining = (began or time.monotonic()) + timeout - time.monotonic()
-                if remaining <= 0:
-                    self._drop(pool, killed=True)
-                    raise _Expired()
-            await asyncio.wait((future,), timeout=remaining)
-        if future.cancelled():
-            return None  # still queued when a kill shut the pool down
-        try:
-            return future.result()
-        except BrokenProcessPool:
-            killed_at = self._killed.get(pool)
-            if killed_at is None:
-                raise
-            if began is not None and began + timeout <= killed_at:
-                raise _Expired() from None  # expired beside the killer
-            return None
-
-    def _live_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            if self._started is None:
-                self._started = _SPAWN.Array("d", self.config.workers, lock=False)
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.config.workers,
-                mp_context=_SPAWN,
-                initializer=_init_worker,
-                initargs=(self._started,),
-            )
-        return self._pool
-
-    def _drop(self, pool: ProcessPoolExecutor, killed: bool = False) -> None:
-        """Send no more attempts to ``pool``; kill and reap its workers.
-
-        ``killed`` marks a kill by this service (watchdog or ``stop``)
-        rather than a worker's own death, so the pool's other attempts
-        in flight are resubmitted instead of failed.
-        """
-        if killed:
-            self._killed[pool] = time.monotonic()
-        if self._pool is pool:
-            self._pool = None
-        Runner._kill_pool(pool)
-
-    def _free(self, slot: int, pool: ProcessPoolExecutor, future) -> None:
-        """Done-callback of an attempt's future: its worker is free."""
-        if (
-            not future.cancelled()
-            and isinstance(future.exception(), BrokenProcessPool)
-            and self._pool is pool
-        ):
-            self._drop(pool)  # a worker died: the pool takes no more work
-        self._slots.put_nowait(slot)
-
-    def _failure(self, job, run, records, error) -> None:
-        """Hand one failed attempt to the runner's failure step; raises
-        :class:`PointFailureError` once the point is given up."""
-        record = self.runner.fail(run, error)
-        records.append(record)
-        job.failures.append(record.to_dict())
-        if record.fatal:
-            raise PointFailureError(records) from error
 
     # -- observation -------------------------------------------------------
 
@@ -888,7 +742,7 @@ class SimulationService:
             },
             "watchdog": {
                 "point_timeout": self.config.point_timeout,
-                "timeouts": self.timeouts,
+                "timeouts": self.runner.timeouts,
             },
             "journal": {
                 "path": str(self.queue.journal_path),

@@ -506,6 +506,38 @@ class TestInterrupt:
                     proc.kill()
                     proc.join()
 
+    def test_ctrl_c_during_a_pooled_batch_leaves_no_worker(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        plan = FaultPlan([FaultSpec(match="mcf", fault="hang", hang_seconds=20.0)])
+        env[faults_mod.ENV_FAULT_PLAN] = plan.to_json()
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _POOLED_RUNNER],
+            env=env,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2:
+                assert time.monotonic() < deadline, "pool workers never started"
+                time.sleep(0.05)
+                workers = _children(proc.pid)
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=5)
+            assert proc.returncode == -signal.SIGINT
+            assert "KeyboardInterrupt" in err
+            assert not any(_alive(pid) for pid in workers)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+            for pid in workers:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+
     def test_sigkill_leaves_no_pool_worker_behind(self):
         env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
         plan = FaultPlan([FaultSpec(match="mcf", fault="hang", hang_seconds=20.0)])

@@ -6,8 +6,13 @@ worker, the in-memory memo, or a cold read from the on-disk cache —
 the resulting ``SimStats`` must be identical field by field.
 """
 
+import asyncio
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +27,7 @@ from repro.workloads import build_trace
 
 REFS = 1_500
 BENCHMARKS = ("mcf", "swim")
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def make_points(benchmarks=BENCHMARKS, config=None, refs=REFS):
@@ -58,6 +64,18 @@ class TestRunnerDeterminism:
         serial = Runner(jobs=1, cache_dir=None).run_points(points)
         parallel = Runner(jobs=4, cache_dir=None).run_points(points)
         for a, b in zip(serial, parallel):
+            assert_stats_equal(a, b)
+
+    def test_parallel_inside_a_running_event_loop_matches_serial(self):
+        # a pooled batch runs its own event loop; called where one
+        # already runs (a notebook cell), it must still work.
+        points = make_points()
+        serial = Runner(jobs=1, cache_dir=None).run_points(points)
+
+        async def inside():
+            return Runner(jobs=2, cache_dir=None).run_points(points)
+
+        for a, b in zip(serial, asyncio.run(inside())):
             assert_stats_equal(a, b)
 
     def test_disk_cached_matches_fresh(self, tmp_path):
@@ -374,3 +392,22 @@ class TestCrossProcessDeterminism:
         with ctx.Pool(1) as pool:
             child = pool.apply(_trace_sha256, ("mcf", 1_500))
         assert child == _trace_sha256("mcf", 1_500)
+
+
+class TestImportCost:
+    def test_importing_the_runner_leaves_asyncio_unloaded(self):
+        """Only a pooled batch loads :mod:`asyncio` (through
+        ``repro.runner.pool``): an inline sweep's start-up never pays
+        for it."""
+        out = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.runner; print('asyncio' in sys.modules)",
+            ],
+            env=dict(os.environ, PYTHONPATH=str(SRC_DIR)),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.strip() == "False"

@@ -420,14 +420,20 @@ class TestOneExecutionCore:
                 {"jobs": 2, "timeout": 2.0},
                 {"point_timeout": 2.0},
             ),
+            # pooled too: inline, ``exit`` degrades to a raise.
+            (
+                faults.FaultSpec(match="mcf", fault="exit", attempts=(0,)),
+                {"jobs": 2},
+                {},
+            ),
         ],
-        ids=["transient-raise", "permanent-raise", "hang"],
+        ids=["transient-raise", "permanent-raise", "hang", "worker-death"],
     )
     def test_both_engines_write_the_same_records(
         self, tmp_path, monkeypatch, spec, runner_knobs, service_knobs
     ):
         _install(faults.FaultPlan([spec]), monkeypatch)
-        benchmarks = ("mcf", "swim") if spec.fault == "hang" else ("mcf",)
+        benchmarks = ("mcf", "swim") if runner_knobs["jobs"] > 1 else ("mcf",)
         (tmp_path / "runner").mkdir()
         (tmp_path / "service").mkdir()
         batch = self._through_runner(tmp_path / "runner", benchmarks, **runner_knobs)
