@@ -27,11 +27,14 @@ simulator:
   trace: the numpy workload-generation path.
 
 The full-system scenarios run the ``repro.kernel`` fast kernel — the
-code every unobserved, unsanitized point executes.  Only trace
-construction is memoized (the runner worker's per-process trace memo,
-filled during the harness's untimed warm-up iteration); every timed
-repeat compiles its columns and simulates its warm-up, as every cold
-point does.  Their event counters are byte-identical to the reference
+code every unobserved, unsanitized point executes.  Two things are
+memoized across repeats, both filled during the harness's untimed
+warm-up iteration: trace construction (the runner worker's per-process
+trace memo) and the machine state after the warm-up's shared filler
+prefix (:mod:`repro.kernel.memo`).  Every timed repeat compiles its
+columns, restores that state and simulates the rest of its warm-up, as
+every cold point after a sweep's first benchmark does; the counters
+are the same either way.  They are byte-identical to the reference
 kernel's, so the committed baseline also gates fast-vs-reference
 equivalence in CI.
 """

@@ -30,7 +30,6 @@ from them that changed.  It exits 1 when anything differs.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -422,6 +421,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"{identical} identical, {changed} changed")
     return 1 if changed else 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -14,6 +14,10 @@ behaviour, the input to the trace-driven core model:
 * ``pcs``    — synthetic "instruction address" (stream id) of the
   access, used by PC-indexed prefetchers such as the stride baseline.
 
+``shared_prefix`` counts the leading records that other traces share
+byte for byte (the warm-up's cache filler, the same for every benchmark
+at one L2 size); the fast kernel memoizes the machine state after them.
+
 IFETCH records model instruction-cache pressure; they carry no
 instruction count of their own (``gaps`` accounts for all computation).
 Software-prefetch (SWPF) records are discarded at fetch unless the
@@ -45,11 +49,14 @@ class Trace:
     deps: np.ndarray
     pcs: np.ndarray
     description: str = ""
+    shared_prefix: int = 0
 
     def __post_init__(self) -> None:
         lengths = {len(self.kinds), len(self.gaps), len(self.addrs), len(self.deps), len(self.pcs)}
         if len(lengths) != 1:
             raise ValueError(f"trace columns disagree on length: {sorted(lengths)}")
+        if not 0 <= self.shared_prefix <= len(self.kinds):
+            raise ValueError(f"shared prefix {self.shared_prefix} outside the trace")
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -88,11 +95,13 @@ class Trace:
             pcs=self.pcs,
             name=np.array(self.name),
             description=np.array(self.description),
+            shared_prefix=np.array(self.shared_prefix),
         )
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "Trace":
-        """Load a trace previously written by :meth:`save`."""
+        """Load a trace previously written by :meth:`save` (a file saved
+        before ``shared_prefix`` existed loads with none)."""
         with np.load(path, allow_pickle=False) as data:
             return cls(
                 name=str(data["name"]),
@@ -102,6 +111,7 @@ class Trace:
                 deps=data["deps"],
                 pcs=data["pcs"],
                 description=str(data["description"]),
+                shared_prefix=int(data["shared_prefix"]) if "shared_prefix" in data else 0,
             )
 
     def concat(self, other: "Trace", name: str = "") -> "Trace":

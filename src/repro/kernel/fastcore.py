@@ -48,19 +48,23 @@ Three rules keep the float results exact rather than merely close:
   non-negative simulation times, so the selected value is equal even
   when the argument order differs.
 
-**Nothing outlives a point.**  A ``FastSystem`` holds the machine
-state of one point (warm-up, then the measured run) and the kernel keeps
-no process-wide memo: each run reads only the trace's base columns and
-derives every record's L1 block and set and its L2 block inline (from
-the raw address, as ``MemoryHierarchy._l2_access`` does, so every L1
-geometry is exact), with the same arithmetic as the reference
-components.  DRAM coordinates are memoized per point: a block's
-``(bank, row)`` depends only on ``block >> coord_shift``, so each such
-key is translated on its first access, by the controller's own
-``AddressMapping.translate``, and kept in a dict on the instance, which
-dies with the point like the cache and bank state.  A
-cold sweep never repeats a ``(config, warm-up)`` pair, so a process-wide
-memo would only hold memory.
+**Only the post-prefix snapshot outlives a point.**  A ``FastSystem``
+holds the machine state of one point (warm-up, then the measured run):
+each run reads only the trace's base columns and derives every record's
+L1 block and set and its L2 block inline (from the raw address, as
+``MemoryHierarchy._l2_access`` does, so every L1 geometry is exact),
+with the same arithmetic as the reference components.  DRAM coordinates
+are memoized per point: a block's ``(bank, row)`` depends only on
+``block >> coord_shift``, so each such key is translated on its first
+access, by the controller's own ``AddressMapping.translate``, and kept
+in a dict on the instance, which dies with the point like the cache and
+bank state.  A cold sweep never repeats a ``(config, warm-up)`` pair,
+but it does repeat the warm-up's first records: every benchmark's
+warm-up opens with the same cache filler at one L2 size
+(``Trace.shared_prefix`` counts it).  So the first warm-up of a fresh
+system walks its records in two segments and snapshots the machine in
+between, and a later point of the same configuration restores that
+snapshot and walks only the second (:mod:`repro.kernel.memo`).
 
 State layout notes: a cache line is ``[block, dirty, prefetched,
 ready_time]``; L1 fills skip the reference's merge check because
@@ -72,7 +76,11 @@ merge check whenever a prefetcher exists — a gap-drained prefetch
 
 from __future__ import annotations
 
+import copy
+import pickle
 from heapq import heappop, heappush
+from itertools import islice
+from typing import Optional
 
 from repro.cache.replacement import insertion_index
 from repro.core.config import SystemConfig
@@ -80,6 +88,7 @@ from repro.core.stats import SimStats
 from repro.dram.backends import get_backend
 from repro.dram.channel import AccessOutcome
 from repro.dram.mapping import make_mapping
+from repro.kernel import memo
 from repro.kernel.compiled import CompiledTrace
 from repro.prefetch.engine import THROTTLE_PROBE_PERIOD
 from repro.prefetch.stride import StridePrefetcher
@@ -105,13 +114,15 @@ class FastSystem:
 
     Cache, DRAM-bank, row-timing-policy and prefetcher state persist
     across runs (warm-up then measurement), exactly like the reference
-    ``System``, and die with the instance.
+    ``System``, and die with the instance; only a snapshot of the state
+    after a warm-up trace's shared prefix outlives it (:mod:`repro.kernel.memo`).
     """
 
     def __init__(self, config: SystemConfig) -> None:
         self.config = config.validate()
         self.stats = SimStats()
         self._clock = 0.0
+        self._fresh = True  # no run yet: a warm-up may use the memo
 
         core = config.core
         self._issue_width = float(core.issue_width)
@@ -239,16 +250,73 @@ class FastSystem:
 
     def warmup(self, compiled: CompiledTrace) -> None:
         """Warm caches/DRAM/prefetcher state, then zero the statistics;
-        the clock keeps advancing, as in the reference ``System``."""
-        self._clock = self._run(compiled, self._clock)
+        the clock keeps advancing, as in the reference ``System``.
+
+        On a system that has not run yet, the trace's shared prefix goes
+        through :data:`repro.kernel.memo.SNAPSHOTS`: a hit restores the
+        machine as it stands after the prefix and simulates only the
+        rest; a miss simulates the prefix, memoizes that state and
+        carries on."""
+        self._clock = self._run(compiled, self._clock, memoize=self._fresh)
         self.stats.reset()
+
+    # -- the post-prefix snapshot ----------------------------------------------
+
+    def _snapshot(self, buses: tuple, throttle: tuple, core: tuple) -> Optional[memo.Snapshot]:
+        """This machine mid-run; ``buses``, ``throttle`` and ``core`` are
+        the run's locals.  None when the row-timing policy or the stride
+        engine cannot be pickled (a plug-in backend's, say)."""
+        stride = self._prefetcher
+        if stride is not None:
+            stride = copy.copy(stride)
+            stride.stats = None  # rebound to the restoring system's stats
+        state = (
+            self._open_rows, self._busy_until, self._flushed_rows, buses,
+            self._coords, self._pf_entries, throttle, self._policy, stride, core,
+        )
+        try:
+            blob = pickle.dumps(state, pickle.HIGHEST_PROTOCOL)
+        except (pickle.PicklingError, AttributeError, TypeError):
+            return None
+        caches = tuple(
+            memo.flatten(sets) for sets in (self._l1i_sets, self._l1d_sets, self._l2_sets)
+        )
+        return memo.Snapshot(caches, blob)
+
+    def _restore(self, snapshot: memo.Snapshot) -> tuple:
+        """Take on ``snapshot``'s machine state; returns the core loop's."""
+        self._l1i_sets, self._l1i_tags = memo.unflatten(snapshot.caches[0])
+        self._l1d_sets, self._l1d_tags = memo.unflatten(snapshot.caches[1])
+        self._l2_sets, self._l2_tags = memo.unflatten(snapshot.caches[2])
+        (
+            self._open_rows, self._busy_until, self._flushed_rows, buses,
+            self._coords, self._pf_entries, throttle, self._policy, stride, core,
+        ) = pickle.loads(snapshot.state)
+        self._row_free, self._col_free, self._data_free = buses
+        self._pf_outcome_total, self._pf_outcome_useful, self._pf_throttle_skips = throttle
+        if stride is not None:
+            stride.stats = self.stats
+            self._prefetcher = stride
+        return core
 
     # -- the kernel -----------------------------------------------------------
 
-    def _run(self, compiled: CompiledTrace, start_time: float) -> float:
+    def _run(self, compiled: CompiledTrace, start_time: float, memoize: bool = False) -> float:
+        self._fresh = False
+        # The shared prefix: restore the state after it, or memoize that
+        # state on the way past (``memo_key`` stays set for the miss).
+        prefix = compiled.trace.shared_prefix if memoize else 0
+        memo_key = core = None
+        if prefix:
+            memo_key = memo.prefix_key(self.config, compiled.trace)
+            snapshot = memo.SNAPSHOTS.get(memo_key)
+            if snapshot is not None:
+                core = self._restore(snapshot)
+                memo_key = None
+
         stats = self.stats
 
-        kinds_col, gaps_col, addrs_col, deps_col, pcs_col = compiled.base_columns()
+        columns = compiled.base_columns()
 
         # Hoisted configuration scalars.
         issue_width = self._issue_width
@@ -758,215 +826,241 @@ class FastSystem:
             tags[block] = line
             return completion
 
-        # Per-run core state (fresh each run, like the reference).
-        i_heap: list = []
-        d_heap: list = []
-        win_index: list = []
-        win_done: list = []
+        # Per-run core state (fresh each run, like the reference), or as
+        # a restored snapshot left it after the prefix.
+        if core is None:
+            i_heap: list = []
+            d_heap: list = []
+            win_index: list = []
+            win_done: list = []
+            chain_completion: dict = {}
+            dispatch = start_time
+            commit_front = start_time
+            end_time = start_time
+            inst_count = 0
+        else:
+            (
+                i_heap, d_heap, win_index, win_done, chain_completion,
+                dispatch, commit_front, end_time, inst_count,
+            ) = core
         win_head = 0  # popleft index into the parallel win_* lists
-        win_live = 0  # len(win_index) - win_head
-        chain_completion: dict = {}
+        win_live = len(win_index)  # len(win_index) - win_head
         chain_get = chain_completion.get
-        dispatch = start_time
-        commit_front = start_time
-        end_time = start_time
-        inst_count = 0
         loads = stores = ifetches = swprefetches = 0
 
-        for kind, gap, addr, dep, pc in zip(
-            kinds_col, gaps_col, addrs_col, deps_col, pcs_col
-        ):
-            if kind == 3 and not use_swpf:  # discarded software prefetch
+        # The records, in one or two segments of one walk: after a
+        # restore, those past the prefix; on a memo miss, the prefix
+        # and then the rest, with the snapshot taken in between.
+        if core is not None:
+            columns = [islice(column, prefix, None) for column in columns]
+        records = zip(*columns)
+        segments = (records,) if memo_key is None else (islice(records, prefix), records)
+        for segment in segments:
+            for kind, gap, addr, dep, pc in segment:
+                if kind == 3 and not use_swpf:  # discarded software prefetch
+                    if gap:
+                        inst_count += gap
+                        dispatch += gap / issue_width
+                    continue
+
                 if gap:
                     inst_count += gap
                     dispatch += gap / issue_width
-                continue
 
-            if gap:
-                inst_count += gap
-                dispatch += gap / issue_width
-
-            if kind == 2:  # instruction fetch
-                ifetches += 1
-                # i_mshrs.acquire(dispatch)
-                while i_heap and i_heap[0] <= dispatch:
-                    heappop(i_heap)
-                if len(i_heap) < i_entries:
-                    ready = dispatch
-                else:
-                    i_stalls += 1
-                    ready = heappop(i_heap)
-                    while i_heap and i_heap[0] <= ready:
+                if kind == 2:  # instruction fetch
+                    ifetches += 1
+                    # i_mshrs.acquire(dispatch)
+                    while i_heap and i_heap[0] <= dispatch:
                         heappop(i_heap)
-                # hierarchy.access(ready, addr, IFETCH)
+                    if len(i_heap) < i_entries:
+                        ready = dispatch
+                    else:
+                        i_stalls += 1
+                        ready = heappop(i_heap)
+                        while i_heap and i_heap[0] <= ready:
+                            heappop(i_heap)
+                    # hierarchy.access(ready, addr, IFETCH)
+                    if perfect_memory:
+                        completion = ready + l1i_lat
+                    else:
+                        blk = addr & l1i_block_mask
+                        sidx = (blk >> l1i_offset_bits) & l1i_index_mask
+                        tags = l1i_tags[sidx]
+                        line = tags.get(blk)
+                        if line is not None:
+                            lines = l1i_sets[sidx]
+                            if lines[0] is not line:
+                                lines.remove(line)
+                                lines.insert(0, line)
+                            l1i_hits += 1
+                            hit_done = ready + l1i_lat
+                            line_ready = line[3]
+                            if line_ready > ready:
+                                l1i_del += 1
+                                completion = (
+                                    line_ready if line_ready > hit_done else hit_done
+                                )
+                            else:
+                                completion = hit_done
+                        else:
+                            l1i_miss += 1
+                            t2 = ready + l1i_lat
+                            block = addr & l2_block_mask
+                            completion = l2_access(
+                                t2, block, (block >> l2_offset_bits) & l2_index_mask, pc
+                            )
+                            lines = l1i_sets[sidx]
+                            victim = None
+                            if len(lines) >= l1i_assoc:
+                                victim = lines.pop()
+                                del tags[victim[0]]
+                                l1i_evict += 1
+                            line = [blk, False, False, completion]
+                            lines.insert(0, line)
+                            tags[blk] = line
+                            if victim is not None and victim[1]:
+                                # _l1_writeback (unreachable for the read-only
+                                # L1I, kept for structural parity).
+                                vblock = victim[0] & l2_block_mask
+                                vline = l2_tags[
+                                    (vblock >> l2_offset_bits) & l2_index_mask
+                                ].get(vblock)
+                                if vline is not None:
+                                    vline[1] = True
+                                elif not perfect_l2:
+                                    chan_access(completion, vblock, wb_cls)
+                                    l2_wb += 1
+                                l1i_wb += 1
+                            heappush(i_heap, completion)
+                            if completion > dispatch:
+                                dispatch = completion
+                    if completion > end_time:
+                        end_time = completion
+                    continue
+
+                inst_count += 1
+                index = inst_count
+                dispatch += issue_slot
+
+                if win_live:
+                    horizon = index - window_size
+                    while win_live and (
+                        win_index[win_head] <= horizon or win_live >= lsq_size
+                    ):
+                        done = win_done[win_head]
+                        win_head += 1
+                        win_live -= 1
+                        if done > commit_front:
+                            commit_front = done
+                            if commit_front > dispatch:
+                                dispatch = commit_front
+                    if win_head > 4096:  # keep the parallel lists bounded
+                        del win_index[:win_head]
+                        del win_done[:win_head]
+                        win_head = 0
+
+                issue = dispatch
+                if dep:
+                    ready = chain_get(pc, start_time)
+                    if ready > issue:
+                        issue = ready
+
+                # d_mshrs.acquire(issue)
+                while d_heap and d_heap[0] <= issue:
+                    heappop(d_heap)
+                if len(d_heap) >= d_entries:
+                    d_stalls += 1
+                    issue = heappop(d_heap)
+                    while d_heap and d_heap[0] <= issue:
+                        heappop(d_heap)
+
+                # hierarchy.access(issue, addr, kind)
                 if perfect_memory:
-                    completion = ready + l1i_lat
+                    completion = issue + l1d_lat
+                    missed = False
                 else:
-                    blk = addr & l1i_block_mask
-                    sidx = (blk >> l1i_offset_bits) & l1i_index_mask
-                    tags = l1i_tags[sidx]
+                    blk = addr & l1d_block_mask
+                    sidx = (blk >> l1d_offset_bits) & l1d_index_mask
+                    tags = l1d_tags[sidx]
                     line = tags.get(blk)
                     if line is not None:
-                        lines = l1i_sets[sidx]
+                        lines = l1d_sets[sidx]
                         if lines[0] is not line:
                             lines.remove(line)
                             lines.insert(0, line)
-                        l1i_hits += 1
-                        hit_done = ready + l1i_lat
+                        if kind == 1:
+                            line[1] = True
+                        l1d_hits += 1
+                        hit_done = issue + l1d_lat
                         line_ready = line[3]
-                        if line_ready > ready:
-                            l1i_del += 1
-                            completion = (
-                                line_ready if line_ready > hit_done else hit_done
-                            )
+                        if line_ready > issue:
+                            l1d_del += 1
+                            completion = line_ready if line_ready > hit_done else hit_done
                         else:
                             completion = hit_done
+                        missed = False
                     else:
-                        l1i_miss += 1
-                        t2 = ready + l1i_lat
+                        l1d_miss += 1
+                        t2 = issue + l1d_lat
                         block = addr & l2_block_mask
                         completion = l2_access(
                             t2, block, (block >> l2_offset_bits) & l2_index_mask, pc
                         )
-                        lines = l1i_sets[sidx]
-                        victim = None
-                        if len(lines) >= l1i_assoc:
+                        lines = l1d_sets[sidx]
+                        if len(lines) >= l1d_assoc:
                             victim = lines.pop()
                             del tags[victim[0]]
-                            l1i_evict += 1
-                        line = [blk, False, False, completion]
+                            l1d_evict += 1
+                            if victim[1]:
+                                # _l1_writeback(completion, victim_addr), ahead
+                                # of the L1 fill it reads nothing of.
+                                vblock = victim[0] & l2_block_mask
+                                vline = l2_tags[
+                                    (vblock >> l2_offset_bits) & l2_index_mask
+                                ].get(vblock)
+                                if vline is not None:
+                                    vline[1] = True
+                                elif not perfect_l2:
+                                    chan_access(completion, vblock, wb_cls)
+                                    l2_wb += 1
+                                l1d_wb += 1
+                        line = [blk, kind == 1, False, completion]
                         lines.insert(0, line)
                         tags[blk] = line
-                        if victim is not None and victim[1]:
-                            # _l1_writeback (unreachable for the read-only
-                            # L1I, kept for structural parity).
-                            vblock = victim[0] & l2_block_mask
-                            vline = l2_tags[
-                                (vblock >> l2_offset_bits) & l2_index_mask
-                            ].get(vblock)
-                            if vline is not None:
-                                vline[1] = True
-                            elif not perfect_l2:
-                                chan_access(completion, vblock, wb_cls)
-                                l2_wb += 1
-                            l1i_wb += 1
-                        heappush(i_heap, completion)
-                        if completion > dispatch:
-                            dispatch = completion
+                        missed = True
+
+                if missed:
+                    heappush(d_heap, completion)
+
+                if kind == 0:  # load
+                    loads += 1
+                    win_live += 1
+                    win_index.append(index)
+                    win_done.append(completion)
+                    chain_completion[pc] = completion
+                elif kind == 1:  # store
+                    stores += 1
+                    win_live += 1
+                    win_index.append(index)
+                    win_done.append(issue + 1)  # STORE_COMMIT_LATENCY
+                else:  # executed software prefetch
+                    swprefetches += 1
+
                 if completion > end_time:
                     end_time = completion
-                continue
 
-            inst_count += 1
-            index = inst_count
-            dispatch += issue_slot
-
-            if win_live:
-                horizon = index - window_size
-                while win_live and (
-                    win_index[win_head] <= horizon or win_live >= lsq_size
-                ):
-                    done = win_done[win_head]
-                    win_head += 1
-                    win_live -= 1
-                    if done > commit_front:
-                        commit_front = done
-                        if commit_front > dispatch:
-                            dispatch = commit_front
-                if win_head > 4096:  # keep the parallel lists bounded
-                    del win_index[:win_head]
-                    del win_done[:win_head]
-                    win_head = 0
-
-            issue = dispatch
-            if dep:
-                ready = chain_get(pc, start_time)
-                if ready > issue:
-                    issue = ready
-
-            # d_mshrs.acquire(issue)
-            while d_heap and d_heap[0] <= issue:
-                heappop(d_heap)
-            if len(d_heap) >= d_entries:
-                d_stalls += 1
-                issue = heappop(d_heap)
-                while d_heap and d_heap[0] <= issue:
-                    heappop(d_heap)
-
-            # hierarchy.access(issue, addr, kind)
-            if perfect_memory:
-                completion = issue + l1d_lat
-                missed = False
-            else:
-                blk = addr & l1d_block_mask
-                sidx = (blk >> l1d_offset_bits) & l1d_index_mask
-                tags = l1d_tags[sidx]
-                line = tags.get(blk)
-                if line is not None:
-                    lines = l1d_sets[sidx]
-                    if lines[0] is not line:
-                        lines.remove(line)
-                        lines.insert(0, line)
-                    if kind == 1:
-                        line[1] = True
-                    l1d_hits += 1
-                    hit_done = issue + l1d_lat
-                    line_ready = line[3]
-                    if line_ready > issue:
-                        l1d_del += 1
-                        completion = line_ready if line_ready > hit_done else hit_done
-                    else:
-                        completion = hit_done
-                    missed = False
-                else:
-                    l1d_miss += 1
-                    t2 = issue + l1d_lat
-                    block = addr & l2_block_mask
-                    completion = l2_access(
-                        t2, block, (block >> l2_offset_bits) & l2_index_mask, pc
-                    )
-                    lines = l1d_sets[sidx]
-                    if len(lines) >= l1d_assoc:
-                        victim = lines.pop()
-                        del tags[victim[0]]
-                        l1d_evict += 1
-                        if victim[1]:
-                            # _l1_writeback(completion, victim_addr), ahead
-                            # of the L1 fill it reads nothing of.
-                            vblock = victim[0] & l2_block_mask
-                            vline = l2_tags[
-                                (vblock >> l2_offset_bits) & l2_index_mask
-                            ].get(vblock)
-                            if vline is not None:
-                                vline[1] = True
-                            elif not perfect_l2:
-                                chan_access(completion, vblock, wb_cls)
-                                l2_wb += 1
-                            l1d_wb += 1
-                    line = [blk, kind == 1, False, completion]
-                    lines.insert(0, line)
-                    tags[blk] = line
-                    missed = True
-
-            if missed:
-                heappush(d_heap, completion)
-
-            if kind == 0:  # load
-                loads += 1
-                win_live += 1
-                win_index.append(index)
-                win_done.append(completion)
-                chain_completion[pc] = completion
-            elif kind == 1:  # store
-                stores += 1
-                win_live += 1
-                win_index.append(index)
-                win_done.append(issue + 1)  # STORE_COMMIT_LATENCY
-            else:  # executed software prefetch
-                swprefetches += 1
-
-            if completion > end_time:
-                end_time = completion
+            if segment is not records:
+                # The prefix is done: memoize the machine as it stands.
+                snapshot = self._snapshot(
+                    (row_free, col_free, data_free),
+                    (ot_total, ot_useful, t_skips),
+                    (
+                        i_heap, d_heap, win_index[win_head:], win_done[win_head:],
+                        chain_completion, dispatch, commit_front, end_time, inst_count,
+                    ),
+                )
+                if snapshot is not None:
+                    memo.SNAPSHOTS.put(memo_key, snapshot)
 
         for done in win_done[win_head:]:
             if done > commit_front:

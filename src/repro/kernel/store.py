@@ -8,9 +8,12 @@ compressed ``.npz`` under the recipe digest, letting N pool workers
 (and N successive runner invocations) generate each trace once per
 machine instead of once per process.
 
-Location: ``REPRO_TRACE_STORE`` names the directory; unset defaults to
-``~/.cache/repro/traces``; ``0`` / ``off`` / ``false`` / empty
-disables the store.  Writes are atomic (temp file + ``os.replace``)
+Location: the store lives beside the results, in ``<result cache
+dir>/traces``, and a run with no result cache (``--no-cache``, or a
+library ``Runner`` without ``cache_dir``) has no store.
+``REPRO_TRACE_STORE`` overrides that: it names the directory, and
+``0`` / ``off`` / ``false`` / empty disables the store.  Writes are
+atomic (temp file + ``os.replace``)
 and every filesystem failure degrades silently to rebuilding — a
 broken or read-only cache can slow things down but never break a run.
 The source fingerprint in the key means any edit to the simulator
@@ -30,10 +33,11 @@ import numpy as np
 
 from repro.cpu.trace import Trace
 
-__all__ = ["TraceStore", "trace_store_from_env"]
+__all__ = ["TraceStore", "trace_store"]
 
 #: bump when the on-disk layout changes (entries self-invalidate).
-STORE_FORMAT_VERSION = 1
+#: 2: each trace carries its ``shared_prefix``.
+STORE_FORMAT_VERSION = 2
 
 _DISABLED_VALUES = ("", "0", "off", "false", "no")
 
@@ -99,6 +103,7 @@ class TraceStore:
         for prefix, trace in (("warm", warm), ("main", main)):
             arrays[f"{prefix}_name"] = np.array(trace.name)
             arrays[f"{prefix}_description"] = np.array(trace.description)
+            arrays[f"{prefix}_shared_prefix"] = np.array(trace.shared_prefix)
             for column in _COLUMNS:
                 arrays[f"{prefix}_{column}"] = getattr(trace, column)
         try:
@@ -119,15 +124,20 @@ class TraceStore:
         return Trace(
             name=str(data[f"{prefix}_name"]),
             description=str(data[f"{prefix}_description"]),
+            shared_prefix=int(data[f"{prefix}_shared_prefix"]),
             **{column: data[f"{prefix}_{column}"] for column in _COLUMNS},
         )
 
 
-def trace_store_from_env() -> Optional[TraceStore]:
-    """Store selected by ``REPRO_TRACE_STORE`` (None when disabled)."""
+def trace_store(cache_dir=None) -> Optional[TraceStore]:
+    """The trace store of a run whose result cache is ``cache_dir``:
+    ``REPRO_TRACE_STORE`` when set (None when it disables the store),
+    else ``<cache_dir>/traces``, else None."""
     value = os.environ.get("REPRO_TRACE_STORE")
-    if value is None:
-        return TraceStore(Path.home() / ".cache" / "repro" / "traces")
-    if value.strip().lower() in _DISABLED_VALUES:
+    if value is not None:
+        if value.strip().lower() in _DISABLED_VALUES:
+            return None
+        return TraceStore(Path(value))
+    if not cache_dir:
         return None
-    return TraceStore(Path(value))
+    return TraceStore(Path(cache_dir) / "traces")

@@ -47,6 +47,7 @@ __all__ = [
     "Gauge",
     "HistogramMetric",
     "MetricsRegistry",
+    "main",
     "render_prometheus",
     "validate_exposition",
 ]
@@ -533,7 +534,7 @@ def validate_exposition(
     return problems
 
 
-def _main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover - thin CLI
+def main(argv: Optional[List[str]] = None) -> int:
     import argparse
     import sys
 
@@ -565,8 +566,3 @@ def _main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover - thin C
     print(f"{args.path}: OK ({families} metric families)")
     return 0
 
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    sys.exit(_main())

@@ -474,7 +474,7 @@ class Runner:
             # for importing it.
             from repro.runner.pool import run_batch
 
-            runs = run_batch(self, runs, fatal, execute_point, **self._execute_kwargs())
+            runs = run_batch(self, runs, fatal, execute_point, **self.execute_kwargs())
             if runs:
                 _log.warning(
                     f"[runner] process pool unusable; finishing "
@@ -539,7 +539,7 @@ class Runner:
             )
             try:
                 stats, wall = execute_point(
-                    run.point, run.attempt, **self._execute_kwargs(obs)
+                    run.point, run.attempt, **self.execute_kwargs(obs)
                 )
             except Exception as exc:
                 self._failed(run, exc, queue, fatal)
@@ -548,13 +548,17 @@ class Runner:
                     self.observe.commit_point(obs, key=run.key)
                 self.completed(run, stats, wall)
 
-    def _execute_kwargs(self, obs=None) -> Dict[str, object]:
-        """``obs``/``sanitize`` for :func:`execute_point`, passed only when
-        enabled so test doubles with the historical two-argument
-        signature keep working."""
+    def execute_kwargs(self, obs=None) -> Dict[str, object]:
+        """``obs``/``sanitize``/``cache_dir`` for :func:`execute_point`,
+        each passed only when set, so a test double with the historical
+        two-argument signature keeps working for a runner without them.
+        ``cache_dir`` is the result cache, beside which the worker keeps
+        its trace store."""
         kwargs: Dict[str, object] = {} if obs is None else {"obs": obs}
         if self.sanitize:
             kwargs["sanitize"] = True
+        if self.store.cache is not None:
+            kwargs["cache_dir"] = str(self.store.cache.root)
         return kwargs
 
     def _failed(self, run, error, requeue, fatal) -> None:

@@ -11,9 +11,9 @@ cached) materializes results through one exact round trip.
 Trace construction costs a sizable fraction of simulating the trace, so
 it is amortized at two levels: each process memoizes the most recent
 traces (the parent's memo also backs
-:func:`repro.experiments.common.get_traces`), and a machine-wide
-content-addressed store (:mod:`repro.kernel.store`) shares built traces
-across worker processes and runner invocations.
+:func:`repro.experiments.common.get_traces`), and a content-addressed
+store beside the result cache (:mod:`repro.kernel.store`) shares built
+traces across worker processes and runner invocations.
 
 Every pool worker, the runner's and the service's alike, runs
 :func:`exit_with_parent` when it starts (:mod:`repro.runner.pool`).
@@ -29,7 +29,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.system import simulate
 from repro.cpu.trace import Trace
-from repro.kernel.store import trace_store_from_env
+from repro.kernel.store import trace_store
 from repro.runner import faults
 from repro.workloads import build_trace
 from repro.workloads.registry import build_warmup_trace
@@ -44,12 +44,13 @@ _TRACE_MEMO_LOCK = threading.Lock()
 
 
 def _build_traces(
-    benchmark: str, memory_refs: int, seed: int, l2_bytes: int
+    benchmark: str, memory_refs: int, seed: int, l2_bytes: int, cache_dir=None
 ) -> Tuple[Trace, Trace]:
-    """Construct (warm, main), going through the on-disk store when one
-    is configured: first process on the machine builds and publishes,
-    the rest load.  Store failures silently fall back to building."""
-    store = trace_store_from_env()
+    """Construct (warm, main), going through the on-disk store of
+    ``cache_dir`` when there is one (:func:`repro.kernel.store.trace_store`):
+    first process on the machine builds and publishes, the rest load.
+    Store failures silently fall back to building."""
+    store = trace_store(cache_dir)
     if store is None:
         warm = build_warmup_trace(benchmark, seed=seed, l2_bytes=l2_bytes)
         main = build_trace(benchmark, memory_refs, seed=seed)
@@ -69,8 +70,10 @@ def get_traces(
     memory_refs: int,
     seed: int,
     l2_bytes: int,
+    cache_dir=None,
 ) -> Tuple[Optional[Trace], Trace]:
-    """(warm-up initialization trace, measured trace) for one benchmark."""
+    """(warm-up initialization trace, measured trace) for one benchmark;
+    a build goes through the trace store of ``cache_dir``."""
     key = (benchmark, memory_refs, seed, l2_bytes)
     with _TRACE_MEMO_LOCK:
         traces = _TRACE_MEMO.get(key)
@@ -78,7 +81,7 @@ def get_traces(
             if len(_TRACE_MEMO) >= _TRACE_MEMO_LIMIT:
                 _TRACE_MEMO.pop(next(iter(_TRACE_MEMO)))
             traces = _TRACE_MEMO[key] = _build_traces(
-                benchmark, memory_refs, seed, l2_bytes
+                benchmark, memory_refs, seed, l2_bytes, cache_dir
             )
     warm, main = traces
     return (warm if len(warm) else None), main
@@ -104,6 +107,7 @@ def execute_point(
     obs=None,
     sanitize: bool = False,
     fast: bool = True,
+    cache_dir=None,
 ) -> Tuple[Dict[str, object], float]:
     """Simulate one :class:`~repro.runner.runner.SimPoint` from scratch.
 
@@ -133,11 +137,18 @@ def execute_point(
     unless it is observed or sanitized, or ``fast`` is False: those
     run the reference kernel.  :func:`repro.core.system.simulate` makes
     the choice, and the statistics are byte-identical either way.
+
+    ``cache_dir`` is the calling runner's result cache: traces built
+    here go to the trace store beside it (none without one).
     """
     faults.maybe_inject(point.label(), attempt)
     started = time.perf_counter()
     warm, main = get_traces(
-        point.benchmark, point.memory_refs, point.seed, point.config.l2.size_bytes
+        point.benchmark,
+        point.memory_refs,
+        point.seed,
+        point.config.l2.size_bytes,
+        cache_dir,
     )
     stats = simulate(
         main, point.config, warmup_trace=warm, obs=obs, sanitize=sanitize, fast=fast

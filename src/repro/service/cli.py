@@ -279,11 +279,16 @@ class EphemeralServer:
 
 
 def _cmd_smoke(args: argparse.Namespace) -> int:
-    from repro.core.config import SystemConfig
+    # The journal, result cache and trace store live in a temporary
+    # directory that goes on every exit path.
+    with tempfile.TemporaryDirectory(prefix="repro-serve-smoke-") as tmp:
+        return _smoke(args, tmp)
+
+
+def _smoke(args: argparse.Namespace, tmp: str) -> int:
     from repro.runner import SimPoint
     from repro.runner.worker import execute_point
 
-    tmp = tempfile.mkdtemp(prefix="repro-serve-smoke-")
     config = ServiceConfig(
         journal_path=os.path.join(tmp, "journal.jsonl"),
         cache_dir=os.path.join(tmp, "cache"),

@@ -616,7 +616,10 @@ class SimulationService:
             records.append(record)
             job.failures.append(record.to_dict())
 
-        wall = await resolve(self.runner, self._pool, run, execute_point, failed)
+        wall = await resolve(
+            self.runner, self._pool, run, execute_point, failed,
+            **self.runner.execute_kwargs(),
+        )
         if wall is None:
             raise PointFailureError(records)
         self._m_point_seconds.observe(wall)

@@ -137,7 +137,7 @@ def build_warmup_trace(name: str, seed: int = 0, l2_bytes: int = 1 << 20) -> Tra
     filler_span = min(int(l2_bytes * FILLER_FACTOR), FILLER_MAX)
     # Alternate dirty/clean so steady-state evictions write back at
     # a realistic ~50% rate rather than on every fill.
-    segment(
+    filler = segment(
         lambda offs: np.where(
             (offs // 64) % 2 == 1, AccessKind.STORE, AccessKind.LOAD
         ).astype(np.uint8),
@@ -160,6 +160,9 @@ def build_warmup_trace(name: str, seed: int = 0, l2_bytes: int = 1 << 20) -> Tra
         deps=np.zeros(len(addrs), dtype=np.uint8),
         pcs=np.concatenate(pc_parts),
         description="initialization pass",
+        # The filler depends on the L2 size alone: every benchmark's
+        # warm-up at one L2 size opens with the same records.
+        shared_prefix=len(filler),
     )
 
 

@@ -75,13 +75,13 @@ def _fake(point, attempt):
     return fake_stats(point), 0.001
 
 
-def fake_execute(point, attempt=0, obs=None, sanitize=False):
+def fake_execute(point, attempt=0, obs=None, sanitize=False, cache_dir=None):
     """Any planned fault, then key-dependent stats without simulating."""
     _record(point, attempt)
     return _fake(point, attempt)
 
 
-def gated_execute(point, attempt=0, obs=None, sanitize=False):
+def gated_execute(point, attempt=0, obs=None, sanitize=False, cache_dir=None):
     """:func:`fake_execute` once the gate is open."""
     _record(point, attempt)
     gate = Path(os.environ[ENV_DIR]) / "gate"
@@ -91,12 +91,12 @@ def gated_execute(point, attempt=0, obs=None, sanitize=False):
     return _fake(point, attempt)
 
 
-def tracking_execute(point, attempt=0, obs=None, sanitize=False):
+def tracking_execute(point, attempt=0, obs=None, sanitize=False, cache_dir=None):
     _record(point, attempt)
     return {"cycles": 2.0}, 0.0
 
 
-def flaky_execute(point, attempt=0, obs=None, sanitize=False):
+def flaky_execute(point, attempt=0, obs=None, sanitize=False, cache_dir=None):
     """Fails on the first two attempts, then succeeds."""
     _record(point, attempt)
     if attempt < 2:
@@ -104,9 +104,9 @@ def flaky_execute(point, attempt=0, obs=None, sanitize=False):
     return {"cycles": 5.0}, 0.0
 
 
-def crashing_execute(point, attempt=0, obs=None, sanitize=False):
+def crashing_execute(point, attempt=0, obs=None, sanitize=False, cache_dir=None):
     raise ValueError("synthetic fault")
 
 
-def timing_out_execute(point, attempt=0, obs=None, sanitize=False):
+def timing_out_execute(point, attempt=0, obs=None, sanitize=False, cache_dir=None):
     raise TimeoutError("socket read timed out")

@@ -456,10 +456,10 @@ class TestInterrupt:
     def test_interrupt_keeps_completed_results(self, tmp_path, monkeypatch):
         real = runner_mod.execute_point
 
-        def interrupting(point, attempt=0):
+        def interrupting(point, attempt=0, **options):
             if point.benchmark == "swim":
                 raise KeyboardInterrupt()
-            return real(point, attempt)
+            return real(point, attempt, **options)
 
         monkeypatch.setattr(runner_mod, "execute_point", interrupting)
         runner = Runner(jobs=1, cache_dir=tmp_path / "c")

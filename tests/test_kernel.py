@@ -1,10 +1,11 @@
 """Unit tests for the ``repro.kernel`` performance layer.
 
 Covers the compiled-trace columns (against the reference per-record
-computations), the memory contract (no compilation outlives its point),
-the content-addressed on-disk trace store, the kernel rule (fast unless
-observed, sanitized or ``fast=False``, whatever ``REPRO_FAST`` says),
-and every L1 geometry on the fast kernel.
+computations), the memory contract (no compilation outlives its point;
+the post-prefix snapshot memo stays within its byte bound), the
+content-addressed on-disk trace store and where it lives, the kernel
+rule (fast unless observed, sanitized or ``fast=False``, whatever
+``REPRO_FAST`` says), and every L1 geometry on the fast kernel.
 """
 
 import gc
@@ -19,13 +20,16 @@ from repro.core.config import CacheConfig, DRAMConfig, SystemConfig
 from repro.core.system import simulate
 from repro.dram.mapping import make_mapping
 from repro.kernel import (
+    FastSystem,
     TraceStore,
     batch,
     compile_trace,
+    memo,
     simulate_fast,
-    trace_store_from_env,
+    store as store_module,
+    trace_store,
 )
-from repro.runner.runner import SimPoint
+from repro.runner.runner import Runner, SimPoint
 from repro.runner.worker import execute_point
 from repro.workloads import build_trace
 from repro.workloads.registry import build_warmup_trace
@@ -36,7 +40,7 @@ def _trace(benchmark="mcf", refs=800, seed=0):
 
 
 def _same_trace(a, b):
-    return a.name == b.name and all(
+    return a.name == b.name and a.shared_prefix == b.shared_prefix and all(
         np.array_equal(getattr(a, column), getattr(b, column))
         for column in ("kinds", "gaps", "addrs", "deps", "pcs")
     )
@@ -124,6 +128,59 @@ class TestCompileMemo:
         assert [ref() for ref in built] == [None, None]
 
 
+class TestSnapshotMemo:
+    def test_never_exceeds_its_byte_bound(self, monkeypatch):
+        """Warm-ups of four configurations into a memo that holds two
+        snapshots: it evicts the least recently used, never holds more
+        bytes than its bound, and keeps no snapshot larger than it."""
+        warm = compile_trace(build_warmup_trace("swim", seed=0, l2_bytes=1 << 20))
+        configs = [SystemConfig().with_clock(ghz) for ghz in (1.0, 1.25, 1.5, 2.0)]
+        roomy = memo.SnapshotMemo(limit=1 << 30)
+        monkeypatch.setattr(memo, "SNAPSHOTS", roomy)
+        FastSystem(configs[0]).warmup(warm)
+        size = roomy.nbytes
+        bounded = memo.SnapshotMemo(limit=size * 5 // 2)
+        monkeypatch.setattr(memo, "SNAPSHOTS", bounded)
+        for config in configs:
+            FastSystem(config).warmup(warm)
+            assert 0 < bounded.nbytes <= bounded.limit
+            assert len(bounded) <= 2
+        assert bounded.misses == 4 and len(bounded) == 2
+        FastSystem(configs[0]).warmup(warm)  # evicted: a miss again
+        assert bounded.misses == 5 and bounded.nbytes <= bounded.limit
+        tiny = memo.SnapshotMemo(limit=size - 1)
+        monkeypatch.setattr(memo, "SNAPSHOTS", tiny)
+        FastSystem(configs[0]).warmup(warm)
+        assert (len(tiny), tiny.nbytes) == (0, 0)
+
+    def test_a_policy_pickle_cannot_copy_keeps_no_snapshot(self, monkeypatch):
+        """A plug-in backend's row-timing policy of a local class cannot
+        be snapshotted: its points keep no snapshot and still equal the
+        reference kernel's."""
+        from repro.dram.backends import ChargeCachePolicy, get_backend
+
+        class LocalPolicy(ChargeCachePolicy):
+            pass
+
+        backend = get_backend("chargecache")
+        make_policy = type(backend).make_policy
+
+        def local_policy(dram, core):
+            policy = make_policy(backend, dram, core)
+            policy.__class__ = LocalPolicy
+            return policy
+
+        monkeypatch.setattr(backend, "make_policy", local_policy)
+        monkeypatch.setattr(memo, "SNAPSHOTS", memo.SnapshotMemo(limit=1 << 30))
+        config = SystemConfig().with_backend("chargecache")
+        warm = build_warmup_trace("swim", seed=0, l2_bytes=config.l2.size_bytes)
+        main = _trace("swim", 600)
+        for _ in range(2):
+            fast = simulate(main, config, warmup_trace=warm).to_dict()
+            assert fast == simulate(main, config, warmup_trace=warm, fast=False).to_dict()
+        assert (len(memo.SNAPSHOTS), memo.SNAPSHOTS.misses) == (0, 2)
+
+
 class TestTraceStore:
     def test_save_load_roundtrip(self, tmp_path):
         store = TraceStore(tmp_path)
@@ -171,6 +228,25 @@ class TestTraceStore:
         assert store.save(key, warm, _trace())
         assert store.load(key) is not None
 
+    def test_entry_from_before_the_format_bump_is_a_miss(self, tmp_path, monkeypatch):
+        """A version-1 entry (no ``shared_prefix``) loads as a miss even
+        under the current key, and a version-1 key is another key."""
+        store = TraceStore(tmp_path)
+        key = store.recipe_key("mcf", 800, 0, 1 << 20)
+        warm, main = build_warmup_trace("mcf", seed=0, l2_bytes=1 << 20), _trace()
+        arrays = {}
+        for prefix, trace in (("warm", warm), ("main", main)):
+            arrays[f"{prefix}_name"] = np.array(trace.name)
+            arrays[f"{prefix}_description"] = np.array(trace.description)
+            for column in ("kinds", "gaps", "addrs", "deps", "pcs"):
+                arrays[f"{prefix}_{column}"] = getattr(trace, column)
+        np.savez_compressed(tmp_path / f"{key}.npz", **arrays)
+        assert store.load(key) is None
+        assert store.save(key, warm, main)
+        assert store.load(key)[0].shared_prefix == warm.shared_prefix > 0
+        monkeypatch.setattr(store_module, "STORE_FORMAT_VERSION", 1)
+        assert store.recipe_key("mcf", 800, 0, 1 << 20) != key
+
     def test_unwritable_root_returns_false(self, tmp_path):
         blocked = tmp_path / "file"
         blocked.write_text("not a directory")
@@ -185,15 +261,20 @@ class TestTraceStore:
         assert TraceStore.recipe_key("mcf", 800, 0, 1 << 19) != base
 
     def test_env_selection(self, tmp_path, monkeypatch):
+        """``REPRO_TRACE_STORE`` wins; else the store is ``traces`` in the
+        result cache dir, and there is none without a cache dir."""
+        cache = tmp_path / "cache"
         monkeypatch.setenv("REPRO_TRACE_STORE", str(tmp_path))
-        store = trace_store_from_env()
-        assert store is not None and store.root == tmp_path
+        for cache_dir in (None, cache):
+            store = trace_store(cache_dir)
+            assert store is not None and store.root == tmp_path
         for off in ("0", "off", "false", "no", ""):
             monkeypatch.setenv("REPRO_TRACE_STORE", off)
-            assert trace_store_from_env() is None
+            assert trace_store(cache) is None
         monkeypatch.delenv("REPRO_TRACE_STORE")
-        default = trace_store_from_env()
-        assert default is not None and default.root.name == "traces"
+        assert trace_store(cache).root == cache / "traces"
+        assert trace_store(str(cache)).root == cache / "traces"
+        assert trace_store(None) is None
 
 
 class TestFastOptIn:
@@ -292,6 +373,30 @@ class TestStoreBackedTraces:
         assert _same_trace(main2, main)
         assert _same_trace(warm2, warm)
         assert list(tmp_path.glob("*.npz")) == entries
+
+    def test_store_lives_beside_the_result_cache(self, tmp_path, monkeypatch):
+        """Without ``REPRO_TRACE_STORE``, a runner's traces go to
+        ``<cache dir>/traces``, inline and pooled alike; a runner with no
+        cache dir keeps none; and nothing lands under ``$HOME/.cache``."""
+        from repro.runner import worker
+
+        home = tmp_path / "home"
+        home.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.delenv("REPRO_TRACE_STORE")
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.setattr(worker, "_TRACE_MEMO", {})
+        cache = tmp_path / "cache"
+        Runner(jobs=1, cache_dir=cache).run_points([SimPoint("eon", SystemConfig(), 300, 0)])
+        Runner(jobs=2, cache_dir=cache).run_points(
+            [SimPoint(name, SystemConfig(), 300, 0) for name in ("mcf", "swim")]
+        )
+        assert len(list((cache / "traces").glob("*.npz"))) == 3
+        monkeypatch.setattr(worker, "_TRACE_MEMO", {})
+        Runner(jobs=1, cache_dir=None).run_points([SimPoint("gzip", SystemConfig(), 300, 0)])
+        assert len(list((cache / "traces").glob("*.npz"))) == 3
+        assert list(home.iterdir()) == []
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cache", "home"]
 
 
 def test_compiled_trace_len():

@@ -12,12 +12,17 @@ property) through both kernels and asserts exact ``to_dict`` equality.
 A second property checks, on the reference kernel alone, each counter
 identity the fast kernel relies on to derive counters at fold time.
 
+A third group checks the post-prefix memo: a point whose warm-up
+restores the state after the shared filler prefix equals the same
+point simulated whole, on either kernel.
+
 Under ``HYPOTHESIS_PROFILE=ci`` (see ``conftest.py``) the examples are
 derandomized, so CI runs are reproducible; locally the defaults keep
 exploring fresh configurations.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +37,7 @@ from repro.core.config import (
 )
 from repro.core.system import simulate
 from repro.dram.backends import get_backend
+from repro.kernel.memo import SNAPSHOTS
 from repro.workloads import build_trace
 from repro.workloads.registry import build_warmup_trace
 
@@ -251,3 +257,61 @@ class TestDeterministicEdgeCases:
         for i in (first, second, first):
             fast = simulate(main, configs[i], warmup_trace=warmup)
             assert _dump(fast) == references[i], i
+
+
+#: one configuration per kind of state a post-prefix snapshot carries.
+MEMO_CONFIGS = {
+    "drdram": SystemConfig(),
+    "region-prefetch": SystemConfig().with_prefetch(enabled=True),
+    "stride-prefetch": SystemConfig().with_prefetch(enabled=True, engine="stride"),
+    "closed-page": replace(
+        SystemConfig(), dram=replace(SystemConfig().dram, row_policy="closed")
+    ),
+    "multi-packet": SystemConfig().with_block_size(256),
+    "tldram": SystemConfig().with_backend("tldram"),
+    "chargecache": SystemConfig().with_backend("chargecache"),
+    "ddr": SystemConfig().with_backend("ddr"),
+}
+
+
+class TestPrefixMemo:
+    """Every warm-up opens with the same filler at one L2 size, so the
+    fast kernel simulates it once per configuration and process and
+    restores the state after it for the next benchmark.  A restored
+    point must equal the same point simulated whole, on both kernels."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_memo(self):
+        SNAPSHOTS.clear()
+        yield
+        SNAPSHOTS.clear()
+
+    @staticmethod
+    def _run(benchmark, config, **options):
+        main = build_trace(benchmark, 1_500, seed=0)
+        warmup = build_warmup_trace(benchmark, seed=0, l2_bytes=config.l2.size_bytes)
+        return _dump(simulate(main, config, warmup_trace=warmup, **options))
+
+    @pytest.mark.parametrize("name", sorted(MEMO_CONFIGS))
+    def test_restored_point_matches_whole_runs(self, name):
+        """A (mcf) then B (swim): B restores A's prefix snapshot, and
+        equals B with the memo cleared and B on the reference kernel."""
+        config = MEMO_CONFIGS[name]
+        self._run("mcf", config)
+        assert (SNAPSHOTS.hits, SNAPSHOTS.misses, len(SNAPSHOTS)) == (0, 1, 1)
+        restored = self._run("swim", config)
+        assert SNAPSHOTS.hits == 1
+        SNAPSHOTS.clear()
+        assert restored == self._run("swim", config)
+        assert SNAPSHOTS.misses == 1
+        assert restored == self._run("swim", config, fast=False)
+
+    @pytest.mark.parametrize("name", sorted(MEMO_CONFIGS))
+    def test_a_snapshot_shares_nothing_with_a_live_system(self, name):
+        """A, B, A: B runs on state restored from A's snapshot, and the
+        second A still equals the first, so B changed nothing in it."""
+        config = MEMO_CONFIGS[name]
+        first = self._run("mcf", config)
+        self._run("swim", config)
+        assert self._run("mcf", config) == first
+        assert SNAPSHOTS.hits == 2

@@ -8,6 +8,10 @@ and a parser (it must reject what Prometheus would reject).
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -239,6 +243,29 @@ class TestValidator:
     def test_garbage_line_flagged(self):
         problems = validate_exposition("# TYPE a counter\nthis is not a sample\n")
         assert problems
+
+    def test_runs_as_a_module(self, tmp_path):
+        """``python -m repro.obs.metrics FILE`` validates a file, and runs
+        clean with runpy's warning as an error."""
+        registry = MetricsRegistry()
+        registry.counter("repro_demo_total", "Demo.").inc(3)
+        good, bad = tmp_path / "good.prom", tmp_path / "bad.prom"
+        good.write_text(render_prometheus(registry))
+        bad.write_text("# TYPE a counter\nthis is not a sample\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        runs = [
+            subprocess.run(
+                [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.obs.metrics", str(path)],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            for path in (good, bad)
+        ]
+        assert runs[0].returncode == 0, runs[0].stderr
+        assert runs[0].stdout == f"{good}: OK (1 metric families)\n"
+        assert runs[0].stderr == ""
+        assert runs[1].returncode == 1
+        assert "INVALID exposition" in runs[1].stderr
 
     def test_special_values_parse(self):
         assert math.isinf(float("inf"))

@@ -10,7 +10,11 @@ identical to calling the worker directly.
 
 import asyncio
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -779,3 +783,27 @@ class TestRobustnessSatellites:
             with pytest.raises(ServiceError) as excinfo:
                 client.cancel(job["id"])
             assert excinfo.value.status == 409
+
+
+class TestSmokeCommand:
+    def test_smoke_leaves_nothing_behind(self, tmp_path):
+        """``repro-serve smoke`` keeps its journal, result cache and trace
+        store in a temporary directory and removes it: a private TMPDIR
+        is empty afterwards, and nothing lands in an empty HOME."""
+        tmp, home = tmp_path / "tmp", tmp_path / "home"
+        tmp.mkdir()
+        home.mkdir()
+        env = dict(os.environ, TMPDIR=str(tmp), HOME=str(home))
+        env.pop("REPRO_TRACE_STORE", None)  # the store follows the smoke's cache
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        run = subprocess.run(
+            [
+                sys.executable, "-m", "repro.service.cli", "smoke",
+                "--memory-refs", "300", "--benchmarks", "eon",
+            ],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stdout + run.stderr
+        assert "repro-serve smoke: OK" in run.stdout
+        assert list(tmp.iterdir()) == []
+        assert list(home.iterdir()) == []

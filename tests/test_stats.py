@@ -277,10 +277,16 @@ class TestDiff:
         assert exit_info.value.code == 2
 
     def test_runs_as_a_module(self, tmp_path):
+        """Clean, too: runpy warns when it runs a module the package's
+        import already loaded, and here that warning is an error."""
         env = dict(os.environ, PYTHONPATH=str(SRC))
         run = subprocess.run(
-            [sys.executable, "-m", "repro.core.stats", "diff", str(GOLDEN), str(GOLDEN)],
+            [
+                sys.executable, "-W", "error::RuntimeWarning",
+                "-m", "repro.core.stats", "diff", str(GOLDEN), str(GOLDEN),
+            ],
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert run.returncode == 0, run.stderr
         assert run.stdout.endswith(" identical, 0 changed\n")
+        assert run.stderr == ""

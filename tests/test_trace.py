@@ -96,6 +96,24 @@ class TestTraceIO:
         assert loaded.description == "round trip"
         assert list(loaded.records()) == list(trace.records())
 
+    def test_shared_prefix_survives_save_and_load(self, tmp_path):
+        builder = TraceBuilder("io")
+        for addr in (0x100, 0x200, 0x300):
+            builder.load(0, addr)
+        base = builder.build()
+        trace = Trace(
+            name="io", kinds=base.kinds, gaps=base.gaps, addrs=base.addrs,
+            deps=base.deps, pcs=base.pcs, shared_prefix=2,
+        )
+        path = tmp_path / "trace.npz"
+        trace.save(path)
+        assert Trace.load(path).shared_prefix == 2
+        with pytest.raises(ValueError):
+            Trace(
+                name="io", kinds=base.kinds, gaps=base.gaps, addrs=base.addrs,
+                deps=base.deps, pcs=base.pcs, shared_prefix=4,
+            )
+
     def test_loaded_trace_simulates_identically(self, tmp_path):
         from repro import SystemConfig, simulate
         from repro.workloads import build_trace

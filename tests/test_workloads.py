@@ -24,7 +24,12 @@ from repro.workloads import (
     build_trace,
     profile,
 )
-from repro.workloads.registry import CODE_BASE, build_warmup_trace
+from repro.workloads.registry import (
+    CODE_BASE,
+    FILLER_FACTOR,
+    FILLER_MAX,
+    build_warmup_trace,
+)
 
 
 class TestProfileRegistry:
@@ -184,6 +189,23 @@ class TestWarmupTrace:
         small = build_warmup_trace("eon", l2_bytes=1 << 20)
         large = build_warmup_trace("eon", l2_bytes=4 << 20)
         assert len(large) > len(small)
+
+    def test_shared_prefix_is_the_filler_every_benchmark_opens_with(self):
+        """At one L2 size every warm-up opens with the same filler
+        records, and ``shared_prefix`` ends exactly where the filler
+        does: the fast kernel memoizes the machine state there."""
+        for l2_bytes in (1 << 20, 4 << 20):
+            warms = [build_warmup_trace(name, l2_bytes=l2_bytes) for name in BENCHMARKS]
+            prefix = warms[0].shared_prefix
+            assert prefix == min(int(l2_bytes * FILLER_FACTOR), FILLER_MAX) // 64
+            for warm in warms:
+                assert warm.shared_prefix == prefix < len(warm)
+                for column in ("kinds", "gaps", "addrs", "deps", "pcs"):
+                    assert np.array_equal(
+                        getattr(warm, column)[:prefix], getattr(warms[0], column)[:prefix]
+                    )
+                assert set(warm.pcs[:prefix].tolist()) == {0xFFFE}
+                assert warm.pcs[prefix] != 0xFFFE
 
     def test_huge_components_skipped(self):
         """The warm-up walks no component's whole footprint, so mcf's
