@@ -15,8 +15,3 @@ from repro.experiments.common import active_profile
 @pytest.fixture(scope="session")
 def profile():
     return active_profile(default="tiny")
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)

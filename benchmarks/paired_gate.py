@@ -15,11 +15,19 @@ so the two runs of a pair share the drift and the alternation cancels
 its order.
 
 The gate prints one row per workload and end-to-end metric: the median
-of each side's runs, their ratio (change / parent) and the metric's
-bound.  It exits 1 when, on any workload, the change's median is worse
-than the parent's by more than that bound, when a run of the change is
-not ``correct``, when the change fails a larger share of its operations
-than the parent, or when a run of either side ends without a result.
+and quartiles of each side's runs, the ratio of the medians (change /
+parent), the metric's bound and a verdict.  It exits 1 when, on any
+workload, the change's median is worse than the parent's by more than
+that bound (``WORSE``), when a run of the change is not ``correct``,
+when the change fails a larger share of its operations than the parent,
+or when a run of either side ends without a result.
+
+A row that passes reads ``unresolved`` instead of ``ok`` when the
+parent's own runs spread wider than the bound (their interquartile
+range exceeds bound x median), unless every run of the change beats
+every run of the parent: the host's speed swung more than the bound
+within the gate, so its medians cannot tell a change inside the bound
+from none.  An unresolved row does not fail the gate.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 #: pairs per workload, chosen from A/A runs (one program against
 #: itself) on a 2-vCPU guest.  Single pairs differed by up to 44% in
@@ -42,28 +50,53 @@ PAIRS = 5
 SIDES = ("parent", "change")
 
 
+class Row(NamedTuple):
+    """One workload's verdict on one end-to-end metric."""
+
+    metric: str
+    parent: float  # median of the parent's runs
+    change: float  # median of the change's runs
+    ratio: float  # change / parent
+    bound: float
+    verdict: str  # "ok", "unresolved" or "WORSE"
+    parent_quartiles: Tuple[float, float]
+    change_quartiles: Tuple[float, float]
+
+
+def quartiles(values: Sequence[float]) -> Tuple[float, float]:
+    """The first and third quartiles of at least two values."""
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
 def judge(
     end_to_end: Sequence[dict], parent: List[dict], change: List[dict]
-) -> Tuple[List[tuple], List[str]]:
+) -> Tuple[List[Row], List[str]]:
     """The verdict on one workload: ``(rows, problems)``.
 
     ``end_to_end`` is ``BENCHMARK.json``'s metric list (name, better,
     bound); ``parent`` and ``change`` are the result lines of each
-    side's runs.  A row is ``(metric, parent median, change median,
-    ratio, bound, ok)``; the change passes when ``problems`` is empty.
+    side's runs.  The change passes when ``problems`` is empty.
     """
     rows, problems = [], []
     for metric in end_to_end:
         name, bound = metric["name"], metric["bound"]
-        medians = [
-            statistics.median(run["metrics"][name]["value"] for run in runs)
-            for runs in (parent, change)
-        ]
+        values = [[run["metrics"][name]["value"] for run in runs] for runs in (parent, change)]
+        medians = [statistics.median(side) for side in values]
+        spreads = [quartiles(side) for side in values]
         ratio = medians[1] / medians[0]
-        ok = ratio <= 1 + bound if metric["better"] == "lower" else ratio >= 1 - bound
-        rows.append((name, medians[0], medians[1], ratio, bound, ok))
+        if metric["better"] == "lower":
+            ok, clear_win = ratio <= 1 + bound, max(values[1]) < min(values[0])
+        else:
+            ok, clear_win = ratio >= 1 - bound, min(values[1]) > max(values[0])
         if not ok:
+            verdict = "WORSE"
             problems.append(f"{name} {ratio:.3f}x the parent's, past the {bound} bound")
+        elif spreads[0][1] - spreads[0][0] > bound * medians[0] and not clear_win:
+            verdict = "unresolved"
+        else:
+            verdict = "ok"
+        rows.append(Row(name, medians[0], medians[1], ratio, bound, verdict, *spreads))
     for i, run in enumerate(change, 1):
         if not run["correct"]:
             problems.append(f"change run {i} not correct")
@@ -131,16 +164,29 @@ def main(argv: List[str]) -> int:
                     f"correct={result['correct']} failed={result['failed']}/{result['attempted']}",
                     flush=True,
                 )
-    failures = []
-    print(f"\n{'workload':<16} {'metric':<12} {'parent':>9} {'change':>9} {'ratio':>7} {'bound':>6}")
+    failures, unresolved = [], []
+    print(
+        f"\n{'workload':<16} {'metric':<12} {'parent':>9} {'quartiles':>15} "
+        f"{'change':>9} {'quartiles':>15} {'ratio':>7} {'bound':>6}"
+    )
     for workload in workloads:
         rows, problems = judge(spec["end_to_end"], runs[workload]["parent"], runs[workload]["change"])
-        for name, base, new, ratio, bound, ok in rows:
-            verdict = "ok" if ok else "WORSE"
-            print(f"{workload:<16} {name:<12} {base:>9.3f} {new:>9.3f} {ratio:>7.3f} {bound:>6} {verdict}")
+        for row in rows:
+            cells = ["{:.3f}-{:.3f}".format(*q) for q in (row.parent_quartiles, row.change_quartiles)]
+            print(
+                f"{workload:<16} {row.metric:<12} {row.parent:>9.3f} {cells[0]:>15} "
+                f"{row.change:>9.3f} {cells[1]:>15} {row.ratio:>7.3f} {row.bound:>6} {row.verdict}"
+            )
+            if row.verdict == "unresolved":
+                unresolved.append(f"{workload} {row.metric}")
         failures += [f"{workload}: {problem}" for problem in problems]
     for failure in failures:
         print(f"paired_gate: FAILED {failure}")
+    if unresolved:
+        print(
+            f"paired_gate: unresolved (the parent's quartiles span more than the bound): "
+            f"{', '.join(unresolved)}"
+        )
     if not failures:
         print(f"paired_gate: ok, {PAIRS} pairs per workload")
     return 1 if failures else 0

@@ -1,12 +1,10 @@
 """Section 4.5 benchmark: L2 capacity sweep with/without prefetching."""
 
-from conftest import run_once
-
 from repro.experiments import cache_size
 
 
-def test_cache_size(benchmark, profile):
-    result = run_once(benchmark, cache_size.run, profile, (1, 2, 4))
+def test_cache_size(profile):
+    result = cache_size.run(profile, (1, 2, 4))
     print("\n" + cache_size.render(result))
     # Paper: larger caches help the baseline monotonically-ish, and the
     # prefetching gain remains positive and stable across capacities.

@@ -1,7 +1,6 @@
 """Figure 5 benchmark: tuned scheduled region prefetching."""
 
 import pytest
-from conftest import run_once
 
 from repro.experiments import figure5
 from repro.experiments.common import Profile
@@ -15,11 +14,11 @@ TINY_8CH_DEVIATION = (
 )
 
 
-def test_figure5(benchmark, profile, request):
+def test_figure5(profile, request):
     # Figure 5 is defined over the ten winners; keep the profile's
     # effort level but force the winner set.
     prof = Profile(profile.name + "-f5", memory_refs=profile.memory_refs)
-    result = run_once(benchmark, figure5.run, prof)
+    result = figure5.run(prof)
     print("\n" + figure5.render(result))
     # Paper shapes: XOR helps (+33%), prefetching adds more (+43%),
     # the 8ch/256B+PF system dominates (+118% over 4ch base) and most

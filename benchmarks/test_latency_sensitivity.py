@@ -1,12 +1,10 @@
 """Section 4.6 benchmark: DRAM latency sensitivity."""
 
-from conftest import run_once
-
 from repro.experiments import latency_sensitivity
 
 
-def test_latency_sensitivity(benchmark, profile):
-    result = run_once(benchmark, latency_sensitivity.run, profile)
+def test_latency_sensitivity(profile):
+    result = latency_sensitivity.run(profile)
     print("\n" + latency_sensitivity.render(result))
     # Paper: baseline IPC tracks the DRAM speed grade, but the
     # prefetching gain is nearly insensitive to the speed ratio

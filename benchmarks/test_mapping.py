@@ -1,12 +1,10 @@
 """Section 3.4 benchmark: base vs. XOR address mapping."""
 
-from conftest import run_once
-
 from repro.experiments import mapping
 
 
-def test_mapping(benchmark, profile):
-    result = run_once(benchmark, mapping.run, profile)
+def test_mapping(profile):
+    result = mapping.run(profile)
     print("\n" + mapping.render(result))
     # Paper: +16% mean speedup; row-hit rates rise for reads and
     # writebacks (51->72% and 28->55%).

@@ -1,16 +1,12 @@
 """Section 4.7 benchmark: software vs. region prefetching."""
 
-from conftest import run_once
-
 from repro.experiments import software_prefetch
 from repro.experiments.common import Profile
 
 
-def test_software_prefetch(benchmark, profile):
+def test_software_prefetch(profile):
     prof = Profile(profile.name + "-sw", memory_refs=profile.memory_refs)
-    result = run_once(
-        benchmark, software_prefetch.run, prof, ("mgrid", "swim", "wupwise", "galgel")
-    )
+    result = software_prefetch.run(prof, ("mgrid", "swim", "wupwise", "galgel"))
     print("\n" + software_prefetch.render(result))
     # Paper: software prefetching helps the streaming trio on the base
     # system (+10..39%)...

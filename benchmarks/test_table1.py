@@ -1,12 +1,10 @@
 """Table 1 benchmark: pollution vs. performance points."""
 
-from conftest import run_once
-
 from repro.experiments import table1
 
 
-def test_table1(benchmark, profile):
-    result = run_once(benchmark, table1.run, profile)
+def test_table1(profile):
+    result = table1.run(profile)
     print("\n" + table1.render(result))
     # Paper: pollution points sit far above the performance points
     # (2KB mean vs. a 128B suite performance point).

@@ -1,15 +1,13 @@
 """Table 2 benchmark: channel width vs. best block size."""
 
-from conftest import run_once
-
 from repro.experiments import table2
 
 CHANNELS = (2, 4, 8, 32)
 BLOCKS = (64, 256, 1024)
 
 
-def test_table2(benchmark, profile):
-    result = run_once(benchmark, table2.run, profile, CHANNELS, BLOCKS)
+def test_table2(profile):
+    result = table2.run(profile, CHANNELS, BLOCKS)
     print("\n" + table2.render(result))
     # Paper: the performance point moves to larger blocks as channels
     # widen; a 32-channel system prefers the largest blocks.

@@ -1,12 +1,10 @@
 """Table 3 benchmark: prefetch insertion priority."""
 
-from conftest import run_once
-
 from repro.experiments import table3
 
 
-def test_table3(benchmark, profile):
-    result = run_once(benchmark, table3.run, profile)
+def test_table3(profile):
+    result = table3.run(profile)
     print("\n" + table3.render(result))
     if ("high", "mru") in result.accuracy:
         # Paper: insertion priority barely moves accuracy for the

@@ -1,7 +1,6 @@
 """Table 4 benchmark: prefetch scheme comparison."""
 
 import pytest
-from conftest import run_once
 
 from repro.experiments import table4
 
@@ -14,8 +13,8 @@ UNSCHEDULED_DEVIATION = (
 )
 
 
-def test_table4(benchmark, profile, request):
-    result = run_once(benchmark, table4.run, profile)
+def test_table4(profile, request):
+    result = table4.run(profile)
     print("\n" + table4.render(result))
     # Paper shape: unscheduled prefetching reaches the lowest miss rate
     # but catastrophic latency; scheduling keeps most of the miss-rate

@@ -1,12 +1,10 @@
 """Section 4.4 benchmark: channel utilization with/without prefetching."""
 
-from conftest import run_once
-
 from repro.experiments import utilization
 
 
-def test_utilization(benchmark, profile):
-    result = run_once(benchmark, utilization.run, profile)
+def test_utilization(profile):
+    result = utilization.run(profile)
     print("\n" + utilization.render(result))
     # Paper: command/data utilization rise 1.9x/2.5x with prefetching
     # (28->54% and 17->42%); accurate streamers rise the most.

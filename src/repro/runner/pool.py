@@ -47,7 +47,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.runner.runner import FailureRecord, PointRun, Runner, SimPoint
 from repro.runner.worker import exit_with_parent
 
-__all__ = ["PoolUnusable", "WorkerPool", "resolve", "run_batch"]
+__all__ = ["PoolUnusable", "WorkerPool", "kill_executor", "resolve", "run_batch"]
 
 #: in a pool worker, the start stamps shared with its parent (one
 #: monotonic time per slot; 0 = not started).  Unset in the parent.
@@ -73,6 +73,39 @@ class _Expired(Exception):
 class PoolUnusable(Exception):
     """The pool takes no more attempts: a worker died and its caller
     refused to replace it."""
+
+
+#: seconds a terminated pool worker gets to exit before it is killed.
+KILL_GRACE = 5.0
+
+
+def kill_executor(executor: ProcessPoolExecutor) -> None:
+    """Terminate an executor's worker processes and discard queued work.
+
+    ``shutdown`` alone would block on hung workers; terminating the
+    processes first guarantees progress.  A worker still alive
+    :data:`KILL_GRACE` seconds after ``SIGTERM`` (one that ignores it)
+    is killed, so none is orphaned.  The executor's manager thread also
+    reaps the workers, and it is joined last: on return every worker
+    reports its exit and every future of the executor is done.
+    """
+    processes = list((getattr(executor, "_processes", None) or {}).values())
+    manager = getattr(executor, "_executor_manager_thread", None)
+    for proc in processes:
+        try:
+            proc.terminate()
+        except Exception:
+            pass
+    executor.shutdown(wait=False, cancel_futures=True)
+    deadline = time.monotonic() + KILL_GRACE
+    for proc in processes:
+        proc.join(timeout=max(0.0, deadline - time.monotonic()))
+    for proc in processes:
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+    if manager is not None:
+        manager.join(timeout=KILL_GRACE)
 
 
 class WorkerPool:
@@ -187,7 +220,7 @@ class WorkerPool:
             self._executor = None
             if not killed and self._on_death is not None:
                 self._usable = self._on_death()
-        Runner._kill_pool(executor)
+        kill_executor(executor)
 
     def _free(self, slot: int, executor: ProcessPoolExecutor, future) -> None:
         """Done-callback of an attempt's future: its worker is free."""

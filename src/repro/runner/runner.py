@@ -87,8 +87,6 @@ from repro.runner.worker import execute_point
 from repro.sanitize.errors import SanitizerError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from concurrent.futures import ProcessPoolExecutor
-
     from repro.obs.observer import ObsSession
 
 __all__ = [
@@ -332,8 +330,6 @@ class Runner:
     #: how many times a broken process pool is rebuilt before the
     #: runner gives up on pooling and finishes the batch inline.
     MAX_POOL_REBUILDS = 1
-    #: seconds a terminated pool worker gets to exit before it is killed.
-    KILL_GRACE = 5.0
 
     def __init__(
         self,
@@ -492,35 +488,6 @@ class Runner:
         self.pool_rebuilds += 1
         _log.warning("[runner] worker pool broke; rebuilding it once")
         return True
-
-    @staticmethod
-    def _kill_pool(pool: "ProcessPoolExecutor") -> None:
-        """Terminate worker processes and discard queued work.
-
-        ``shutdown`` alone would block on hung workers; terminating the
-        processes first guarantees progress.  A worker still alive
-        :data:`KILL_GRACE` seconds after ``SIGTERM`` (one that ignores
-        it) is killed, so none is orphaned.  The pool's manager thread
-        also reaps the workers, and it is joined last: on return every
-        worker reports its exit and every future of the pool is done.
-        """
-        processes = list((getattr(pool, "_processes", None) or {}).values())
-        manager = getattr(pool, "_executor_manager_thread", None)
-        for proc in processes:
-            try:
-                proc.terminate()
-            except Exception:
-                pass
-        pool.shutdown(wait=False, cancel_futures=True)
-        deadline = time.monotonic() + Runner.KILL_GRACE
-        for proc in processes:
-            proc.join(timeout=max(0.0, deadline - time.monotonic()))
-        for proc in processes:
-            if proc.is_alive():
-                proc.kill()
-                proc.join()
-        if manager is not None:
-            manager.join(timeout=Runner.KILL_GRACE)
 
     def _run_inline(self, runs: List[PointRun], fatal: List[FailureRecord]) -> None:
         queue: Deque[PointRun] = deque(runs)

@@ -41,6 +41,7 @@ from repro.runner import (
 )
 from repro.runner import faults as faults_mod
 from repro.runner import runner as runner_mod
+from repro.runner.pool import kill_executor
 from repro.runner.runner import backoff_delay
 from repro.runner.worker import execute_point
 
@@ -482,7 +483,7 @@ class TestInterrupt:
                 pytest.fail("pool workers never started")
             time.sleep(0.05)
         processes = list(pool._processes.values())
-        Runner._kill_pool(pool)
+        kill_executor(pool)
         for proc in processes:
             assert not proc.is_alive()
 
@@ -497,7 +498,7 @@ class TestInterrupt:
             time.sleep(0.05)
         processes = list(pool._processes.values())
         try:
-            Runner._kill_pool(pool)
+            kill_executor(pool)
             for proc in processes:
                 assert not proc.is_alive()
         finally:

@@ -213,6 +213,9 @@ class TestDeterministicEdgeCases:
             SystemConfig(perfect_l2=True),
             SystemConfig(perfect_memory=True),
             SystemConfig(software_prefetch=True),
+            SystemConfig().with_backend("tldram").with_prefetch(enabled=True),
+            SystemConfig().with_backend("chargecache").with_prefetch(enabled=True),
+            SystemConfig().with_backend("ddr").with_prefetch(enabled=True),
         ],
         ids=[
             "unscheduled-prefetch",
@@ -222,6 +225,9 @@ class TestDeterministicEdgeCases:
             "perfect-l2",
             "perfect-memory",
             "software-prefetch",
+            "tldram-prefetch",
+            "chargecache-prefetch",
+            "ddr-prefetch",
         ],
     )
     def test_named_variant_matches_reference(self, config):

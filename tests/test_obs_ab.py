@@ -168,12 +168,3 @@ class TestVersionFlags:
             main(["--version"])
         assert excinfo.value.code == 0
         assert __version__ in capsys.readouterr().out
-
-    def test_bench_cli_version(self, capsys):
-        from repro import __version__
-        from repro.bench.cli import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main(["--version"])
-        assert excinfo.value.code == 0
-        assert __version__ in capsys.readouterr().out

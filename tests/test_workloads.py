@@ -141,10 +141,14 @@ class TestComponents:
 
 class TestTraceGeneration:
     def test_deterministic(self):
-        a = build_trace("swim", 2000, seed=3)
-        b = build_trace("swim", 2000, seed=3)
-        assert np.array_equal(a.addrs, b.addrs)
-        assert np.array_equal(a.kinds, b.kinds)
+        for build in (
+            lambda: build_trace("swim", 2000, seed=3),
+            lambda: build_warmup_trace("swim", seed=3, l2_bytes=1 << 20),
+        ):
+            a, b = build(), build()
+            assert len(a) == len(b) and a.shared_prefix == b.shared_prefix
+            for column in ("kinds", "gaps", "addrs", "deps", "pcs"):
+                assert np.array_equal(getattr(a, column), getattr(b, column))
 
     def test_seed_changes_trace(self):
         a = build_trace("twolf", 2000, seed=0)
