@@ -27,6 +27,7 @@ costs one issue slot.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Tuple, Union
@@ -60,6 +61,26 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.kinds)
+
+    def prefix_digest(self) -> str:
+        """Digest of the ``shared_prefix`` records' five columns.
+
+        The instance is frozen, so the digest is computed once and kept
+        on it (outside the dataclass fields, as ``SystemConfig.digest``
+        keeps its own).
+        """
+        cached = self.__dict__.get("_prefix_digest")
+        if cached is not None:
+            return cached
+        prefix = self.shared_prefix
+        digest = hashlib.blake2b(str(prefix).encode("ascii"), digest_size=20)
+        for column in (self.kinds, self.gaps, self.addrs, self.deps, self.pcs):
+            column = np.ascontiguousarray(column[:prefix])
+            digest.update(column.dtype.str.encode("ascii"))
+            digest.update(column)
+        cached = digest.hexdigest()
+        object.__setattr__(self, "_prefix_digest", cached)
+        return cached
 
     @property
     def instruction_count(self) -> int:

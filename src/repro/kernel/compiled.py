@@ -1,10 +1,11 @@
 """Precompiled trace columns for one simulation point.
 
 A :class:`CompiledTrace` wraps an immutable :class:`~repro.cpu.trace.Trace`
-and converts its numpy columns into plain Python lists once
+and converts its numpy columns into plain Python lists for each run
 (``ndarray.__getitem__`` in a tight loop is several times slower than
-list iteration, so the fast kernel walks lists).  Nothing is kept
-across calls, so a compilation is freed with the point that built it.
+list iteration, so the fast kernel walks lists), from the first record
+the run simulates.  Nothing is kept across calls, so a compilation is
+freed with the point that built it.
 
 :meth:`CompiledTrace.l1_columns` and :meth:`CompiledTrace.coord_map`
 are vectorized views of the per-record L1 and DRAM arithmetic.  The
@@ -17,7 +18,7 @@ tests.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -30,30 +31,26 @@ __all__ = ["CompiledTrace", "compile_trace"]
 
 
 class CompiledTrace:
-    """List views of one trace; :meth:`base_columns` is built once per
-    instance and must be treated as immutable by consumers."""
+    """List views of one trace, each built when asked for."""
 
     def __init__(self, trace: Trace) -> None:
         self.trace = trace
-        self._base_columns: Optional[Tuple[list, ...]] = None
 
     def __len__(self) -> int:
         return len(self.trace)
 
-    def base_columns(self) -> Tuple[list, list, list, list, list]:
-        """(kinds, gaps, addrs, deps, pcs) as plain lists."""
-        columns = self._base_columns
-        if columns is None:
-            trace = self.trace
-            columns = (
-                trace.kinds.tolist(),
-                trace.gaps.tolist(),
-                trace.addrs.tolist(),
-                trace.deps.tolist(),
-                trace.pcs.tolist(),
-            )
-            self._base_columns = columns
-        return columns
+    def base_columns(self, start: int = 0) -> Tuple[list, list, list, list, list]:
+        """(kinds, gaps, addrs, deps, pcs) of the records from ``start``
+        on, as plain lists (a warm-up that restores the machine after
+        its shared prefix lists only the records past it)."""
+        trace = self.trace
+        return (
+            trace.kinds[start:].tolist(),
+            trace.gaps[start:].tolist(),
+            trace.addrs[start:].tolist(),
+            trace.deps[start:].tolist(),
+            trace.pcs[start:].tolist(),
+        )
 
     def l1_columns(self, l1i: CacheConfig, l1d: CacheConfig) -> Tuple[list, list]:
         """(l1_block, l1_set) lists for the given L1 geometry pair.

@@ -3,13 +3,13 @@
 ``FastSystem`` replays the exact event sequence of the reference stack
 (``OutOfOrderCore`` + ``MemoryHierarchy`` + ``MemoryController`` +
 ``LogicalChannel`` + ``RegionPrefetcher``) with every per-record Python
-call inlined into one function: cache sets are lists of 4-slot list
-"lines" mirrored by tag dicts, DRAM bank state is three parallel
-lists, the channel buses are plain floats, the L1 MSHR files are bare
-heaps, and prefetch region entries are 4-slot lists ``[base, origin,
-bitmap, scan]`` in a plain priority-ordered list.  Only the stride
-prefetch engine is still driven as a reference object (it is not on
-any measured hot path).
+call inlined into one function: caches are block columns (see the
+state layout notes below), DRAM bank state is three parallel lists, the
+channel buses are plain floats, the L1 MSHR files are bare heaps, and
+prefetch region entries are 4-slot lists ``[base, origin, bitmap,
+scan]`` in a plain priority-ordered list.  Only the stride prefetch
+engine is still driven as a reference object (it is not on any
+measured hot path).
 
 **DRAM backends.**  Every registered backend runs here, through the
 backend's own hooks rather than copies of their logic: the bank
@@ -64,14 +64,24 @@ warm-up opens with the same cache filler at one L2 size
 (``Trace.shared_prefix`` counts it).  So the first warm-up of a fresh
 system walks its records in two segments and snapshots the machine in
 between, and a later point of the same configuration restores that
-snapshot and walks only the second (:mod:`repro.kernel.memo`).
+snapshot and walks only the second (:mod:`repro.kernel.memo`).  A
+system whose first run restores never builds empty caches.
 
-State layout notes: a cache line is ``[block, dirty, prefetched,
-ready_time]``; L1 fills skip the reference's merge check because
-nothing can install an L1 line between the lookup miss and its fill
-(only L2 fills happen in between), while the L2 demand fill keeps the
-merge check whenever a prefetcher exists — a gap-drained prefetch
-*can* land in the demand's block within one call chain.
+State layout notes: a cache is a tuple of block columns, no object per
+line.  ``sets`` holds one recency list of block numbers per set, MRU
+first; ``ready`` maps every resident block to its ready time and is
+the residency test (the region engine's resident probe and the stride
+engine's ``resident`` are one lookup in the L2's); the L1D adds its
+``dirty`` block set and the L2 its ``dirty`` and ``prefetched`` sets,
+while the read-only L1I needs neither.  So a fill or an eviction
+allocates no container.  An L2 hit reads its block's ready time before
+the gap drain, which may evict the block in a direct-mapped L2 (the
+reference reads the evicted line object, whose time no drain changes).
+L1 fills skip the reference's merge check because nothing can install
+an L1 block between the lookup miss and its fill (only L2 fills happen
+in between), while the L2 demand fill keeps the merge check whenever a
+prefetcher exists — a gap-drained prefetch *can* land in the demand's
+block within one call chain.
 """
 
 from __future__ import annotations
@@ -151,12 +161,12 @@ class FastSystem:
         self._l2_offset_bits = config.l2.block_offset_bits
         self._l2_index_mask = config.l2.num_sets - 1
 
-        self._l1i_sets: list = [[] for _ in range(config.l1i.num_sets)]
-        self._l1i_tags: list = [{} for _ in range(config.l1i.num_sets)]
-        self._l1d_sets: list = [[] for _ in range(config.l1d.num_sets)]
-        self._l1d_tags: list = [{} for _ in range(config.l1d.num_sets)]
-        self._l2_sets: list = [[] for _ in range(config.l2.num_sets)]
-        self._l2_tags: list = [{} for _ in range(config.l2.num_sets)]
+        # The caches, (sets, ready) for the L1I, (sets, ready, dirty)
+        # for the L1D and (sets, ready, dirty, prefetched) for the L2:
+        # the first run builds them empty or restores them.
+        self._l1i: tuple = ()
+        self._l1d: tuple = ()
+        self._l2: tuple = ()
 
         # The DRAM backend's own hooks, consulted exactly where
         # MemoryController and LogicalChannel consult them: the effective
@@ -257,10 +267,17 @@ class FastSystem:
         machine as it stands after the prefix and simulates only the
         rest; a miss simulates the prefix, memoizes that state and
         carries on."""
-        self._clock = self._run(compiled, self._clock, memoize=self._fresh)
+        self._clock = self._run(compiled, self._clock, warmup=True)
         self.stats.reset()
 
     # -- the post-prefix snapshot ----------------------------------------------
+
+    def _empty_caches(self) -> None:
+        """Cold caches, for a first run that restores none."""
+        config = self.config
+        self._l1i = ([[] for _ in range(config.l1i.num_sets)], {})
+        self._l1d = ([[] for _ in range(config.l1d.num_sets)], {}, set())
+        self._l2 = ([[] for _ in range(config.l2.num_sets)], {}, set(), set())
 
     def _snapshot(self, buses: tuple, throttle: tuple, core: tuple) -> Optional[memo.Snapshot]:
         """This machine mid-run; ``buses``, ``throttle`` and ``core`` are
@@ -278,16 +295,12 @@ class FastSystem:
             blob = pickle.dumps(state, pickle.HIGHEST_PROTOCOL)
         except (pickle.PicklingError, AttributeError, TypeError):
             return None
-        caches = tuple(
-            memo.flatten(sets) for sets in (self._l1i_sets, self._l1d_sets, self._l2_sets)
-        )
+        caches = tuple(memo.flatten(*cache) for cache in (self._l1i, self._l1d, self._l2))
         return memo.Snapshot(caches, blob)
 
     def _restore(self, snapshot: memo.Snapshot) -> tuple:
         """Take on ``snapshot``'s machine state; returns the core loop's."""
-        self._l1i_sets, self._l1i_tags = memo.unflatten(snapshot.caches[0])
-        self._l1d_sets, self._l1d_tags = memo.unflatten(snapshot.caches[1])
-        self._l2_sets, self._l2_tags = memo.unflatten(snapshot.caches[2])
+        self._l1i, self._l1d, self._l2 = map(memo.unflatten, snapshot.caches)
         (
             self._open_rows, self._busy_until, self._flushed_rows, buses,
             self._coords, self._pf_entries, throttle, self._policy, stride, core,
@@ -301,11 +314,13 @@ class FastSystem:
 
     # -- the kernel -----------------------------------------------------------
 
-    def _run(self, compiled: CompiledTrace, start_time: float, memoize: bool = False) -> float:
+    def _run(self, compiled: CompiledTrace, start_time: float, warmup: bool = False) -> float:
+        fresh = self._fresh
         self._fresh = False
-        # The shared prefix: restore the state after it, or memoize that
-        # state on the way past (``memo_key`` stays set for the miss).
-        prefix = compiled.trace.shared_prefix if memoize else 0
+        # The shared prefix of a fresh system's warm-up: restore the
+        # state after it, or memoize that state on the way past
+        # (``memo_key`` stays set for the miss).
+        prefix = compiled.trace.shared_prefix if warmup and fresh else 0
         memo_key = core = None
         if prefix:
             memo_key = memo.prefix_key(self.config, compiled.trace)
@@ -313,10 +328,12 @@ class FastSystem:
             if snapshot is not None:
                 core = self._restore(snapshot)
                 memo_key = None
+        if fresh and core is None:
+            self._empty_caches()
 
         stats = self.stats
 
-        columns = compiled.base_columns()
+        columns = compiled.base_columns(prefix if core is not None else 0)
 
         # Hoisted configuration scalars.
         issue_width = self._issue_width
@@ -362,12 +379,9 @@ class FastSystem:
             row_miss = AccessOutcome.ROW_MISS
 
         # Persistent structures.
-        l1i_sets = self._l1i_sets
-        l1i_tags = self._l1i_tags
-        l1d_sets = self._l1d_sets
-        l1d_tags = self._l1d_tags
-        l2_sets = self._l2_sets
-        l2_tags = self._l2_tags
+        l1i_sets, l1i_ready = self._l1i
+        l1d_sets, l1d_ready, l1d_dirty = self._l1d
+        l2_sets, l2_ready, l2_dirty, l2_prefetched = self._l2
         open_rows = self._open_rows
         busy_until = self._busy_until
         flushed_rows = self._flushed_rows
@@ -386,8 +400,7 @@ class FastSystem:
             mapping = self._mapping
 
             def resident(addr: int) -> bool:
-                block = addr & l2_block_mask
-                return block in l2_tags[(block >> l2_offset_bits) & l2_index_mask]
+                return (addr & l2_block_mask) in l2_ready
 
         # Region-engine state and scalars (RegionPrefetcher, inlined).
         pf_entries = self._pf_entries
@@ -435,7 +448,7 @@ class FastSystem:
         rd_cls = [0, 0, 0, 0]  # row hits, empty, misses, adjacency flushes
         wb_cls = [0, 0, 0, 0]
         pf_cls = [0, 0, 0, 0]
-        l1i_hits = l1i_del = l1i_miss = l1i_wb = l1i_evict = 0
+        l1i_hits = l1i_del = l1i_miss = l1i_evict = 0
         l1d_hits = l1d_del = l1d_miss = l1d_wb = l1d_evict = 0
         l2_hits = l2_del = l2_miss = l2_wb = l2_evict = 0
         pf_issued = pf_useful = pf_late = pf_evicted = 0
@@ -560,22 +573,21 @@ class FastSystem:
             # MemoryHierarchy._prefetch_fill + controller.writeback.
             nonlocal l2_evict, l2_wb, pf_evicted, ot_total, ot_useful
             block = addr & l2_block_mask
-            index = (block >> l2_offset_bits) & l2_index_mask
-            tags = l2_tags[index]
-            line = tags.get(block)
-            if line is not None:
-                # Merge into the resident line: a prefetched fill never
+            ready = l2_ready.get(block)
+            if ready is not None:
+                # Merge into the resident block: a prefetched fill never
                 # clears the flag and carries no dirty data.
-                if ready_time < line[3]:
-                    line[3] = ready_time
+                if ready_time < ready:
+                    l2_ready[block] = ready_time
                 return
-            lines = l2_sets[index]
+            lines = l2_sets[(block >> l2_offset_bits) & l2_index_mask]
             victim = None
             if len(lines) >= l2_assoc:
                 victim = lines.pop()
-                del tags[victim[0]]
+                del l2_ready[victim]
                 l2_evict += 1
-                if victim[2]:
+                if victim in l2_prefetched:
+                    l2_prefetched.remove(victim)
                     pf_evicted += 1
                     if region_on:  # record_outcome(False), inlined
                         ot_total += 1
@@ -584,11 +596,12 @@ class FastSystem:
                             ot_useful //= 2
                     else:
                         pf_outcome(False)
-            line = [block, False, True, ready_time]
-            lines.insert(pf_slot if pf_slot < len(lines) else len(lines), line)
-            tags[block] = line
-            if victim is not None and victim[1]:
-                chan_access(ready_time, victim[0], wb_cls)
+            lines.insert(pf_slot, block)  # past the end: appended
+            l2_ready[block] = ready_time
+            l2_prefetched.add(block)
+            if victim in l2_dirty:
+                l2_dirty.remove(victim)
+                chan_access(ready_time, victim, wb_cls)
                 l2_wb += 1
 
         if region_on:
@@ -620,11 +633,7 @@ class FastSystem:
                             idx -= pf_num
                         if not (bitmap >> idx) & 1:
                             cand = base + (idx << l2_offset_bits)
-                            # resident probe against the live L2 tags
-                            if (
-                                cand
-                                in l2_tags[(cand >> l2_offset_bits) & l2_index_mask]
-                            ):
+                            if cand in l2_ready:  # the resident probe
                                 bitmap |= 1 << idx
                                 scan += 1
                                 continue
@@ -715,16 +724,17 @@ class FastSystem:
             if perfect_l2:
                 l2_hits += 1
                 return t2 + l2_lat
-            tags = l2_tags[index]
-            line = tags.get(block)
-            if line is not None:
+            ready = l2_ready.get(block)
+            if ready is not None:
+                # The ready time is the one from before the gap drain
+                # below, which may evict the block (a direct-mapped L2).
                 lines = l2_sets[index]
-                if lines[0] is not line:
-                    lines.remove(line)
-                    lines.insert(0, line)
+                if lines[0] != block:
+                    lines.remove(block)
+                    lines.insert(0, block)
                 was_prefetched = False
-                if line[2]:
-                    line[2] = False
+                if block in l2_prefetched:
+                    l2_prefetched.remove(block)
                     was_prefetched = True
                     pf_useful += 1
                     if region_on:  # record_outcome(True), inlined
@@ -738,7 +748,6 @@ class FastSystem:
                 l2_hits += 1
                 if drain_on and col_free + idle_guard <= t2:
                     drain(t2)
-                ready = line[3]
                 if ready > t2:
                     l2_del += 1
                     if was_prefetched:
@@ -796,18 +805,19 @@ class FastSystem:
                 # gap-drained prefetch may have landed in this very
                 # block above.  Without a prefetcher nothing can have
                 # installed the block since the lookup missed.
-                line = tags.get(block)
-                if line is not None:
-                    if completion < line[3]:
-                        line[3] = completion
-                    line[2] = False
+                ready = l2_ready.get(block)
+                if ready is not None:
+                    if completion < ready:
+                        l2_ready[block] = completion
+                    l2_prefetched.discard(block)
                     return completion
             lines = l2_sets[index]
             if len(lines) >= l2_assoc:
                 victim = lines.pop()
-                del tags[victim[0]]
+                del l2_ready[victim]
                 l2_evict += 1
-                if victim[2]:
+                if victim in l2_prefetched:
+                    l2_prefetched.remove(victim)
                     pf_evicted += 1
                     if region_on:  # record_outcome(False), inlined
                         ot_total += 1
@@ -816,14 +826,14 @@ class FastSystem:
                             ot_useful //= 2
                     elif have_pf:
                         pf_outcome(False)
-                if victim[1]:
+                if victim in l2_dirty:
                     # Written back before the fill lands, unlike the
                     # reference: the channel walk reads no cache state.
-                    chan_access(completion, victim[0], wb_cls)
+                    l2_dirty.remove(victim)
+                    chan_access(completion, victim, wb_cls)
                     l2_wb += 1
-            line = [block, False, False, completion]
-            lines.insert(0, line)
-            tags[block] = line
+            lines.insert(0, block)
+            l2_ready[block] = completion
             return completion
 
         # Per-run core state (fresh each run, like the reference), or as
@@ -849,10 +859,9 @@ class FastSystem:
         loads = stores = ifetches = swprefetches = 0
 
         # The records, in one or two segments of one walk: after a
-        # restore, those past the prefix; on a memo miss, the prefix
-        # and then the rest, with the snapshot taken in between.
-        if core is not None:
-            columns = [islice(column, prefix, None) for column in columns]
+        # restore, those past the prefix (the only ones listed); on a
+        # memo miss, the prefix and then the rest, with the snapshot
+        # taken in between.
         records = zip(*columns)
         segments = (records,) if memo_key is None else (islice(records, prefix), records)
         for segment in segments:
@@ -885,16 +894,14 @@ class FastSystem:
                     else:
                         blk = addr & l1i_block_mask
                         sidx = (blk >> l1i_offset_bits) & l1i_index_mask
-                        tags = l1i_tags[sidx]
-                        line = tags.get(blk)
-                        if line is not None:
+                        line_ready = l1i_ready.get(blk)
+                        if line_ready is not None:
                             lines = l1i_sets[sidx]
-                            if lines[0] is not line:
-                                lines.remove(line)
-                                lines.insert(0, line)
+                            if lines[0] != blk:
+                                lines.remove(blk)
+                                lines.insert(0, blk)
                             l1i_hits += 1
                             hit_done = ready + l1i_lat
-                            line_ready = line[3]
                             if line_ready > ready:
                                 l1i_del += 1
                                 completion = (
@@ -909,28 +916,14 @@ class FastSystem:
                             completion = l2_access(
                                 t2, block, (block >> l2_offset_bits) & l2_index_mask, pc
                             )
+                            # The read-only L1I never holds dirty data:
+                            # its victims write nothing back.
                             lines = l1i_sets[sidx]
-                            victim = None
                             if len(lines) >= l1i_assoc:
-                                victim = lines.pop()
-                                del tags[victim[0]]
+                                del l1i_ready[lines.pop()]
                                 l1i_evict += 1
-                            line = [blk, False, False, completion]
-                            lines.insert(0, line)
-                            tags[blk] = line
-                            if victim is not None and victim[1]:
-                                # _l1_writeback (unreachable for the read-only
-                                # L1I, kept for structural parity).
-                                vblock = victim[0] & l2_block_mask
-                                vline = l2_tags[
-                                    (vblock >> l2_offset_bits) & l2_index_mask
-                                ].get(vblock)
-                                if vline is not None:
-                                    vline[1] = True
-                                elif not perfect_l2:
-                                    chan_access(completion, vblock, wb_cls)
-                                    l2_wb += 1
-                                l1i_wb += 1
+                            lines.insert(0, blk)
+                            l1i_ready[blk] = completion
                             heappush(i_heap, completion)
                             if completion > dispatch:
                                 dispatch = completion
@@ -981,18 +974,16 @@ class FastSystem:
                 else:
                     blk = addr & l1d_block_mask
                     sidx = (blk >> l1d_offset_bits) & l1d_index_mask
-                    tags = l1d_tags[sidx]
-                    line = tags.get(blk)
-                    if line is not None:
+                    line_ready = l1d_ready.get(blk)
+                    if line_ready is not None:
                         lines = l1d_sets[sidx]
-                        if lines[0] is not line:
-                            lines.remove(line)
-                            lines.insert(0, line)
+                        if lines[0] != blk:
+                            lines.remove(blk)
+                            lines.insert(0, blk)
                         if kind == 1:
-                            line[1] = True
+                            l1d_dirty.add(blk)
                         l1d_hits += 1
                         hit_done = issue + l1d_lat
-                        line_ready = line[3]
                         if line_ready > issue:
                             l1d_del += 1
                             completion = line_ready if line_ready > hit_done else hit_done
@@ -1009,24 +1000,23 @@ class FastSystem:
                         lines = l1d_sets[sidx]
                         if len(lines) >= l1d_assoc:
                             victim = lines.pop()
-                            del tags[victim[0]]
+                            del l1d_ready[victim]
                             l1d_evict += 1
-                            if victim[1]:
+                            if victim in l1d_dirty:
                                 # _l1_writeback(completion, victim_addr), ahead
                                 # of the L1 fill it reads nothing of.
-                                vblock = victim[0] & l2_block_mask
-                                vline = l2_tags[
-                                    (vblock >> l2_offset_bits) & l2_index_mask
-                                ].get(vblock)
-                                if vline is not None:
-                                    vline[1] = True
+                                l1d_dirty.remove(victim)
+                                vblock = victim & l2_block_mask
+                                if vblock in l2_ready:
+                                    l2_dirty.add(vblock)
                                 elif not perfect_l2:
                                     chan_access(completion, vblock, wb_cls)
                                     l2_wb += 1
                                 l1d_wb += 1
-                        line = [blk, kind == 1, False, completion]
-                        lines.insert(0, line)
-                        tags[blk] = line
+                        lines.insert(0, blk)
+                        l1d_ready[blk] = completion
+                        if kind == 1:
+                            l1d_dirty.add(blk)
                         missed = True
 
                 if missed:
@@ -1090,7 +1080,6 @@ class FastSystem:
         s.hits += l1i_hits
         s.delayed_hits += l1i_del
         s.misses += l1i_miss
-        s.writebacks += l1i_wb
         s.evictions += l1i_evict
         s = stats.l1d
         s.accesses += l1d_hits + l1d_miss

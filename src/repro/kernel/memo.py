@@ -12,23 +12,23 @@ five columns, so two points share a snapshot exactly when their
 machines went through the same records.
 
 A snapshot is compact and shares nothing with a live system: the three
-caches are flat ``array``/``bytes`` columns, everything else is one
-pickled blob, and every restore builds fresh lines from them.  The memo
-is an LRU bounded in bytes (:data:`SNAPSHOT_BYTES`), so it cannot grow
-with the number of configurations a process runs.
+caches are flat ``array``/``bytes`` columns (:func:`flatten`; ~0.34 MB
+at 1 MB of L2), everything else is one pickled blob.  Every restore
+builds fresh recency lists, ready-time dict and flag sets from them
+with C-level builtins, never a Python loop per block
+(:func:`unflatten`), so it costs a few milliseconds and leaves few
+objects for the cyclic collector.  The memo is an LRU bounded in bytes
+(:data:`SNAPSHOT_BYTES`), so it cannot grow with the number of
+configurations a process runs.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from array import array
 from collections import OrderedDict
-from itertools import chain, islice
-from operator import itemgetter
+from itertools import accumulate, chain, compress
 from typing import Optional, Tuple
-
-import numpy as np
 
 from repro.core.config import SystemConfig
 from repro.cpu.trace import Trace
@@ -44,10 +44,8 @@ __all__ = [
 ]
 
 #: bytes of snapshots one process keeps: a snapshot of the default
-#: machine (1 MB L2) takes ~0.3 MB, one with a 4 MB L2 ~1.2 MB.
+#: machine (1 MB L2) takes ~0.34 MB, one with a 4 MB L2 ~1.3 MB.
 SNAPSHOT_BYTES = 32 << 20
-
-_COLUMNS = ("kinds", "gaps", "addrs", "deps", "pcs")
 
 
 class Snapshot:
@@ -119,40 +117,33 @@ SNAPSHOTS = SnapshotMemo(SNAPSHOT_BYTES)
 
 
 def prefix_key(config: SystemConfig, trace: Trace) -> Tuple[str, str]:
-    """``(config digest, digest of the trace's shared prefix)``."""
-    prefix = trace.shared_prefix
-    digest = hashlib.blake2b(str(prefix).encode("ascii"), digest_size=20)
-    for name in _COLUMNS:
-        column = np.ascontiguousarray(getattr(trace, name)[:prefix])
-        digest.update(column.dtype.str.encode("ascii"))
-        digest.update(column)
-    return config.digest(), digest.hexdigest()
+    """``(config digest, digest of the trace's shared prefix)``; each
+    digest is computed once per instance."""
+    return config.digest(), trace.prefix_digest()
 
 
-def flatten(sets: list) -> tuple:
-    """A cache's sets of ``[block, dirty, prefetched, ready_time]``
-    lines as flat columns: the line count of every set, then every
-    line's block, flags (dirty | prefetched << 1) and ready time, sets
-    in order and MRU first."""
-    lines = chain.from_iterable
+def flatten(sets: list, ready: dict, *flags: set) -> tuple:
+    """A cache's block columns as flat arrays: the block count of every
+    set, then every block and its ready time (sets in order, MRU
+    first), then one byte per block for each of ``flags`` (the cache's
+    dirty and prefetched sets), 1 where the block is in it."""
+    blocks = array("q", chain.from_iterable(sets))
     return (
         array("I", map(len, sets)),
-        array("q", map(itemgetter(0), lines(sets))),
-        bytes(line[1] | line[2] << 1 for line in lines(sets)),
-        array("d", map(itemgetter(3), lines(sets))),
+        blocks,
+        array("d", map(ready.__getitem__, blocks)),
+        *(bytes(map(flag.__contains__, blocks)) for flag in flags),
     )
 
 
-_DIRTY = (False, True, False, True)
-_PREFETCHED = (False, False, True, True)
-
-
-def unflatten(columns: tuple) -> Tuple[list, list]:
-    """Fresh ``(sets, tags)`` from :func:`flatten`'s columns."""
-    counts, blocks, flags, ready = columns
-    lines = (
-        [block, _DIRTY[flag], _PREFETCHED[flag], ready_time]
-        for block, flag, ready_time in zip(blocks, flags, ready)
+def unflatten(columns: tuple) -> tuple:
+    """Fresh ``(sets, ready, *flags)`` from :func:`flatten`'s columns,
+    built by C-level builtins without a Python loop per block."""
+    counts, blocks, ready, *flags = columns
+    blocks = blocks.tolist()
+    bounds = list(accumulate(counts, initial=0))
+    return (
+        list(map(blocks.__getitem__, map(slice, bounds, bounds[1:]))),
+        dict(zip(blocks, ready.tolist())),
+        *(set(compress(blocks, flag)) for flag in flags),
     )
-    sets = [list(islice(lines, count)) for count in counts]
-    return sets, [{line[0]: line for line in lines_of_set} for lines_of_set in sets]

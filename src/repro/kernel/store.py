@@ -1,12 +1,13 @@
-"""Content-addressed on-disk store for built traces.
+"""Content-addressed on-disk store for built measured traces.
 
-Trace construction is deterministic, so a trace's *recipe* —
-``(benchmark, memory_refs, seed, l2_bytes)`` plus the source
-fingerprint of the installed package — addresses its content.  The
-store keeps each recipe's warm-up and measured traces in one
-compressed ``.npz`` under the recipe digest, letting N pool workers
-(and N successive runner invocations) generate each trace once per
-machine instead of once per process.
+Trace construction is deterministic, so a measured trace's *recipe* —
+``(benchmark, memory_refs, seed)`` plus the source fingerprint of the
+installed package — addresses its content.  The store keeps each
+recipe's measured trace in one compressed ``.npz`` under the recipe
+digest, letting N pool workers (and N successive runner invocations)
+generate each trace once per machine instead of once per process.  The
+warm-up trace is not stored: it is vectorized and rebuilds in 0.2-0.5
+ms per benchmark, a fraction of what compressing it costs.
 
 Location: the store lives beside the results, in ``<result cache
 dir>/traces``, and a run with no result cache (``--no-cache``, or a
@@ -27,7 +28,7 @@ import json
 import os
 import zipfile
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -37,7 +38,8 @@ __all__ = ["TraceStore", "trace_store"]
 
 #: bump when the on-disk layout changes (entries self-invalidate).
 #: 2: each trace carries its ``shared_prefix``.
-STORE_FORMAT_VERSION = 2
+#: 3: an entry holds the measured trace alone, not the warm-up trace.
+STORE_FORMAT_VERSION = 3
 
 _DISABLED_VALUES = ("", "0", "off", "false", "no")
 
@@ -45,14 +47,14 @@ _COLUMNS = ("kinds", "gaps", "addrs", "deps", "pcs")
 
 
 class TraceStore:
-    """Directory of ``<recipe-digest>.npz`` trace pairs."""
+    """Directory of ``<recipe-digest>.npz`` measured traces."""
 
     def __init__(self, root: Path) -> None:
         self.root = Path(root)
 
     @staticmethod
-    def recipe_key(benchmark: str, memory_refs: int, seed: int, l2_bytes: int) -> str:
-        """Digest addressing the (warm, main) trace pair of one recipe."""
+    def recipe_key(benchmark: str, memory_refs: int, seed: int) -> str:
+        """Digest addressing the measured trace of one recipe."""
         # Imported lazily: repro.runner.runner imports the worker module
         # that uses this store, so a module-level import would cycle.
         from repro.runner.runner import source_fingerprint
@@ -63,7 +65,6 @@ class TraceStore:
                 "benchmark": benchmark,
                 "memory_refs": memory_refs,
                 "seed": seed,
-                "l2_bytes": l2_bytes,
                 "source": source_fingerprint(),
             },
             sort_keys=True,
@@ -74,8 +75,8 @@ class TraceStore:
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.npz"
 
-    def load(self, key: str) -> Optional[Tuple[Trace, Trace]]:
-        """(warm, main) for ``key``, or None on miss/corruption."""
+    def load(self, key: str) -> Optional[Trace]:
+        """The trace stored under ``key``, or None on miss/corruption."""
         path = self._path(key)
         try:
             # np.load keeps a file it opened itself open when the zip
@@ -84,28 +85,28 @@ class TraceStore:
                 data = np.load(handle, allow_pickle=False)
                 if not isinstance(data, np.lib.npyio.NpzFile):
                     # A plain .npy array (or anything else np.load
-                    # reads that is no archive) holds no trace pair.
+                    # reads that is no archive) holds no trace.
                     return None
                 with data:
-                    warm = self._unpack(data, "warm")
-                    main = self._unpack(data, "main")
+                    return Trace(
+                        name=str(data["name"]),
+                        description=str(data["description"]),
+                        shared_prefix=int(data["shared_prefix"]),
+                        **{column: data[column] for column in _COLUMNS},
+                    )
         except (OSError, ValueError, KeyError, zipfile.BadZipFile):
             # Missing, unreadable, truncated, or stale-format entry:
             # treat as a miss; a corrupt file is overwritten on save.
             return None
-        return warm, main
 
-    def save(self, key: str, warm: Trace, main: Trace) -> bool:
-        """Persist a trace pair; returns False on any filesystem error."""
+    def save(self, key: str, trace: Trace) -> bool:
+        """Persist ``trace``; returns False on any filesystem error."""
         path = self._path(key)
         tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-        arrays = {}
-        for prefix, trace in (("warm", warm), ("main", main)):
-            arrays[f"{prefix}_name"] = np.array(trace.name)
-            arrays[f"{prefix}_description"] = np.array(trace.description)
-            arrays[f"{prefix}_shared_prefix"] = np.array(trace.shared_prefix)
-            for column in _COLUMNS:
-                arrays[f"{prefix}_{column}"] = getattr(trace, column)
+        arrays = {column: getattr(trace, column) for column in _COLUMNS}
+        arrays["name"] = np.array(trace.name)
+        arrays["description"] = np.array(trace.description)
+        arrays["shared_prefix"] = np.array(trace.shared_prefix)
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             with open(tmp, "wb") as fh:
@@ -118,15 +119,6 @@ class TraceStore:
                 pass
             return False
         return True
-
-    @staticmethod
-    def _unpack(data, prefix: str) -> Trace:
-        return Trace(
-            name=str(data[f"{prefix}_name"]),
-            description=str(data[f"{prefix}_description"]),
-            shared_prefix=int(data[f"{prefix}_shared_prefix"]),
-            **{column: data[f"{prefix}_{column}"] for column in _COLUMNS},
-        )
 
 
 def trace_store(cache_dir=None) -> Optional[TraceStore]:

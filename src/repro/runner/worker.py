@@ -13,7 +13,8 @@ it is amortized at two levels: each process memoizes the most recent
 traces (the parent's memo also backs
 :func:`repro.experiments.common.get_traces`), and a content-addressed
 store beside the result cache (:mod:`repro.kernel.store`) shares built
-traces across worker processes and runner invocations.
+measured traces across worker processes and runner invocations (the
+warm-up trace is vectorized and cheaper to build than to load).
 
 Every pool worker, the runner's and the service's alike, runs
 :func:`exit_with_parent` when it starts (:mod:`repro.runner.pool`).
@@ -46,22 +47,20 @@ _TRACE_MEMO_LOCK = threading.Lock()
 def _build_traces(
     benchmark: str, memory_refs: int, seed: int, l2_bytes: int, cache_dir=None
 ) -> Tuple[Trace, Trace]:
-    """Construct (warm, main), going through the on-disk store of
+    """Construct (warm, main).  The vectorized warm-up trace is always
+    built; the measured trace goes through the on-disk store of
     ``cache_dir`` when there is one (:func:`repro.kernel.store.trace_store`):
     first process on the machine builds and publishes, the rest load.
     Store failures silently fall back to building."""
+    warm = build_warmup_trace(benchmark, seed=seed, l2_bytes=l2_bytes)
     store = trace_store(cache_dir)
     if store is None:
-        warm = build_warmup_trace(benchmark, seed=seed, l2_bytes=l2_bytes)
+        return warm, build_trace(benchmark, memory_refs, seed=seed)
+    key = store.recipe_key(benchmark, memory_refs, seed)
+    main = store.load(key)
+    if main is None:
         main = build_trace(benchmark, memory_refs, seed=seed)
-        return warm, main
-    key = store.recipe_key(benchmark, memory_refs, seed, l2_bytes)
-    cached = store.load(key)
-    if cached is not None:
-        return cached
-    warm = build_warmup_trace(benchmark, seed=seed, l2_bytes=l2_bytes)
-    main = build_trace(benchmark, memory_refs, seed=seed)
-    store.save(key, warm, main)
+        store.save(key, main)
     return warm, main
 
 
@@ -73,7 +72,8 @@ def get_traces(
     cache_dir=None,
 ) -> Tuple[Optional[Trace], Trace]:
     """(warm-up initialization trace, measured trace) for one benchmark;
-    a build goes through the trace store of ``cache_dir``."""
+    the measured trace's build goes through the trace store of
+    ``cache_dir``."""
     key = (benchmark, memory_refs, seed, l2_bytes)
     with _TRACE_MEMO_LOCK:
         traces = _TRACE_MEMO.get(key)

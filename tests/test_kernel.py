@@ -62,14 +62,16 @@ def fast_systems_built(monkeypatch):
 
 class TestCompiledColumns:
     def test_base_columns_match_trace(self):
+        """Whole, and from a start record on (a restored warm-up's)."""
         trace = _trace()
         compiled = compile_trace(trace)
-        kinds, gaps, addrs, deps, pcs = compiled.base_columns()
-        assert kinds == trace.kinds.tolist()
-        assert gaps == trace.gaps.tolist()
-        assert addrs == trace.addrs.tolist()
-        assert deps == trace.deps.tolist()
-        assert pcs == trace.pcs.tolist()
+        for start in (0, 100):
+            kinds, gaps, addrs, deps, pcs = compiled.base_columns(start)
+            assert kinds == trace.kinds[start:].tolist()
+            assert gaps == trace.gaps[start:].tolist()
+            assert addrs == trace.addrs[start:].tolist()
+            assert deps == trace.deps[start:].tolist()
+            assert pcs == trace.pcs[start:].tolist()
 
     def test_l1_columns_match_reference_set_index(self):
         from repro.cache.hierarchy import AccessKind
@@ -183,25 +185,25 @@ class TestSnapshotMemo:
 
 class TestTraceStore:
     def test_save_load_roundtrip(self, tmp_path):
+        """Any trace round-trips, its ``shared_prefix`` with it."""
         store = TraceStore(tmp_path)
         warm = build_warmup_trace("mcf", seed=0, l2_bytes=1 << 20)
         main = _trace()
-        key = store.recipe_key("mcf", 800, 0, 1 << 20)
-        assert store.save(key, warm, main)
-        loaded = store.load(key)
-        assert loaded is not None
-        loaded_warm, loaded_main = loaded
-        assert _same_trace(loaded_warm, warm)
-        assert _same_trace(loaded_main, main)
+        assert warm.shared_prefix > 0
+        for trace in (warm, main):
+            key = store.recipe_key(trace.name, 800, 0)
+            assert store.save(key, trace)
+            loaded = store.load(key)
+            assert loaded is not None
+            assert _same_trace(loaded, trace)
 
     def test_load_miss_returns_none(self, tmp_path):
         assert TraceStore(tmp_path).load("0" * 64) is None
 
     def test_corrupt_entry_degrades_to_miss(self, tmp_path):
         store = TraceStore(tmp_path)
-        warm = build_warmup_trace("mcf", seed=0, l2_bytes=1 << 20)
-        key = store.recipe_key("mcf", 800, 0, 1 << 20)
-        assert store.save(key, warm, _trace())
+        key = store.recipe_key("mcf", 800, 0)
+        assert store.save(key, _trace())
         path = tmp_path / f"{key}.npz"
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         assert store.load(key) is None
@@ -220,45 +222,45 @@ class TestTraceStore:
         """An entry holding ``np.save`` output (an array, not an archive)
         is a miss, not a ``TypeError``, and the next save replaces it."""
         store = TraceStore(tmp_path)
-        key = store.recipe_key("mcf", 800, 0, 1 << 20)
+        key = store.recipe_key("mcf", 800, 0)
         with open(tmp_path / f"{key}.npz", "wb") as fh:
             np.save(fh, np.arange(4))
         assert store.load(key) is None
-        warm = build_warmup_trace("mcf", seed=0, l2_bytes=1 << 20)
-        assert store.save(key, warm, _trace())
+        assert store.save(key, _trace())
         assert store.load(key) is not None
 
     def test_entry_from_before_the_format_bump_is_a_miss(self, tmp_path, monkeypatch):
-        """A version-1 entry (no ``shared_prefix``) loads as a miss even
-        under the current key, and a version-1 key is another key."""
+        """A version-2 entry (the warm-up and measured traces as a pair)
+        loads as a miss even under the current key, and a version-2 key
+        is another key."""
         store = TraceStore(tmp_path)
-        key = store.recipe_key("mcf", 800, 0, 1 << 20)
+        key = store.recipe_key("mcf", 800, 0)
         warm, main = build_warmup_trace("mcf", seed=0, l2_bytes=1 << 20), _trace()
         arrays = {}
         for prefix, trace in (("warm", warm), ("main", main)):
             arrays[f"{prefix}_name"] = np.array(trace.name)
             arrays[f"{prefix}_description"] = np.array(trace.description)
+            arrays[f"{prefix}_shared_prefix"] = np.array(trace.shared_prefix)
             for column in ("kinds", "gaps", "addrs", "deps", "pcs"):
                 arrays[f"{prefix}_{column}"] = getattr(trace, column)
         np.savez_compressed(tmp_path / f"{key}.npz", **arrays)
         assert store.load(key) is None
-        assert store.save(key, warm, main)
-        assert store.load(key)[0].shared_prefix == warm.shared_prefix > 0
-        monkeypatch.setattr(store_module, "STORE_FORMAT_VERSION", 1)
-        assert store.recipe_key("mcf", 800, 0, 1 << 20) != key
+        assert store.save(key, main)
+        assert _same_trace(store.load(key), main)
+        monkeypatch.setattr(store_module, "STORE_FORMAT_VERSION", 2)
+        assert store.recipe_key("mcf", 800, 0) != key
 
     def test_unwritable_root_returns_false(self, tmp_path):
         blocked = tmp_path / "file"
         blocked.write_text("not a directory")
         store = TraceStore(blocked / "sub")
-        assert not store.save("k" * 64, _trace(), _trace())
+        assert not store.save("k" * 64, _trace())
 
     def test_recipe_key_distinguishes_every_field(self):
-        base = TraceStore.recipe_key("mcf", 800, 0, 1 << 20)
-        assert TraceStore.recipe_key("swim", 800, 0, 1 << 20) != base
-        assert TraceStore.recipe_key("mcf", 801, 0, 1 << 20) != base
-        assert TraceStore.recipe_key("mcf", 800, 1, 1 << 20) != base
-        assert TraceStore.recipe_key("mcf", 800, 0, 1 << 19) != base
+        base = TraceStore.recipe_key("mcf", 800, 0)
+        assert TraceStore.recipe_key("swim", 800, 0) != base
+        assert TraceStore.recipe_key("mcf", 801, 0) != base
+        assert TraceStore.recipe_key("mcf", 800, 1) != base
 
     def test_env_selection(self, tmp_path, monkeypatch):
         """``REPRO_TRACE_STORE`` wins; else the store is ``traces`` in the

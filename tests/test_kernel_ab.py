@@ -21,9 +21,11 @@ derandomized, so CI runs are reproducible; locally the defaults keep
 exploring fresh configurations.
 """
 
+import copy
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,7 +38,9 @@ from repro.core.config import (
     SystemConfig,
 )
 from repro.core.system import simulate
+from repro.cpu.trace import Trace
 from repro.dram.backends import get_backend
+from repro.kernel.fastcore import FastSystem
 from repro.kernel.memo import SNAPSHOTS
 from repro.workloads import build_trace
 from repro.workloads.registry import build_warmup_trace
@@ -216,6 +220,9 @@ class TestDeterministicEdgeCases:
             SystemConfig().with_backend("tldram").with_prefetch(enabled=True),
             SystemConfig().with_backend("chargecache").with_prefetch(enabled=True),
             SystemConfig().with_backend("ddr").with_prefetch(enabled=True),
+            replace(
+                SystemConfig(), l2=replace(SystemConfig().l2, assoc=1)
+            ).with_prefetch(enabled=True),
         ],
         ids=[
             "unscheduled-prefetch",
@@ -228,14 +235,43 @@ class TestDeterministicEdgeCases:
             "tldram-prefetch",
             "chargecache-prefetch",
             "ddr-prefetch",
+            "direct-mapped-l2-prefetch",
         ],
     )
     def test_named_variant_matches_reference(self, config):
+        """``direct-mapped-l2-prefetch`` is the one geometry where a
+        drained prefetch can evict the block a demand just hit (the next
+        test makes that happen while the block's data is in flight)."""
         trace = build_trace("swim", 1_500, seed=0)
         warmup = build_warmup_trace("swim", seed=0, l2_bytes=config.l2.size_bytes)
         reference = simulate(trace, config, warmup_trace=warmup, fast=False)
         fast = simulate(trace, config, warmup_trace=warmup, fast=True)
         assert _dump(fast) == _dump(reference)
+
+    def test_drain_evicting_a_delayed_hit_block(self):
+        """Four arrays one L2 size apart, walked in lockstep through a
+        64 KB direct-mapped L2 with region prefetching: a prefetch the
+        gap drain issues during an L2 hit evicts the hit block while its
+        data is still in flight, and the hit must still wait for that
+        data (the reference reads the evicted line's ready time).  No
+        benchmark trace at these sizes reaches that case."""
+        size, n = 64 << 10, 800
+        rng = np.random.default_rng(1)
+        addrs = 0x1000000 + rng.integers(0, 4, n) * size + (np.arange(n) // 8) * 64
+        trace = Trace(
+            name="lockstep",
+            kinds=rng.choice(np.array([0, 1], dtype=np.uint8), n, p=[0.8, 0.2]),
+            gaps=rng.integers(0, 20, n).astype(np.uint16),
+            addrs=addrs,
+            deps=np.zeros(n, dtype=np.uint8),
+            pcs=np.ones(n, dtype=np.uint32),
+        )
+        config = replace(
+            SystemConfig(), l2=replace(SystemConfig().l2, assoc=1, size_bytes=size)
+        ).with_prefetch(enabled=True)
+        reference = simulate(trace, config, fast=False)
+        assert reference.prefetches_late > 0
+        assert _dump(simulate(trace, config)) == _dump(reference)
 
     @pytest.mark.parametrize(
         "first,second",
@@ -311,6 +347,38 @@ class TestPrefixMemo:
         assert restored == self._run("swim", config)
         assert SNAPSHOTS.misses == 1
         assert restored == self._run("swim", config, fast=False)
+
+    @pytest.mark.parametrize("name", sorted(MEMO_CONFIGS))
+    def test_restored_caches_equal_the_simulated_prefix(self, name, monkeypatch):
+        """The caches a restore builds equal those of the system that
+        simulated the prefix, as they stood when it took the snapshot:
+        each set's block order, every ready time, the dirty and the
+        prefetched sets.  A 1 MB-L2 machine's snapshot stays under 0.4 MB."""
+        config = MEMO_CONFIGS[name]
+        caches = []
+        snapshot, restore = FastSystem._snapshot, FastSystem._restore
+
+        def record(system):
+            caches.append(copy.deepcopy((system._l1i, system._l1d, system._l2)))
+
+        def spy_snapshot(system, *state):
+            record(system)
+            return snapshot(system, *state)
+
+        def spy_restore(system, taken):
+            core = restore(system, taken)
+            record(system)
+            return core
+
+        monkeypatch.setattr(FastSystem, "_snapshot", spy_snapshot)
+        monkeypatch.setattr(FastSystem, "_restore", spy_restore)
+        self._run("mcf", config)
+        self._run("swim", config)
+        assert (SNAPSHOTS.hits, SNAPSHOTS.misses) == (1, 1)
+        simulated, restored = caches
+        assert restored == simulated
+        if config.l2.size_bytes == 1 << 20:
+            assert SNAPSHOTS.nbytes < 400_000
 
     @pytest.mark.parametrize("name", sorted(MEMO_CONFIGS))
     def test_a_snapshot_shares_nothing_with_a_live_system(self, name):

@@ -243,10 +243,20 @@ def _with_store_sweep(warm: Trace, name: str) -> Trace:
 
 
 def _cache_lines(system: FastSystem):
-    """Every cache's sets as (block, dirty, prefetched), MRU first."""
+    """Every cache's sets as (block, dirty, prefetched), MRU first (the
+    read-only L1I keeps no dirty set and neither L1 a prefetched set)."""
+    none = frozenset()
+    caches = (
+        (*system._l1i, none, none),
+        (*system._l1d, none),
+        system._l2,
+    )
     return [
-        [[(line[0], line[1], line[2]) for line in lines] for lines in sets]
-        for sets in (system._l1i_sets, system._l1d_sets, system._l2_sets)
+        [
+            [(block, block in dirty, block in prefetched) for block in blocks]
+            for blocks in sets
+        ]
+        for sets, _ready, dirty, prefetched in caches
     ]
 
 
