@@ -130,6 +130,25 @@ def source_fingerprint() -> str:
     return digest.hexdigest()
 
 
+@functools.lru_cache(maxsize=4096, typed=True)
+def _point_key(benchmark: str, config_digest: str, memory_refs: int, seed: int) -> str:
+    """:meth:`SimPoint.cache_key`, computed once per distinct point."""
+    payload = json.dumps(
+        {
+            "repro_version": __version__,
+            "result_version": RESULT_VERSION,
+            "source": source_fingerprint(),
+            "benchmark": benchmark,
+            "memory_refs": memory_refs,
+            "seed": seed,
+            "config": config_digest,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+
+
 @dataclass(frozen=True)
 class SimPoint:
     """One simulation: a benchmark run under a configuration."""
@@ -141,20 +160,9 @@ class SimPoint:
 
     def cache_key(self) -> str:
         """Content hash identifying this point's result."""
-        payload = json.dumps(
-            {
-                "repro_version": __version__,
-                "result_version": RESULT_VERSION,
-                "source": source_fingerprint(),
-                "benchmark": self.benchmark,
-                "memory_refs": self.memory_refs,
-                "seed": self.seed,
-                "config": self.config.digest(),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+        return _point_key(
+            self.benchmark, self.config.digest(), self.memory_refs, self.seed
         )
-        return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
     def label(self) -> str:
         """Short human-readable identity for progress lines."""

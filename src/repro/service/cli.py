@@ -9,8 +9,10 @@ Subcommands:
 * ``smoke``  — self-contained end-to-end check: boot an ephemeral
   in-process service, submit a tiny sweep over real HTTP, wait for it,
   verify the returned statistics are field-for-field identical to
-  simulating the same points directly, and validate the ``GET /metrics``
-  Prometheus exposition.  Exit 0 on success; used by CI.
+  simulating the same points directly, resubmit the sweep with its
+  configs' keys reordered and require it served from the store
+  unchanged, and validate the ``GET /metrics`` Prometheus exposition.
+  Exit 0 on success; used by CI.
 
 ``serve`` is production-shaped: SIGTERM/SIGINT trigger a *graceful
 drain* (stop admitting, finish in-flight jobs up to
@@ -294,11 +296,16 @@ def _smoke(args: argparse.Namespace, tmp: str) -> int:
         cache_dir=os.path.join(tmp, "cache"),
         workers=2,
     )
+    # The paper's baseline with and without region prefetching; the
+    # first spells two defaults out, so its keys can be reordered below.
     payload = {
         "benchmarks": list(args.benchmarks),
         "memory_refs": args.memory_refs,
         "seed": args.seed,
-        "configs": [{"prefetch": {"enabled": True}}, {}],
+        "configs": [
+            {"prefetch": {"enabled": True, "policy": "lifo"}, "dram": {"mapping": "xor"}},
+            {},
+        ],
     }
     with EphemeralServer(config) as ephemeral:
         client = ServiceClient(ephemeral.url)
@@ -343,6 +350,25 @@ def _smoke(args: argparse.Namespace, tmp: str) -> int:
             for line in mismatches:
                 print(f"  {line}")
             return 1
+        # The same sweep warm, each config's keys reordered: served from
+        # the store under the same digests, with byte-identical stats.
+        warm_payload = dict(
+            payload, configs=[_reversed_keys(c) for c in payload["configs"]]
+        )
+        warm = client.wait(client.submit(warm_payload)["id"], timeout=args.timeout)
+        simulated = client.stats()["points_simulated"] - stats["points_simulated"]
+        problem = None
+        if warm["state"] != "completed":
+            problem = f"warm resubmission ended {warm['state']}"
+        elif simulated:
+            problem = f"warm resubmission simulated {simulated} point(s)"
+        elif json.dumps(warm["results"], sort_keys=True) != json.dumps(
+            results, sort_keys=True
+        ):
+            problem = "warm resubmission served other config digests or stats"
+        if problem is not None:
+            print(f"repro-serve smoke: FAIL — {problem}")
+            return 1
         if not isinstance(stats.get("uptime_seconds"), (int, float)):
             print("repro-serve smoke: FAIL — /v1/stats lacks uptime_seconds")
             return 1
@@ -375,13 +401,21 @@ def _smoke(args: argparse.Namespace, tmp: str) -> int:
             print(f"repro-serve smoke: wrote /metrics scrape to {args.dump_metrics}")
         print(
             f"repro-serve smoke: OK — {len(results)} point(s) field-identical "
-            f"to direct simulation; {len(contract['benchmarks'])} benchmarks "
+            f"to direct simulation and served again warm from the store; "
+            f"{len(contract['benchmarks'])} benchmarks "
             f"in contract; store {stats['store']['misses']} miss(es), "
             f"flight {stats['single_flight']['leaders']} leader(s); "
             f"/metrics exposition valid "
             f"({exposition.count(chr(10))} lines)"
         )
     return 0
+
+
+def _reversed_keys(value: object) -> object:
+    """``value`` with the keys of every object in it in reverse order."""
+    if isinstance(value, dict):
+        return {k: _reversed_keys(v) for k, v in reversed(list(value.items()))}
+    return value
 
 
 def _find_config(digest: str, payload: Dict[str, object]):

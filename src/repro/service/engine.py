@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import asyncio
 import datetime
-import json
 import multiprocessing
 import time
 from dataclasses import dataclass
@@ -459,9 +458,7 @@ class SimulationService:
                 f"(limit {cfg.max_queued_points})",
             )
         if cfg.max_inflight_bytes:
-            payload_bytes = len(
-                json.dumps(request.to_dict(), sort_keys=True, separators=(",", ":"))
-            )
+            payload_bytes = len(request.canonical())
             held = self.queue.inflight_bytes()
             if held + payload_bytes > cfg.max_inflight_bytes:
                 self._reject(

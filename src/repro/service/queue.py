@@ -130,11 +130,9 @@ class Job:
         return out
 
 
-def _job_id(seq: int, payload: Dict[str, object]) -> str:
+def _job_id(seq: int, canonical: str) -> str:
     """Stable, human-sortable id: submission order + request fingerprint."""
-    digest = hashlib.sha256(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    ).hexdigest()[:8]
+    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:8]
     return f"job-{seq:06d}-{digest}"
 
 
@@ -144,11 +142,17 @@ class JobQueue:
     All methods are synchronous and must be called from one thread (the
     service's event loop); persistence is write-through — every state
     transition is journaled before it is observable.
+
+    ``jobs`` keeps every job the queue has accepted; the admission
+    measures (:meth:`pending`, :meth:`backlog_points`,
+    :meth:`inflight_bytes`) read only the live (non-terminal) ones,
+    indexed where each transition is journaled.
     """
 
     def __init__(self, journal_path: Union[str, Path]) -> None:
         self.journal_path = Path(journal_path)
         self.jobs: Dict[str, Job] = {}
+        self._live: Dict[str, Job] = {}
         self._heap: List = []  # (priority, seq, job id)
         self._seq = 0
         self._recovered: List[str] = []
@@ -249,6 +253,7 @@ class JobQueue:
             if job.state not in JobState.TERMINAL:
                 job.state = JobState.QUEUED
                 heapq.heappush(self._heap, (job.priority, job.seq, job.id))
+                self._live[job.id] = job
                 self._recovered.append(job.id)
 
     @property
@@ -264,7 +269,8 @@ class JobQueue:
         job_id: Optional[str] = None,
     ) -> Job:
         points = request.points()
-        resolved_id = job_id or _job_id(seq, payload)
+        encoded = request.canonical()
+        resolved_id = job_id or _job_id(seq, encoded)
         return Job(
             id=resolved_id,
             seq=seq,
@@ -273,9 +279,7 @@ class JobQueue:
             payload=payload,
             points=points,
             keys=[point.cache_key() for point in points],
-            payload_bytes=len(
-                json.dumps(payload, sort_keys=True, separators=(",", ":"))
-            ),
+            payload_bytes=len(encoded),
             trace_id=request.trace_id or resolved_id,
             submitted_monotonic=time.monotonic(),
         )
@@ -288,6 +292,7 @@ class JobQueue:
         job = self._make_job(request, payload, self._seq)
         self._seq += 1
         self.jobs[job.id] = job
+        self._live[job.id] = job
         self._event(
             "job-submitted", id=job.id, seq=job.seq, priority=job.priority,
             trace_id=job.trace_id, request=payload,
@@ -308,23 +313,20 @@ class JobQueue:
         return None
 
     def pending(self) -> int:
-        return sum(1 for job in self.jobs.values() if job.state == JobState.QUEUED)
+        return sum(1 for job in self._live.values() if job.state == JobState.QUEUED)
 
     def backlog_points(self) -> int:
         """Unresolved points across every non-terminal job."""
-        return sum(
-            job.remaining_points
-            for job in self.jobs.values()
-            if job.state not in JobState.TERMINAL
-        )
+        return sum(job.remaining_points for job in self._live.values())
 
     def inflight_bytes(self) -> int:
         """Serialized request bytes held by non-terminal jobs."""
-        return sum(
-            job.payload_bytes
-            for job in self.jobs.values()
-            if job.state not in JobState.TERMINAL
-        )
+        return sum(job.payload_bytes for job in self._live.values())
+
+    def _settle(self, job: Job, state: str) -> None:
+        """Move ``job`` to the terminal ``state``, out of the live index."""
+        job.state = state
+        self._live.pop(job.id, None)
 
     # -- progress ----------------------------------------------------------
 
@@ -334,11 +336,11 @@ class JobQueue:
             self._event("job-point-completed", id=job.id, key=key)
 
     def complete(self, job: Job) -> None:
-        job.state = JobState.COMPLETED
+        self._settle(job, JobState.COMPLETED)
         self._event("job-completed", id=job.id)
 
     def fail(self, job: Job, message: str, failures: List[Dict[str, object]]) -> None:
-        job.state = JobState.FAILED
+        self._settle(job, JobState.FAILED)
         job.error = message
         job.failures = failures
         self._event(
@@ -350,7 +352,7 @@ class JobQueue:
         job = self.jobs.get(job_id)
         if job is None or job.state != JobState.QUEUED:
             return False
-        job.state = JobState.CANCELLED
+        self._settle(job, JobState.CANCELLED)
         self._event("job-cancelled", id=job.id)
         return True
 
@@ -361,7 +363,7 @@ class JobQueue:
         point tasks); the queue's contract is that the terminal
         transition hits the journal before it is observable.
         """
-        job.state = JobState.CANCELLED
+        self._settle(job, JobState.CANCELLED)
         self._event("job-cancelled", id=job.id, was_running=True)
 
     def requeue(self, job: Job) -> None:

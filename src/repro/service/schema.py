@@ -21,6 +21,9 @@ the simulator itself.
 from __future__ import annotations
 
 import dataclasses
+import json
+import math
+import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -28,6 +31,7 @@ from repro.core.config import (
     ConfigError,
     DRAM_PARTS,
     SystemConfig,
+    _default_backend,
 )
 from repro.dram.backends import backend_names, has_backend
 from repro.runner import SimPoint
@@ -110,6 +114,46 @@ def _suggest(name: str, known: Sequence[str]) -> str:
     return f" (did you mean {best!r}?)" if best_score >= 2 else ""
 
 
+#: the JSON types a section field of each annotation accepts, and how a
+#: message names them.  A bool is never an int here, nor an int a bool.
+_FIELD_TYPES: Dict[str, Tuple[Tuple[type, ...], str]] = {
+    "bool": ((bool,), "a boolean"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+}
+
+
+def _field_value(value: Any, annotation: str) -> Any:
+    """``value`` as a field annotated ``annotation`` stores it.
+
+    An int given for a float field becomes that float, so one machine
+    has one digest however its numbers were written.  Raises
+    :class:`ValueError` with the message for the field's path.
+    """
+    accepted, noun = _FIELD_TYPES[annotation]
+    if isinstance(value, bool) != (annotation == "bool") or not isinstance(
+        value, accepted
+    ):
+        raise ValueError(f"must be {noun}, got {type(value).__name__}")
+    if annotation == "float":
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError("must be a finite number")
+    return value
+
+
+#: validated configs by (default DRAM backend, canonical overrides JSON):
+#: a repeated config is validated, built and digested once per process.
+#: Insertion-ordered; the oldest entry goes first once it is full.
+_INTERNED: Dict[Tuple[str, str], SystemConfig] = {}
+_INTERNED_MAX = 256
+_INTERNED_LOCK = threading.Lock()
+
+
 def build_config(
     overrides: Mapping[str, Any], field_prefix: str = "config"
 ) -> SystemConfig:
@@ -121,7 +165,30 @@ def build_config(
     name from :data:`repro.core.config.DRAM_PARTS`.  Anything unknown,
     ill-typed, or internally inconsistent raises :class:`SchemaError`
     with the full dotted field path.
+
+    Equal overrides (in any key order) return the one interned
+    instance, so its digest is computed once; errors are never kept.
+    The key carries the default backend, which ``REPRO_BACKEND`` sets.
     """
+    try:
+        key: Optional[Tuple[str, str]] = (
+            _default_backend(),
+            json.dumps(overrides, sort_keys=True, separators=(",", ":")),
+        )
+    except (TypeError, ValueError):
+        key = None  # not JSON: _build_config reports why
+    config = _INTERNED.get(key)
+    if config is None:
+        config = _build_config(overrides, field_prefix)
+        if key is not None:
+            with _INTERNED_LOCK:
+                if len(_INTERNED) >= _INTERNED_MAX:
+                    del _INTERNED[next(iter(_INTERNED))]
+                _INTERNED[key] = config
+    return config
+
+
+def _build_config(overrides: Mapping[str, Any], field_prefix: str) -> SystemConfig:
     errors = _Collector()
     if not isinstance(overrides, Mapping):
         errors.add(field_prefix, f"must be an object, got {type(overrides).__name__}")
@@ -159,7 +226,7 @@ def build_config(
                 )
                 continue
             if key == "dram" and fname == "part":
-                if fvalue not in DRAM_PARTS:
+                if not isinstance(fvalue, str) or fvalue not in DRAM_PARTS:
                     errors.add(
                         path,
                         f"unknown DRDRAM part {fvalue!r}; "
@@ -181,11 +248,12 @@ def build_config(
                         f"expected one of {', '.join(known)}",
                     )
                     continue
-            elif isinstance(fvalue, bool):
-                pass  # bool is fine wherever the dataclass default is bool
-            elif not isinstance(fvalue, (int, float, str)):
-                errors.add(path, f"must be a scalar, got {type(fvalue).__name__}")
-                continue
+            else:
+                try:
+                    fvalue = _field_value(fvalue, fields[fname].type)
+                except ValueError as exc:
+                    errors.add(path, str(exc))
+                    continue
             section_overrides[fname] = fvalue
         if section_overrides:
             try:
@@ -234,6 +302,19 @@ class SweepRequest:
             for config in self.configs
             for benchmark in self.benchmarks
         ]
+
+    def canonical(self) -> str:
+        """:meth:`to_dict` as canonical JSON, encoded once per request.
+
+        Its length is what the request holds of the admission byte
+        budget, and its hash is in the job id.  Kept on the instance
+        like :meth:`SystemConfig.digest`, outside the dataclass fields.
+        """
+        cached = self.__dict__.get("_canonical")
+        if cached is None:
+            cached = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+            object.__setattr__(self, "_canonical", cached)
+        return cached
 
     def to_dict(self) -> Dict[str, object]:
         """Journal/replay form: raw payloads, not resolved dataclasses."""

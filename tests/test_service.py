@@ -9,16 +9,21 @@ identical to calling the worker directly.
 """
 
 import asyncio
+import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
-from repro.core.config import DRAM_PARTS
+import repro.core.config as config_module
+from repro.core.config import DRAM_PARTS, SystemConfig
+from repro.service import schema
 from repro.runner import ResultStore, SimPoint
 from repro.runner.worker import execute_point
 from repro.service import (
@@ -121,6 +126,61 @@ class TestSchema:
                 _sweep(config={"l2": {"block_bytes": 16}})
             )
 
+    @pytest.mark.parametrize(
+        "overrides, field, message",
+        [
+            # equal (==) to enabled=true, but it digested differently
+            ({"prefetch": {"enabled": 1}}, "config.prefetch.enabled",
+             "must be a boolean, got int"),
+            # built a direct-mapped L2 under a digest of its own
+            ({"l2": {"assoc": True}}, "config.l2.assoc",
+             "must be an integer, got bool"),
+            # was "invalid overrides: unsupported operand type(s) for &"
+            ({"l2": {"size_bytes": 1048576.0}}, "config.l2.size_bytes",
+             "must be an integer, got float"),
+            # was an unhashable-type TypeError, a 500 over HTTP
+            ({"dram": {"part": []}}, "config.dram.part",
+             "unknown DRDRAM part []; expected one of 800-34, 800-40, 800-50"),
+            ({"dram": {"mapping": 3}}, "config.dram.mapping",
+             "must be a string, got int"),
+            ({"core": {"clock_ghz": float("nan")}}, "config.core.clock_ghz",
+             "must be a finite number"),
+            ({"core": {"clock_ghz": 10**400}}, "config.core.clock_ghz",
+             "must be a finite number"),
+        ],
+    )
+    def test_ill_typed_override_is_field_addressed(self, overrides, field, message):
+        with pytest.raises(SchemaError) as excinfo:
+            parse_sweep_request(_sweep(config=overrides))
+        assert excinfo.value.errors == [{"field": field, "message": message}]
+
+    def test_every_section_field_has_a_type_check(self):
+        base = SystemConfig()
+        for section in schema._CONFIG_SECTIONS:
+            for f in dataclasses.fields(getattr(base, section)):
+                if (section, f.name) not in (("dram", "part"), ("dram", "backend")):
+                    assert f.type in schema._FIELD_TYPES, (section, f.name, f.type)
+
+    def test_int_for_a_float_field_is_stored_as_that_float(self):
+        as_int = build_config({"core": {"clock_ghz": 2}})
+        as_float = build_config({"core": {"clock_ghz": 2.0}})
+        assert type(as_int.core.clock_ghz) is float
+        assert as_int == as_float
+        assert as_int.digest() == as_float.digest()
+
+    def test_well_typed_overrides_digest_as_configs_built_in_code(
+        self, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        prefetch = build_config({"prefetch": {"enabled": True}})
+        assert prefetch.digest() == SystemConfig().with_prefetch().digest()
+        assert prefetch.digest().startswith("dcb1661c")
+        direct_mapped = build_config({"l2": {"assoc": 1}})
+        base = SystemConfig()
+        in_code = dataclasses.replace(base, l2=dataclasses.replace(base.l2, assoc=1))
+        assert direct_mapped.digest() == in_code.digest()
+        assert direct_mapped.digest().startswith("87a548f2")
+
     def test_journal_round_trip(self):
         payload = _sweep(
             seed=3,
@@ -138,12 +198,207 @@ class TestSchema:
         assert contract["max_points_per_sweep"] == MAX_POINTS_PER_SWEEP
 
 
+@pytest.fixture()
+def fresh_interned(monkeypatch):
+    """An empty config memo for one test (restored afterwards)."""
+    memo = {}
+    monkeypatch.setattr(schema, "_INTERNED", memo)
+    return memo
+
+
+class TestInterning:
+    def test_key_order_does_not_matter(self, fresh_interned):
+        first = build_config(
+            {"prefetch": {"enabled": True, "policy": "fifo"}, "l2": {"assoc": 8}}
+        )
+        again = build_config(
+            {"l2": {"assoc": 8}, "prefetch": {"policy": "fifo", "enabled": True}}
+        )
+        assert again is first
+        assert len(fresh_interned) == 1
+
+    def test_one_and_true_never_share_an_entry(self, fresh_interned):
+        assert build_config({"l2": {"assoc": 1}}).l2.assoc == 1
+        with pytest.raises(SchemaError):
+            build_config({"l2": {"assoc": True}})
+        assert build_config({"prefetch": {"enabled": True}}).prefetch.enabled is True
+        with pytest.raises(SchemaError):
+            build_config({"prefetch": {"enabled": 1}})
+        # 2 and 2.0 build one machine, but under two keys
+        assert build_config({"core": {"clock_ghz": 2}}) == build_config(
+            {"core": {"clock_ghz": 2.0}}
+        )
+        assert len(fresh_interned) == 4
+
+    def test_errors_keep_their_paths_after_a_good_section(self, fresh_interned):
+        parse_sweep_request(_sweep(configs=[{}, {"l2": {"assoc": 8}}]))
+        for _ in range(2):  # an error is never kept, so it repeats whole
+            with pytest.raises(SchemaError) as excinfo:
+                parse_sweep_request(
+                    _sweep(configs=[{}, {"l2": {"assoc": 8, "mshrs": 0.5}}])
+                )
+            assert excinfo.value.errors == [
+                {"field": "configs[1].l2.mshrs",
+                 "message": "must be an integer, got float"}
+            ]
+            with pytest.raises(SchemaError) as excinfo:
+                parse_sweep_request(_sweep(config={"l2": {"assoc": 3}}))
+            assert [e["field"] for e in excinfo.value.errors] == ["config.l2"]
+        assert len(fresh_interned) == 2
+
+    def test_memo_stays_within_its_bound(self, fresh_interned, monkeypatch):
+        monkeypatch.setattr(schema, "_INTERNED_MAX", 8)
+        built = [
+            build_config({"core": {"clock_ghz": 1.0 + i / 10}}) for i in range(20)
+        ]
+        assert len(fresh_interned) == 8
+        # the oldest went first; an evicted config rebuilds equal
+        assert build_config({"core": {"clock_ghz": 2.9}}) is built[-1]
+        rebuilt = build_config({"core": {"clock_ghz": 1.0}})
+        assert rebuilt == built[0] and rebuilt is not built[0]
+        assert len(fresh_interned) == 8
+
+    def test_concurrent_builds_keep_the_bound(self, fresh_interned, monkeypatch):
+        monkeypatch.setattr(schema, "_INTERNED_MAX", 4)
+        errors = []
+
+        def build(offset):
+            try:
+                for i in range(150):
+                    ghz = 1.0 + (offset + i) % 12 / 10
+                    assert build_config({"core": {"clock_ghz": ghz}}).core.clock_ghz == ghz
+            except BaseException as exc:  # reported below, on the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(fresh_interned) <= 4
+
+    def test_default_backend_is_part_of_the_key(self, fresh_interned, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        assert build_config({}).dram.backend == "drdram"
+        monkeypatch.setenv("REPRO_BACKEND", "tldram")
+        assert build_config({}).dram.backend == "tldram"
+
+    def test_resubmissions_digest_each_config_once(
+        self, tmp_path, monkeypatch, fresh_interned
+    ):
+        """50 submissions of one 2-config sweep build each config's
+        digest tree once: ``asdict`` is what ``SystemConfig.digest``
+        walks the dataclass tree with."""
+        walked = []
+        real_asdict = config_module.asdict
+
+        def counting_asdict(obj):
+            walked.append(obj)
+            return real_asdict(obj)
+
+        monkeypatch.setattr(config_module, "asdict", counting_asdict)
+        service = SimulationService(
+            ServiceConfig(journal_path=str(tmp_path / "journal.jsonl"))
+        )
+        payload = _sweep(
+            benchmarks=["mcf", "swim"],
+            configs=[{"prefetch": {"enabled": True}}, {"l2": {"assoc": 8}}],
+        )
+        try:
+            jobs = [service.submit_payload(payload) for _ in range(50)]
+        finally:
+            service.queue.close()
+        assert len({job.id for job in jobs}) == 50
+        assert len(walked) == 2
+        assert {c.digest() for c in walked} == {
+            p.config.digest() for p in jobs[0].points
+        }
+
+
 # ---------------------------------------------------------------------------
 # queue
 # ---------------------------------------------------------------------------
 
 
+def _admission_scan(queue):
+    """pending / backlog points / in-flight bytes, from every job."""
+    live = [j for j in queue.jobs.values() if j.state not in JobState.TERMINAL]
+    return (
+        sum(1 for j in live if j.state == JobState.QUEUED),
+        sum(j.remaining_points for j in live),
+        sum(j.payload_bytes for j in live),
+    )
+
+
 class TestJobQueue:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_live_index_matches_a_full_scan(self, tmp_path, seed):
+        """After every transition, journal replay and compaction, the
+        admission measures read from the live-job index equal a scan of
+        every job the queue holds."""
+        rng = random.Random(seed)
+        journal = tmp_path / "journal.jsonl"
+        queue = JobQueue(journal)
+        on_running = (
+            "point_completed", "complete", "fail", "cancel_running", "requeue"
+        )
+        applied = set()
+        for step in range(200):
+            jobs = sorted(queue.jobs.values(), key=lambda j: j.seq)
+            running = [j for j in jobs if j.state == JobState.RUNNING]
+            op = rng.choice(
+                ("submit", "pop", "cancel", "replay", "compact")
+                + (on_running if running else ())
+            )
+            if op == "submit":
+                benchmarks = rng.sample(["mcf", "swim", "eon"], rng.randint(1, 3))
+                queue.submit(parse_sweep_request(_sweep(
+                    benchmarks=benchmarks,
+                    seed=rng.randrange(3),
+                    priority=rng.randint(0, 9),
+                )))
+            elif op == "pop":
+                queue.pop()
+            elif op == "cancel":
+                if jobs:
+                    queue.cancel(rng.choice(jobs).id)
+            elif op == "replay":
+                queue.close()
+                queue = JobQueue(journal)
+            elif op == "compact":
+                queue.compact()
+            else:
+                job = rng.choice(running)
+                if op == "point_completed":
+                    queue.point_completed(job, rng.choice(job.keys))
+                elif op == "complete":
+                    queue.complete(job)
+                elif op == "fail":
+                    queue.fail(job, "boom", [])
+                elif op == "cancel_running":
+                    queue.cancel_running(job)
+                else:
+                    queue.requeue(job)
+            applied.add(op)
+            measured = (
+                queue.pending(), queue.backlog_points(), queue.inflight_bytes()
+            )
+            assert measured == _admission_scan(queue), (step, op)
+            for job in queue.jobs.values():
+                # one encoding charges a job alike on submit and replay
+                assert job.payload_bytes == len(
+                    json.dumps(job.payload, sort_keys=True, separators=(",", ":"))
+                )
+        queue.close()
+        assert applied == {"submit", "pop", "cancel", "replay", "compact", *on_running}
+
     def test_priority_then_fifo_order(self, tmp_path):
         queue = JobQueue(tmp_path / "journal.jsonl")
         low = queue.submit(parse_sweep_request(_sweep(priority=7)))
