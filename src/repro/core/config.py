@@ -31,6 +31,7 @@ __all__ = [
     "PrefetchConfig",
     "SystemConfig",
     "ConfigError",
+    "default_backend_name",
 ]
 
 
@@ -198,10 +199,11 @@ PART_800_34 = DRDRAMPart(name="800-34", t_prer_ns=17.0, t_act_ns=15.0, t_rdwr_ns
 DRAM_PARTS = {part.name: part for part in (PART_800_40, PART_800_50, PART_800_34)}
 
 
-def _default_backend() -> str:
+def default_backend_name() -> str:
     """DRAM backend selected by ``REPRO_BACKEND``, else the paper's DRDRAM.
 
-    A ``default_factory`` rather than a plain default so ``--backend``
+    The one reader of the variable.  :class:`DRAMConfig` takes it as a
+    ``default_factory`` rather than a plain default so ``--backend``
     (which exports ``REPRO_BACKEND``) threads through every preset and
     experiment without touching their construction sites; an explicit
     ``backend=`` argument always wins.
@@ -256,7 +258,7 @@ class DRAMConfig:
     #: model the shared sense-amp restriction between adjacent banks.
     shared_sense_amps: bool = True
     #: registered DRAM backend: "drdram", "tldram", "chargecache", "ddr".
-    backend: str = field(default_factory=_default_backend)
+    backend: str = field(default_factory=default_backend_name)
     #: TL-DRAM: rows per bank in the fast near segment (Lee et al.).
     tldram_near_rows: int = 64
     #: TL-DRAM: cache recently activated far rows in the near segment.

@@ -9,7 +9,7 @@ sanitizer's shadow oracle enforces.  Selecting a backend is one config
 field (``DRAMConfig.backend``) threaded through ``SystemConfig.digest``
 (default backend hashes identically to the pre-registry config, so
 caches and goldens stay warm), ``repro-experiment --backend``, the
-service request schema, and the CI matrix.
+service request schema, and CI's ``backends`` job.
 
 Registered backends:
 
@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
@@ -72,7 +71,6 @@ __all__ = [
     "get_backend",
     "has_backend",
     "backend_names",
-    "default_backend_name",
     "check_backend",
     "main",
 ]
@@ -517,11 +515,6 @@ def get_backend(name: str) -> DRAMBackend:
 def backend_names() -> Tuple[str, ...]:
     """Registered backend names, sorted (registration-order independent)."""
     return tuple(sorted(_REGISTRY))
-
-
-def default_backend_name() -> str:
-    """Backend the current environment selects (``REPRO_BACKEND``)."""
-    return os.environ.get("REPRO_BACKEND", "").strip() or "drdram"
 
 
 register_backend(DRDRAMBackend())

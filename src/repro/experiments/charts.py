@@ -1,17 +1,15 @@
 """ASCII charts for the figure experiments.
 
-The paper's Figures 1 and 5 are bar charts; these helpers render the
-same data in a terminal.  ``stacked_bars`` draws horizontal bars with a
-highlighted prefix (used for Figure 1's real-vs-ideal IPC stacks) and
-``grouped_bars`` draws one bar per (item, series) pair (Figure 5's
-per-benchmark system comparison).
+The paper's Figure 1 is a bar chart; these helpers render its data in a
+terminal.  ``stacked_bars`` draws horizontal bars with a highlighted
+prefix (Figure 1's real-vs-ideal IPC stacks).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-__all__ = ["hbar", "stacked_bars", "grouped_bars"]
+__all__ = ["hbar", "stacked_bars"]
 
 _FULL = "#"
 _REST = "."
@@ -52,25 +50,6 @@ def stacked_bars(
     return "\n".join(out)
 
 
-def grouped_bars(
-    data: Mapping[str, Mapping[str, float]],
-    series: Sequence[str],
-    width: int = 40,
-) -> str:
-    """One bar per (item, series): ``data[item][series] -> value``."""
-    if not data:
-        raise ValueError("no data to draw")
-    maximum = max(value for per_item in data.values() for value in per_item.values())
-    name_width = max(len(s) for s in series)
-    out: List[str] = []
-    for item, per_item in data.items():
-        out.append(f"{item}:")
-        for s in series:
-            value = per_item[s]
-            out.append(f"  {s:>{name_width}}  |{hbar(value, maximum, width)}| {value:.3f}")
-    return "\n".join(out)
-
-
 def figure1_chart(rows, width: int = 40) -> str:
     """Figure 1 as ASCII: each benchmark's real IPC inside perfect-mem."""
     return stacked_bars(
@@ -78,13 +57,3 @@ def figure1_chart(rows, width: int = 40) -> str:
         width=width,
         labels=("IPC real", "IPC perfect memory"),
     )
-
-
-def figure5_chart(result, width: int = 36) -> str:
-    """Figure 5 as ASCII grouped bars (benchmark x system)."""
-    from repro.experiments.figure5 import TARGETS
-
-    data: Dict[str, Dict[str, float]] = {}
-    for bench in result.benchmarks:
-        data[bench] = {t: result.ipc[(bench, t)] for t in TARGETS}
-    return grouped_bars(data, TARGETS, width=width)

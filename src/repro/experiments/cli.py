@@ -40,7 +40,7 @@ import time
 from typing import List, Optional
 
 from repro import __version__
-from repro.core.config import ConfigError
+from repro.core.config import ConfigError, default_backend_name
 from repro.experiments.common import PROFILES
 from repro.runner import PointFailureError, Runner, set_runner
 
@@ -246,7 +246,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
     if args.list_backends:
-        from repro.dram.backends import backend_names, default_backend_name, get_backend
+        from repro.dram.backends import backend_names, get_backend
 
         default = default_backend_name()
         for name in backend_names():

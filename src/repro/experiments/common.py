@@ -32,8 +32,6 @@ import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.config import SystemConfig
 from repro.core.stats import SimStats, harmonic_mean
 from repro.cpu.trace import Trace
@@ -202,7 +200,3 @@ def geometric_block_sizes(minimum: int = 64, maximum: int = 8192) -> Tuple[int, 
         sizes.append(size)
         size *= 2
     return tuple(sizes)
-
-
-def as_array(values: Iterable[float]) -> np.ndarray:
-    return np.asarray(list(values), dtype=float)

@@ -21,7 +21,6 @@ from repro.runner.faults import (
 from repro.runner.runner import (
     RESULT_VERSION,
     FailureRecord,
-    JobResult,
     PointFailureError,
     PointRun,
     Runner,
@@ -37,7 +36,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",
-    "JobResult",
     "PointFailureError",
     "PointRun",
     "ResultCache",

@@ -92,7 +92,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "RESULT_VERSION",
     "SimPoint",
-    "JobResult",
     "FailureRecord",
     "PointFailureError",
     "PointRun",
@@ -170,15 +169,6 @@ class SimPoint:
             f"{self.benchmark} cfg={self.config.digest()[:8]}"
             f" refs={self.memory_refs} seed={self.seed}"
         )
-
-
-@dataclass(frozen=True)
-class JobResult:
-    """Bookkeeping for one executed (not cache-served) simulation."""
-
-    point: SimPoint
-    key: str
-    wall_seconds: float
 
 
 @dataclass(frozen=True)
@@ -385,8 +375,6 @@ class Runner:
         if trace_id is _ENV:
             trace_id = os.environ.get("REPRO_TRACE_ID") or None
         self.trace_id: Optional[str] = trace_id
-        #: executed simulations, in completion order.
-        self.job_log: List[JobResult] = []
         #: every failure event, transient and fatal, in observation order.
         self.failures: List[FailureRecord] = []
         self.simulated = 0
@@ -625,7 +613,6 @@ class Runner:
             )
         self.simulated += 1
         self.sim_seconds += wall
-        self.job_log.append(JobResult(point=run.point, key=run.key, wall_seconds=wall))
         self._batch_done += 1
         self.log_event("point-completed", run, duration=round(wall, 6))
         if self.progress:

@@ -281,10 +281,7 @@ class SimulationService:
         self._m_timeouts.set_total(self.runner.timeouts)
         for reason, count in self.rejected.items():
             self._m_rejected.labels(reason=reason).set_total(count)
-        by_state: Dict[str, int] = {}
-        for job in self.queue.jobs.values():
-            by_state[job.state] = by_state.get(job.state, 0) + 1
-        for state, count in by_state.items():
+        for state, count in self.queue.state_counts().items():
             self._m_jobs.labels(state=state).set(count)
         self._m_queued_jobs.set(self.queue.pending())
         self._m_backlog_points.set(self.queue.backlog_points())
@@ -708,17 +705,13 @@ class SimulationService:
 
     def stats(self) -> Dict[str, object]:
         """Service-level counters for ``GET /v1/stats``."""
-        jobs = self.queue.jobs.values()
-        by_state: Dict[str, int] = {}
-        for job in jobs:
-            by_state[job.state] = by_state.get(job.state, 0) + 1
         return {
             "version": __version__,
             "started_at": datetime.datetime.fromtimestamp(
                 self.started_at, datetime.timezone.utc
             ).isoformat(timespec="seconds"),
             "uptime_seconds": self.uptime_seconds(),
-            "jobs": by_state,
+            "jobs": self.queue.state_counts(),
             "points_simulated": self.runner.simulated,
             "sim_seconds": round(self.runner.sim_seconds, 3),
             "latency": {

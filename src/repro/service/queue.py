@@ -67,6 +67,7 @@ class JobState:
     CANCELLED = "cancelled"
 
     TERMINAL = (COMPLETED, FAILED, CANCELLED)
+    ALL = (QUEUED, RUNNING) + TERMINAL
 
 
 @dataclass
@@ -146,13 +147,15 @@ class JobQueue:
     ``jobs`` keeps every job the queue has accepted; the admission
     measures (:meth:`pending`, :meth:`backlog_points`,
     :meth:`inflight_bytes`) read only the live (non-terminal) ones,
-    indexed where each transition is journaled.
+    indexed where each transition is journaled, and the per-state job
+    counts (:meth:`state_counts`) are kept at the same sites.
     """
 
     def __init__(self, journal_path: Union[str, Path]) -> None:
         self.journal_path = Path(journal_path)
         self.jobs: Dict[str, Job] = {}
         self._live: Dict[str, Job] = {}
+        self._counts: Dict[str, int] = dict.fromkeys(JobState.ALL, 0)
         self._heap: List = []  # (priority, seq, job id)
         self._seq = 0
         self._recovered: List[str] = []
@@ -255,6 +258,7 @@ class JobQueue:
                 heapq.heappush(self._heap, (job.priority, job.seq, job.id))
                 self._live[job.id] = job
                 self._recovered.append(job.id)
+            self._counts[job.state] += 1
 
     @property
     def recovered_job_ids(self) -> List[str]:
@@ -293,6 +297,7 @@ class JobQueue:
         self._seq += 1
         self.jobs[job.id] = job
         self._live[job.id] = job
+        self._counts[JobState.QUEUED] += 1
         self._event(
             "job-submitted", id=job.id, seq=job.seq, priority=job.priority,
             trace_id=job.trace_id, request=payload,
@@ -307,13 +312,17 @@ class JobQueue:
             job = self.jobs[job_id]
             if job.state != JobState.QUEUED:
                 continue  # cancelled while queued
-            job.state = JobState.RUNNING
+            self._move(job, JobState.RUNNING)
             self._event("job-started", id=job.id)
             return job
         return None
 
     def pending(self) -> int:
-        return sum(1 for job in self._live.values() if job.state == JobState.QUEUED)
+        return self._counts[JobState.QUEUED]
+
+    def state_counts(self) -> Dict[str, int]:
+        """Jobs held in each lifecycle state, every state listed."""
+        return dict(self._counts)
 
     def backlog_points(self) -> int:
         """Unresolved points across every non-terminal job."""
@@ -323,9 +332,15 @@ class JobQueue:
         """Serialized request bytes held by non-terminal jobs."""
         return sum(job.payload_bytes for job in self._live.values())
 
+    def _move(self, job: Job, state: str) -> None:
+        """Set ``job``'s state, keeping the per-state counts."""
+        self._counts[job.state] -= 1
+        self._counts[state] += 1
+        job.state = state
+
     def _settle(self, job: Job, state: str) -> None:
         """Move ``job`` to the terminal ``state``, out of the live index."""
-        job.state = state
+        self._move(job, state)
         self._live.pop(job.id, None)
 
     # -- progress ----------------------------------------------------------
@@ -372,7 +387,7 @@ class JobQueue:
         Keeps its original priority and submission order; completed
         points stay in ``done_keys`` so only the remainder re-runs.
         """
-        job.state = JobState.QUEUED
+        self._move(job, JobState.QUEUED)
         heapq.heappush(self._heap, (job.priority, job.seq, job.id))
         self._event("job-requeued", id=job.id, completed=job.completed_points)
 

@@ -31,7 +31,7 @@ from repro.core.config import (
     ConfigError,
     DRAM_PARTS,
     SystemConfig,
-    _default_backend,
+    default_backend_name,
 )
 from repro.dram.backends import backend_names, has_backend
 from repro.runner import SimPoint
@@ -172,7 +172,7 @@ def build_config(
     """
     try:
         key: Optional[Tuple[str, str]] = (
-            _default_backend(),
+            default_backend_name(),
             json.dumps(overrides, sort_keys=True, separators=(",", ":")),
         )
     except (TypeError, ValueError):

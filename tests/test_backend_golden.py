@@ -1,4 +1,4 @@
-"""Per-backend golden-statistics gate (the cross-backend CI matrix).
+"""Per-backend golden-statistics gate (CI's ``backends`` job).
 
 ``tests/golden/tiny_stats_backends.json`` pins the exact
 ``SimStats.to_dict()`` output of every workload at the tiny-profile
@@ -9,7 +9,7 @@ registry refactor is asserted there.
 
 Every point here runs under the runtime invariant checker, so this
 module is simultaneously the "full 26-workload tiny sweep is
-sanitizer-clean on every backend" gate of the CI matrix: a backend
+sanitizer-clean on every backend" gate of that job: a backend
 whose channel schedule violates its own policy's timing grants fails
 here with cycle/component context, not just with drifted numbers.
 
@@ -19,8 +19,9 @@ policy): it must reproduce the reference kernel's snapshot exactly, and
 a drift there is fixed in the kernel, never by regenerating.
 
 The default run spot-checks the tiny profile's six benchmarks per
-backend (fast enough for every tier-1 invocation); the CI matrix jobs
-set ``REPRO_GOLDEN_FULL=1`` to sweep all 26 workloads.  The golden file
+backend (fast enough for every tier-1 invocation); each non-default
+cell of the ``backends`` job sets ``REPRO_GOLDEN_FULL=1`` and selects
+its backend with ``-k`` to sweep all 26 workloads.  The golden file
 always carries all 26, so flipping the switch never regenerates.
 
 Regenerate after an intentional timing-model change (its own commit),
@@ -50,7 +51,7 @@ SEED = 0
 #: every registered backend except the default (covered by tiny_stats.json).
 BACKENDS = ("tldram", "chargecache", "ddr")
 
-#: tier-1 spot check; REPRO_GOLDEN_FULL=1 (the CI matrix) sweeps all 26.
+#: tier-1 spot check; REPRO_GOLDEN_FULL=1 (CI's backends job) sweeps all 26.
 SPOT_CHECK = ("swim", "mcf", "twolf", "eon", "facerec", "parser")
 WORKLOADS = BENCHMARKS if os.environ.get("REPRO_GOLDEN_FULL") else SPOT_CHECK
 

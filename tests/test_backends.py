@@ -15,7 +15,7 @@ import os
 
 import pytest
 
-from repro.core.config import ConfigError, SystemConfig
+from repro.core.config import ConfigError, SystemConfig, default_backend_name
 from repro.dram import backends as bk
 from repro.dram.backends import (
     BackendError,
@@ -24,7 +24,6 @@ from repro.dram.backends import (
     TLDRAMPolicy,
     backend_names,
     check_backend,
-    default_backend_name,
     get_backend,
     has_backend,
     register_backend,

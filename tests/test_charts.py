@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.charts import figure1_chart, grouped_bars, hbar, stacked_bars
+from repro.experiments.charts import figure1_chart, hbar, stacked_bars
 from repro.experiments.figure1 import Figure1Row
 
 
@@ -39,17 +39,6 @@ class TestStackedBars:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             stacked_bars([])
-
-
-class TestGroupedBars:
-    def test_renders_series_per_item(self):
-        text = grouped_bars({"swim": {"a": 1.0, "b": 2.0}}, series=("a", "b"))
-        assert "swim:" in text
-        assert text.count("|") == 4
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            grouped_bars({}, series=())
 
 
 class TestFigureCharts:

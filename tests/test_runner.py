@@ -224,12 +224,6 @@ class TestRunnerDedup:
         assert runner.simulated == 1
         assert runner.reused == 1
 
-    def test_job_log_records_only_real_simulations(self):
-        runner = Runner(jobs=1, cache_dir=None)
-        runner.run_points(make_points(("mcf", "mcf")))
-        assert len(runner.job_log) == 1
-        assert runner.job_log[0].wall_seconds > 0
-
 
 class TestSimPointKeys:
     def test_key_is_stable(self):

@@ -328,12 +328,17 @@ class TestInterning:
 
 
 def _admission_scan(queue):
-    """pending / backlog points / in-flight bytes, from every job."""
+    """pending / backlog points / in-flight bytes / jobs per state, from
+    every job."""
     live = [j for j in queue.jobs.values() if j.state not in JobState.TERMINAL]
+    counts = dict.fromkeys(JobState.ALL, 0)
+    for job in queue.jobs.values():
+        counts[job.state] += 1
     return (
         sum(1 for j in live if j.state == JobState.QUEUED),
         sum(j.remaining_points for j in live),
         sum(j.payload_bytes for j in live),
+        counts,
     )
 
 
@@ -341,8 +346,8 @@ class TestJobQueue:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_live_index_matches_a_full_scan(self, tmp_path, seed):
         """After every transition, journal replay and compaction, the
-        admission measures read from the live-job index equal a scan of
-        every job the queue holds."""
+        admission measures read from the live-job index and the per-state
+        counts equal a scan of every job the queue holds."""
         rng = random.Random(seed)
         journal = tmp_path / "journal.jsonl"
         queue = JobQueue(journal)
@@ -388,7 +393,8 @@ class TestJobQueue:
                     queue.requeue(job)
             applied.add(op)
             measured = (
-                queue.pending(), queue.backlog_points(), queue.inflight_bytes()
+                queue.pending(), queue.backlog_points(), queue.inflight_bytes(),
+                queue.state_counts(),
             )
             assert measured == _admission_scan(queue), (step, op)
             for job in queue.jobs.values():

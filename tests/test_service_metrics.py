@@ -158,6 +158,39 @@ class TestEngineObservability:
         assert problems == []
         assert "repro_points_simulated_total 1" in out["metrics"]
 
+    def test_job_gauge_follows_every_transition(self, tmp_path):
+        """A state a job leaves reads 0 on the next scrape, and the gauge
+        agrees with ``stats()["jobs"]`` at every step."""
+        service = SimulationService(
+            ServiceConfig(
+                journal_path=str(tmp_path / "journal.jsonl"),
+                cache_dir=str(tmp_path / "cache"),
+            )
+        )
+
+        def scrape():
+            text = service.render_metrics()
+            gauge = {
+                line.split('"')[1]: int(float(line.rsplit(" ", 1)[1]))
+                for line in text.splitlines()
+                if line.startswith("repro_jobs{")
+            }
+            assert gauge == service.stats()["jobs"]
+            return gauge
+
+        try:
+            service.submit(parse_sweep_request(_sweep()))
+            assert scrape()["queued"] == 1
+            job = service.queue.pop()
+            assert scrape()["running"] == 1
+            service.queue.complete(job)
+            assert scrape() == {
+                "queued": 0, "running": 0, "completed": 1,
+                "failed": 0, "cancelled": 0,
+            }
+        finally:
+            service.queue.close()
+
     def test_trace_id_survives_journal_replay(self, tmp_path, monkeypatch):
         monkeypatch.setattr("repro.service.engine.execute_point", fake_execute)
         config = ServiceConfig(
