@@ -447,88 +447,28 @@ class SystemConfig:
         if self.l2.block_bytes % self.l1d.block_bytes != 0:
             raise ConfigError("L2 block size must be a multiple of the L1 block size")
         if self.prefetch.enabled and self.prefetch.region_bytes < self.l2.block_bytes:
-            raise ConfigError("prefetch region must be >= one L2 block")
+            raise ConfigError(
+                f"prefetch region ({self.prefetch.region_bytes} bytes) is smaller "
+                f"than one L2 block ({self.l2.block_bytes} bytes); grow the "
+                "region or shrink the block"
+            )
 
     def validate(self) -> "SystemConfig":
-        """Fail fast, with actionable messages, on unusable systems.
+        """Reject a cache level whose capacity is not a power of two.
 
-        The component ``__post_init__`` hooks reject locally malformed
-        fields at construction; ``validate()`` re-checks the properties
-        the whole simulator relies on — so a config assembled through
-        ``dataclasses.replace`` chains, deserialization, or any path
-        that sidesteps a constructor still cannot reach the simulator
-        and die later as a deep ``ZeroDivisionError`` or, worse,
-        produce silently garbage statistics.  :class:`System` calls
-        this from its constructor; returns ``self`` so call sites can
-        chain it.
+        Construction checks everything else the simulator relies on
+        (every path to a config, ``dataclasses.replace`` and the
+        ``with_*`` builders included, constructs anew), but a
+        :class:`CacheConfig` may hold any capacity that divides into a
+        power-of-two set count, such as 96 KB 3-way.  :class:`System`
+        calls this from its constructor; returns ``self`` so call sites
+        can chain it.
         """
         for name, cache in (("l1i", self.l1i), ("l1d", self.l1d), ("l2", self.l2)):
-            if cache.assoc < 1:
-                raise ConfigError(f"{name}: assoc must be >= 1, got {cache.assoc}")
             if not _is_pow2(cache.size_bytes):
                 raise ConfigError(
                     f"{name}: cache size must be a power of two, got "
                     f"{cache.size_bytes} bytes"
-                )
-            if not _is_pow2(cache.block_bytes):
-                raise ConfigError(
-                    f"{name}: block size must be a power of two, got "
-                    f"{cache.block_bytes} bytes"
-                )
-            if cache.block_bytes > cache.size_bytes:
-                raise ConfigError(
-                    f"{name}: block size {cache.block_bytes} exceeds the cache "
-                    f"size {cache.size_bytes}"
-                )
-            if not _is_pow2(cache.num_sets):
-                raise ConfigError(
-                    f"{name}: size/assoc/block give {cache.num_sets} sets, "
-                    "which is not a power of two"
-                )
-            if cache.mshrs < 1:
-                raise ConfigError(f"{name}: mshrs must be >= 1, got {cache.mshrs}")
-            if cache.hit_latency < 0:
-                raise ConfigError(
-                    f"{name}: hit_latency must be >= 0, got {cache.hit_latency}"
-                )
-        if self.dram.channels < 1 or not _is_pow2(self.dram.channels):
-            raise ConfigError(
-                f"dram: channels must be a positive power of two, got "
-                f"{self.dram.channels}"
-            )
-        if self.dram.banks_per_device < 1 or not _is_pow2(self.dram.banks_per_device):
-            raise ConfigError(
-                f"dram: banks_per_device must be a positive power of two, got "
-                f"{self.dram.banks_per_device}"
-            )
-        if self.dram.rows_per_bank < 1 or not _is_pow2(self.dram.rows_per_bank):
-            raise ConfigError(
-                f"dram: rows_per_bank must be a positive power of two, got "
-                f"{self.dram.rows_per_bank}"
-            )
-        from repro.dram.backends import backend_names, has_backend
-
-        if not has_backend(self.dram.backend):
-            raise ConfigError(
-                f"dram: unknown backend {self.dram.backend!r}; registered "
-                f"backends: {', '.join(backend_names())}"
-            )
-        if self.l2.block_bytes < self.l1d.block_bytes:
-            raise ConfigError(
-                f"L2 block size ({self.l2.block_bytes}) must be >= the L1 "
-                f"block size ({self.l1d.block_bytes})"
-            )
-        if self.prefetch.enabled:
-            if not _is_pow2(self.prefetch.region_bytes):
-                raise ConfigError(
-                    f"prefetch: region_bytes must be a power of two, got "
-                    f"{self.prefetch.region_bytes}"
-                )
-            if self.prefetch.region_bytes < self.l2.block_bytes:
-                raise ConfigError(
-                    f"prefetch: region ({self.prefetch.region_bytes} bytes) is "
-                    f"smaller than one L2 block ({self.l2.block_bytes} bytes); "
-                    "grow the region or shrink the block"
                 )
         return self
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Tuple, Union
+from typing import BinaryIO, Iterator, Tuple, Union
 
 import numpy as np
 
@@ -105,10 +105,11 @@ class Trace:
                 int(self.pcs[i]),
             )
 
-    def save(self, path: Union[str, Path]) -> None:
-        """Persist the trace as a compressed ``.npz`` archive."""
+    def save(self, file: Union[str, Path, BinaryIO]) -> None:
+        """Persist the trace as a compressed ``.npz`` archive, to a path
+        (numpy appends ``.npz`` if it lacks one) or an open binary file."""
         np.savez_compressed(
-            path,
+            file,
             kinds=self.kinds,
             gaps=self.gaps,
             addrs=self.addrs,
@@ -120,10 +121,20 @@ class Trace:
         )
 
     @classmethod
-    def load(cls, path: Union[str, Path]) -> "Trace":
-        """Load a trace previously written by :meth:`save` (a file saved
-        before ``shared_prefix`` existed loads with none)."""
-        with np.load(path, allow_pickle=False) as data:
+    def load(cls, file: Union[str, Path, BinaryIO]) -> "Trace":
+        """Load a trace written by :meth:`save` from a path or an open
+        binary file (a file saved before ``shared_prefix`` existed loads
+        with none).  A file this opens is closed, whatever it holds;
+        one that is no ``.npz`` archive raises :class:`ValueError`."""
+        if isinstance(file, (str, Path)):
+            # np.load leaves a file it opened itself open when the zip
+            # parse raises; one handed to it is closed here either way.
+            with open(file, "rb") as handle:
+                return cls.load(handle)
+        data = np.load(file, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("not a trace archive")
+        with data:
             return cls(
                 name=str(data["name"]),
                 kinds=data["kinds"],

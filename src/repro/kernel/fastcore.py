@@ -226,9 +226,6 @@ class FastSystem:
             if prefetch.engine == "stride":
                 self._prefetcher = StridePrefetcher(config.l2.block_bytes, self.stats)
             else:
-                if prefetch.region_bytes < config.l2.block_bytes:
-                    # Same construction-time check RegionPrefetcher makes.
-                    raise ValueError("region must be at least one block")
                 self._region_on = True
         # Region-engine state: entries are [base, origin, bitmap, scan]
         # lists in priority order (index 0 = highest), mirroring

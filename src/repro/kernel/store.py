@@ -30,8 +30,6 @@ import zipfile
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from repro.cpu.trace import Trace
 
 __all__ = ["TraceStore", "trace_store"]
@@ -42,8 +40,6 @@ __all__ = ["TraceStore", "trace_store"]
 STORE_FORMAT_VERSION = 3
 
 _DISABLED_VALUES = ("", "0", "off", "false", "no")
-
-_COLUMNS = ("kinds", "gaps", "addrs", "deps", "pcs")
 
 
 class TraceStore:
@@ -77,40 +73,21 @@ class TraceStore:
 
     def load(self, key: str) -> Optional[Trace]:
         """The trace stored under ``key``, or None on miss/corruption."""
-        path = self._path(key)
         try:
-            # np.load keeps a file it opened itself open when the zip
-            # parse raises; a handle passed in is closed here either way.
-            with open(path, "rb") as handle:
-                data = np.load(handle, allow_pickle=False)
-                if not isinstance(data, np.lib.npyio.NpzFile):
-                    # A plain .npy array (or anything else np.load
-                    # reads that is no archive) holds no trace.
-                    return None
-                with data:
-                    return Trace(
-                        name=str(data["name"]),
-                        description=str(data["description"]),
-                        shared_prefix=int(data["shared_prefix"]),
-                        **{column: data[column] for column in _COLUMNS},
-                    )
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile):
-            # Missing, unreadable, truncated, or stale-format entry:
-            # treat as a miss; a corrupt file is overwritten on save.
+            return Trace.load(self._path(key))
+        except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
+            # Missing, unreadable, truncated, stale-format or no archive
+            # at all (a plain .npy): a miss, overwritten on save.
             return None
 
     def save(self, key: str, trace: Trace) -> bool:
         """Persist ``trace``; returns False on any filesystem error."""
         path = self._path(key)
         tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-        arrays = {column: getattr(trace, column) for column in _COLUMNS}
-        arrays["name"] = np.array(trace.name)
-        arrays["description"] = np.array(trace.description)
-        arrays["shared_prefix"] = np.array(trace.shared_prefix)
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             with open(tmp, "wb") as fh:
-                np.savez_compressed(fh, **arrays)
+                trace.save(fh)
             os.replace(tmp, path)
         except OSError:
             try:

@@ -31,7 +31,7 @@ for the paths only a long-lived server has:
     (``hang`` is the same mechanic with a duration chosen to trip it);
 ``journal-io``
     a journal write raises :class:`OSError`; matched against the
-    journal *event name* (e.g. ``"job-point-completed"``) with
+    journal *event name* (e.g. ``"job-started"``) with
     ``attempts`` counting occurrences of that event;
 ``drop``
     the HTTP server aborts the connection mid-request without writing

@@ -495,8 +495,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     serve.add_argument(
         "--journal-max-bytes", type=int,
         default=_env_default("JOURNAL_MAX_BYTES", int, 4 << 20),
-        help="journal size that triggers snapshot compaction, 0 disables "
-        "(default 4 MiB; env REPRO_SERVE_JOURNAL_MAX_BYTES)",
+        help="journal growth that triggers compaction; a finished job is "
+        "held for at least one such interval, and 0 never compacts and "
+        "holds every job (default 4 MiB; env REPRO_SERVE_JOURNAL_MAX_BYTES)",
     )
     serve.add_argument(
         "--drain-deadline", type=float,

@@ -38,7 +38,9 @@ after which stragglers are cancelled), interrupted jobs are explicitly
 re-queued, and a ``service-shutdown`` marker is journaled so the next
 instance knows the shutdown was clean.  Either way the pool is killed,
 not joined, so a hung simulation never holds shutdown past its
-deadline.
+deadline.  The journal records jobs, not points: the next instance
+finds a re-queued job's finished points in the result store, so a
+service without a disk store (``cache_dir=None``) simulates them again.
 
 The run log carries the runner's point events plus the service-level
 events ``job-submitted``, ``job-rejected``, ``job-completed``,
@@ -129,7 +131,9 @@ class ServiceConfig:
     max_inflight_bytes: int = 8 << 20
     #: per-point watchdog in seconds; None disables the watchdog.
     point_timeout: Optional[float] = None
-    #: journal size that triggers snapshot compaction (0 disables).
+    #: journal growth since the last compaction that triggers the next
+    #: one; a finished job is held for at least one such interval
+    #: (0 never compacts and holds every job).
     journal_max_bytes: int = 4 << 20
 
     def __post_init__(self) -> None:
@@ -256,7 +260,8 @@ class SimulationService:
             "repro_watchdog_timeouts_total", "Per-point watchdog expiries"
         )
         self._m_jobs = m.gauge(
-            "repro_jobs", "Jobs known to the queue, by lifecycle state", ("state",)
+            "repro_jobs", "Jobs held (live, or finished and not yet released), by state",
+            ("state",),
         )
         self._m_queued_jobs = m.gauge("repro_queued_jobs", "Jobs waiting in the queue")
         self._m_backlog_points = m.gauge(
@@ -693,13 +698,14 @@ class SimulationService:
         Raises :class:`ValueError` for an unknown job id and
         :class:`asyncio.TimeoutError` when the deadline expires first.
         """
-        if job_id not in self.queue.jobs:
+        job = self.queue.jobs.get(job_id)
+        if job is None:
             raise ValueError(f"no such job: {job_id!r}")
 
         async def _drain_events() -> Job:
             async for _ in self.watch(job_id):
                 pass
-            return self.queue.jobs[job_id]
+            return job  # compaction may have released it from the queue since
 
         return await asyncio.wait_for(_drain_events(), timeout)
 

@@ -1,17 +1,18 @@
 """Persistent priority job queue with a JSONL journal.
 
-Every accepted sweep becomes a :class:`Job` whose full lifecycle is
+Every accepted sweep becomes a :class:`Job` whose transitions are
 journaled through the same JSONL machinery as the runner's run log
 (:class:`repro.obs.log.JsonlSink`, append mode): ``job-submitted``
-carries the complete validated request payload, ``job-point-completed``
-records each finished point by its content-hash key, and a terminal
-``job-completed`` / ``job-failed`` / ``job-cancelled`` closes the job.
+carries the complete validated request payload, ``job-started`` and
+``job-requeued`` follow, and a terminal ``job-completed`` /
+``job-failed`` / ``job-cancelled`` closes the job.  Points are not
+journaled.
 
 Because the journal is the source of truth, a restarted service
-replays it (:meth:`JobQueue.recover`) and resumes exactly where it
-stopped: jobs that never reached a terminal state re-enter the queue
-at their original priority and submission order, and their already
-completed points are *not* re-simulated — point results live in the
+replays it on opening the queue and resumes exactly where it stopped:
+jobs that never reached a terminal state re-enter the queue at their
+original priority and submission order, and their already completed
+points are *not* re-simulated — point results live in the
 content-addressed shared store, which survives restarts on disk.
 
 Dispatch order is strict priority (lower number first; the range is
@@ -27,13 +28,13 @@ Two durability refinements keep a week-long service healthy:
   burst, and the queue keeps serving from memory.  Availability wins
   over durability for the single record; the next compaction or clean
   write restores a consistent on-disk state.
-* **snapshot compaction** — once the journal crosses a size threshold
-  (:meth:`maybe_compact`), it is rewritten as one ``job-snapshot``
-  record per job (terminal jobs collapse from their whole lifecycle to
-  a single line) via write-temp-then-atomic-rename, so replay cost is
-  bounded by the job count, not the service's age.  Replay accepts
-  snapshots and incremental records interchangeably, and stays tolerant
-  of a torn tail in either form.
+* **compaction** — once the journal has grown by a byte budget since
+  the last compaction (:meth:`maybe_compact`), it is rewritten via
+  write-temp-then-atomic-rename as each held job's ``job-submitted``
+  and terminal records, and the jobs already terminal at the previous
+  compaction are released, so memory and replay cost are bounded by
+  the live jobs plus two intervals of finished ones, not the service's
+  age.  Replay stays tolerant of a torn tail.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.obs.log import JsonlSink, get_logger
 from repro.runner import SimPoint
@@ -68,6 +69,15 @@ class JobState:
 
     TERMINAL = (COMPLETED, FAILED, CANCELLED)
     ALL = (QUEUED, RUNNING) + TERMINAL
+
+
+#: the state each transition record moves its job to; a terminal
+#: state's record is ``job-<state>``.
+_TRANSITIONS = {
+    "job-started": JobState.RUNNING,
+    "job-requeued": JobState.QUEUED,
+    **{f"job-{state}": state for state in JobState.TERMINAL},
+}
 
 
 @dataclass
@@ -95,6 +105,9 @@ class Job:
     #: monotonic submission instant for the queue-wait metric; runtime
     #: only (never journaled — replayed jobs restart the clock).
     submitted_monotonic: float = 0.0
+    #: ``JobQueue.compactions`` when the job became terminal (0 when
+    #: replayed); runtime only.
+    settled_at: int = 0
 
     @property
     def remaining_points(self) -> int:
@@ -144,11 +157,12 @@ class JobQueue:
     service's event loop); persistence is write-through — every state
     transition is journaled before it is observable.
 
-    ``jobs`` keeps every job the queue has accepted; the admission
-    measures (:meth:`pending`, :meth:`backlog_points`,
-    :meth:`inflight_bytes`) read only the live (non-terminal) ones,
-    indexed where each transition is journaled, and the per-state job
-    counts (:meth:`state_counts`) are kept at the same sites.
+    ``jobs`` holds the live (non-terminal) jobs and the finished ones
+    that :meth:`compact` has not released yet; the admission measures
+    (:meth:`pending`, :meth:`backlog_points`, :meth:`inflight_bytes`)
+    read only the live ones, indexed where each transition is
+    journaled, and the per-state counts of the jobs held
+    (:meth:`state_counts`) are kept at the same sites.
     """
 
     def __init__(self, journal_path: Union[str, Path]) -> None:
@@ -161,6 +175,8 @@ class JobQueue:
         self._recovered: List[str] = []
         self.journal_write_errors = 0
         self.compactions = 0
+        #: journal size right after the last compaction (0 before it).
+        self._compacted_bytes = 0
         self._event_counts: Dict[str, int] = {}
         if self.journal_path.exists():
             self._replay()
@@ -208,7 +224,7 @@ class JobQueue:
             except ValueError:
                 continue
             event = record.get("event")
-            if event in ("job-submitted", "job-snapshot"):
+            if event == "job-submitted":
                 try:
                     request = parse_sweep_request(record["request"])
                 except (SchemaError, KeyError):
@@ -219,36 +235,15 @@ class JobQueue:
                     request, dict(record["request"]), seq, record.get("id")
                 )
                 self.jobs[job.id] = job
-                if event == "job-snapshot":
-                    # one compacted record carries the whole lifecycle
-                    state = record.get("state", JobState.QUEUED)
-                    job.state = (
-                        state if state in JobState.TERMINAL else JobState.QUEUED
-                    )
-                    job.done_keys = {
-                        key for key in record.get("done_keys", ())
-                        if isinstance(key, str)
-                    }
-                    job.error = record.get("error")
-                    job.failures = list(record.get("failures", []))
-            else:
-                job = self.jobs.get(record.get("id", ""))
-                if job is None:
-                    continue
-                if event == "job-point-completed":
-                    job.done_keys.add(record.get("key", ""))
-                elif event == "job-started":
-                    job.state = JobState.RUNNING
-                elif event == "job-requeued":
-                    job.state = JobState.QUEUED
-                elif event == "job-completed":
-                    job.state = JobState.COMPLETED
-                elif event == "job-failed":
-                    job.state = JobState.FAILED
-                    job.error = record.get("message")
-                    job.failures = list(record.get("failures", []))
-                elif event == "job-cancelled":
-                    job.state = JobState.CANCELLED
+                continue
+            job = self.jobs.get(record.get("id", ""))
+            state = _TRANSITIONS.get(event)
+            if job is None or state is None:
+                continue
+            job.state = state
+            if state in JobState.TERMINAL:
+                job.error = record.get("message")
+                job.failures = list(record.get("failures", []))
         # anything non-terminal goes back on the queue: a RUNNING job at
         # crash time restarts (already-done points are served from the
         # shared store, so only the remainder re-simulates).
@@ -292,16 +287,12 @@ class JobQueue:
 
     def submit(self, request: SweepRequest) -> Job:
         """Accept a validated request; journal it; queue it."""
-        payload = request.to_dict()
-        job = self._make_job(request, payload, self._seq)
+        job = self._make_job(request, request.to_dict(), self._seq)
         self._seq += 1
         self.jobs[job.id] = job
         self._live[job.id] = job
         self._counts[JobState.QUEUED] += 1
-        self._event(
-            "job-submitted", id=job.id, seq=job.seq, priority=job.priority,
-            trace_id=job.trace_id, request=payload,
-        )
+        self._event("job-submitted", **self._submitted_record(job))
         heapq.heappush(self._heap, (job.priority, job.seq, job.id))
         return job
 
@@ -309,9 +300,9 @@ class JobQueue:
         """Highest-priority queued job, marked running; None when idle."""
         while self._heap:
             _, _, job_id = heapq.heappop(self._heap)
-            job = self.jobs[job_id]
-            if job.state != JobState.QUEUED:
-                continue  # cancelled while queued
+            job = self.jobs.get(job_id)
+            if job is None or job.state != JobState.QUEUED:
+                continue  # cancelled while queued, and maybe since released
             self._move(job, JobState.RUNNING)
             self._event("job-started", id=job.id)
             return job
@@ -339,28 +330,45 @@ class JobQueue:
         job.state = state
 
     def _settle(self, job: Job, state: str) -> None:
-        """Move ``job`` to the terminal ``state``, out of the live index."""
+        """Move ``job`` to the terminal ``state``, out of the live index,
+        and journal its terminal record."""
         self._move(job, state)
         self._live.pop(job.id, None)
+        job.settled_at = self.compactions
+        event, fields = self._terminal_record(job)
+        self._event(event, **fields)
+
+    # -- journal records ---------------------------------------------------
+
+    @staticmethod
+    def _submitted_record(job: Job) -> Dict[str, object]:
+        return {"id": job.id, "seq": job.seq, "priority": job.priority,
+                "trace_id": job.trace_id, "request": job.payload}
+
+    @staticmethod
+    def _terminal_record(job: Job) -> Tuple[str, Dict[str, object]]:
+        """The event and fields of terminal ``job``'s closing record."""
+        fields: Dict[str, object] = {"id": job.id}
+        if job.error is not None:
+            fields["message"] = job.error
+        if job.failures:
+            fields["failures"] = list(job.failures)
+        return f"job-{job.state}", fields
 
     # -- progress ----------------------------------------------------------
 
     def point_completed(self, job: Job, key: str) -> None:
-        if key not in job.done_keys:
-            job.done_keys.add(key)
-            self._event("job-point-completed", id=job.id, key=key)
+        """Count one of ``job``'s points done.  In memory only: a
+        replayed job's finished points come from the result store."""
+        job.done_keys.add(key)
 
     def complete(self, job: Job) -> None:
         self._settle(job, JobState.COMPLETED)
-        self._event("job-completed", id=job.id)
 
     def fail(self, job: Job, message: str, failures: List[Dict[str, object]]) -> None:
-        self._settle(job, JobState.FAILED)
         job.error = message
         job.failures = failures
-        self._event(
-            "job-failed", id=job.id, message=message, failures=failures
-        )
+        self._settle(job, JobState.FAILED)
 
     def cancel(self, job_id: str) -> bool:
         """Cancel a *queued* job; running/terminal jobs are left alone."""
@@ -368,7 +376,6 @@ class JobQueue:
         if job is None or job.state != JobState.QUEUED:
             return False
         self._settle(job, JobState.CANCELLED)
-        self._event("job-cancelled", id=job.id)
         return True
 
     def cancel_running(self, job: Job) -> None:
@@ -379,13 +386,13 @@ class JobQueue:
         transition hits the journal before it is observable.
         """
         self._settle(job, JobState.CANCELLED)
-        self._event("job-cancelled", id=job.id, was_running=True)
 
     def requeue(self, job: Job) -> None:
         """Return an interrupted running job to the queue (drain path).
 
-        Keeps its original priority and submission order; completed
-        points stay in ``done_keys`` so only the remainder re-runs.
+        Keeps its original priority and submission order.  Its finished
+        points stay in ``done_keys`` for this process; a restarted one
+        finds them in the result store, so only the remainder re-runs.
         """
         self._move(job, JobState.QUEUED)
         heapq.heappush(self._heap, (job.priority, job.seq, job.id))
@@ -397,46 +404,40 @@ class JobQueue:
 
     # -- compaction --------------------------------------------------------
 
-    def _snapshot_record(self, job: Job) -> Dict[str, object]:
-        record: Dict[str, object] = {
-            "event": "job-snapshot",
-            "id": job.id,
-            "seq": job.seq,
-            "priority": job.priority,
-            "state": job.state,
-            "request": job.payload,
-            "done_keys": sorted(job.done_keys),
-        }
-        if job.error:
-            record["error"] = job.error
-        if job.failures:
-            record["failures"] = list(job.failures)
-        return record
-
     def compact(self) -> None:
-        """Rewrite the journal as one ``job-snapshot`` line per job.
+        """Rewrite the journal as each held job's ``job-submitted`` and
+        terminal records, releasing the jobs already terminal at the
+        previous compaction (their results stay in the store).
 
-        Terminal jobs collapse from their whole submitted/started/
-        point-completed/terminal history to a single record.  The
-        rewrite goes to a temp file that is fsynced and atomically
+        The rewrite goes to a temp file that is fsynced and atomically
         renamed over the journal, so a crash at any instant leaves
-        either the old journal or the new one — never a mix — and the
-        replay path's torn-tail tolerance covers a torn snapshot line
-        exactly as it covers a torn incremental one.
+        either the old journal or the new one — never a mix — and jobs
+        are released only after the rename.
         """
+        held: List[Job] = []
+        released: List[Job] = []
+        for job in self.jobs.values():
+            done = job.state in JobState.TERMINAL and job.settled_at < self.compactions
+            (released if done else held).append(job)
         tmp_path = self.journal_path.with_name(self.journal_path.name + ".compact")
         try:
             with open(tmp_path, "w", encoding="utf-8") as handle:
-                for job in sorted(self.jobs.values(), key=lambda j: j.seq):
-                    handle.write(
-                        json.dumps(self._snapshot_record(job), sort_keys=True)
-                        + "\n"
+                for job in held:
+                    records = [("job-submitted", self._submitted_record(job))]
+                    if job.state in JobState.TERMINAL:
+                        records.append(self._terminal_record(job))
+                    handle.writelines(
+                        json.dumps({"event": event, **fields}, sort_keys=True) + "\n"
+                        for event, fields in records
                     )
                 handle.flush()
                 os.fsync(handle.fileno())
             self._journal.close()
             os.replace(tmp_path, self.journal_path)
             self.compactions += 1
+            for job in released:
+                del self.jobs[job.id]
+                self._counts[job.state] -= 1
         except OSError as exc:
             self.journal_write_errors += 1
             _log.warning(f"[service] journal compaction failed: {exc}")
@@ -445,18 +446,24 @@ class JobQueue:
             except OSError:
                 pass
         finally:
-            # reopen even after a failed rename: the old journal is intact
+            # reopen even after a failed rewrite or rename: the old journal
+            # is intact; a failed attempt, too, waits a whole interval
+            self._journal.close()
             self._journal = JsonlSink(self.journal_path, mode="a")
+            self._compacted_bytes = self.journal_bytes()
 
     def maybe_compact(self, max_bytes: int) -> bool:
-        """Compact when the journal exceeds ``max_bytes`` (0 disables)."""
-        if not max_bytes or self.journal_bytes() <= max_bytes:
-            return False
+        """Compact once the journal has grown by more than ``max_bytes``
+        since the last compaction (0 never compacts)."""
         before = self.journal_bytes()
+        if not max_bytes or before <= self._compacted_bytes + max_bytes:
+            return False
+        held = len(self.jobs)
         self.compact()
         _log.info(
             f"[service] journal compacted: {before} -> "
-            f"{self.journal_bytes()} bytes ({len(self.jobs)} job snapshot(s))"
+            f"{self.journal_bytes()} bytes ({held - len(self.jobs)} finished "
+            f"job(s) released, {len(self.jobs)} held)"
         )
         return True
 

@@ -208,6 +208,12 @@ class TestTraceStore:
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         assert store.load(key) is None
 
+    def test_empty_entry_degrades_to_miss(self, tmp_path):
+        """A zero-length entry (a rename that outlived its data in a
+        crash) is a miss, not numpy's ``EOFError``."""
+        (tmp_path / "k.npz").write_bytes(b"")
+        assert TraceStore(tmp_path).load("k") is None
+
     def test_torn_zip_entry_closes_its_file(self, tmp_path):
         """An entry with a zip header and garbage after it is a miss, and
         the file ``load`` opened is closed, not left to the collector."""

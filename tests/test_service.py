@@ -405,6 +405,121 @@ class TestJobQueue:
         queue.close()
         assert applied == {"submit", "pop", "cancel", "replay", "compact", *on_running}
 
+    def test_compaction_holds_live_jobs_plus_two_intervals(self, tmp_path):
+        """Hundreds of jobs under a small journal budget.  The queue
+        holds its live jobs plus the jobs finished since the compaction
+        before the last one, compactions never outrun the bytes appended,
+        and reopening the journal after any compaction gives the same
+        held jobs and re-queues exactly the live ones."""
+        rng = random.Random(7)
+        journal = tmp_path / "journal.jsonl"
+        queue = JobQueue(journal)
+        max_bytes = 8 << 10
+        appended = 0
+        finished = []  # job ids in the order they became terminal
+        marks = [0, 0]  # len(finished) at each compaction
+        running = []
+
+        def fields(job):
+            return (job.state, job.priority, job.seq, job.trace_id,
+                    job.error, job.failures)
+
+        for step in range(800):
+            before = queue.journal_bytes()
+            op = rng.random()
+            if op < 0.4 or not (queue.pending() or running):
+                queue.submit(parse_sweep_request(_sweep(
+                    benchmarks=rng.sample(["mcf", "swim", "eon"], rng.randint(1, 3)),
+                    seed=rng.randrange(500),
+                    priority=rng.randint(0, 9),
+                )))
+            elif queue.pending() and (op < 0.65 or not running):
+                if rng.random() < 0.1:
+                    queued = [j for j in queue.jobs.values()
+                              if j.state == JobState.QUEUED]
+                    job = rng.choice(queued)
+                    assert queue.cancel(job.id)
+                    finished.append(job.id)
+                else:
+                    running.append(queue.pop())
+            else:
+                job = running.pop(rng.randrange(len(running)))
+                for key in job.keys:
+                    queue.point_completed(job, key)
+                end = rng.random()
+                if end < 0.1:
+                    queue.requeue(job)
+                elif end < 0.2:
+                    queue.fail(job, f"boom {step}", [{"kind": "crash", "step": step}])
+                elif end < 0.25:
+                    queue.cancel_running(job)
+                else:
+                    if end < 0.35:  # a transient failure the engine recorded
+                        job.failures.append({"kind": "timeout", "step": step})
+                    queue.complete(job)
+                if job.state in JobState.TERMINAL:
+                    finished.append(job.id)
+            appended += queue.journal_bytes() - before
+            if queue.maybe_compact(max_bytes):
+                marks.append(len(finished))
+                assert queue.compactions <= appended // max_bytes
+                copy = tmp_path / "reopened.jsonl"
+                copy.write_bytes(journal.read_bytes())
+                reopened = JobQueue(copy)
+                live = sorted(
+                    (j for j in queue.jobs.values()
+                     if j.state not in JobState.TERMINAL),
+                    key=lambda j: j.seq,
+                )
+                assert reopened.recovered_job_ids == [j.id for j in live]
+                expected = {
+                    j.id: fields(j) for j in queue.jobs.values()
+                    if j.state in JobState.TERMINAL
+                }
+                for job in live:  # a replayed running job is queued again
+                    expected[job.id] = (JobState.QUEUED,) + fields(job)[1:]
+                assert {
+                    j.id: fields(j) for j in reopened.jobs.values()
+                } == expected, step
+                reopened.close()
+            held_finished = {
+                j.id for j in queue.jobs.values() if j.state in JobState.TERMINAL
+            }
+            assert held_finished == set(finished[marks[-2]:]), step
+            assert queue.state_counts() == _admission_scan(queue)[3]
+        queue.close()
+        assert queue.compactions >= 5
+        assert len(queue.jobs) < len(finished)
+        assert {e["event"] for e in _journal_events(journal)} <= {
+            "job-submitted", "job-started", "job-requeued", "job-completed",
+            "job-failed", "job-cancelled",
+        }
+
+    def test_failed_compaction_releases_nothing_and_waits_an_interval(self, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        queue = JobQueue(journal)
+        finished = []
+        for seed in range(3):
+            finished.append(queue.submit(parse_sweep_request(_sweep(seed=seed))))
+            queue.complete(queue.pop())
+        queue.compact()  # nothing was terminal at a previous compaction
+        blocker = tmp_path / "journal.jsonl.compact"
+        blocker.mkdir()  # the rewrite's temp file cannot be opened
+        size = queue.journal_bytes()
+        queue.compact()
+        assert (queue.compactions, queue.journal_write_errors) == (1, 1)
+        assert len(queue.jobs) == 3 and queue.journal_bytes() == size
+        assert not queue.maybe_compact(1)  # no growth since the failed attempt
+        live = queue.submit(parse_sweep_request(_sweep(seed=9)))
+        blocker.rmdir()
+        assert queue.maybe_compact(1)
+        assert list(queue.jobs) == [live.id]
+        assert queue.state_counts()[JobState.COMPLETED] == 0
+        queue.close()
+        reopened = JobQueue(journal)
+        assert list(reopened.jobs) == [live.id]
+        reopened.close()
+
     def test_priority_then_fifo_order(self, tmp_path):
         queue = JobQueue(tmp_path / "journal.jsonl")
         low = queue.submit(parse_sweep_request(_sweep(priority=7)))
@@ -448,7 +563,9 @@ class TestJobQueue:
         assert recovered.recovered_job_ids == [torn.id, never_started.id]
         replayed = recovered.jobs[torn.id]
         assert replayed.state == JobState.QUEUED
-        assert replayed.done_keys == {torn.keys[0]}
+        # the journal records jobs, not points: the result store serves
+        # the finished point when the job runs again
+        assert replayed.done_keys == set()
         assert replayed.keys == torn.keys  # same points, same content keys
         assert recovered.jobs[finished.id].state == JobState.COMPLETED
         # priority order preserved across the restart

@@ -133,9 +133,9 @@ class TestMixedFaults:
                 faults.FaultSpec(
                     match="swim", fault="slow", attempts=(0,), hang_seconds=0.05
                 ),
-                # the first point-completed journal write fails on disk
+                # the first job-started journal write fails on disk
                 faults.FaultSpec(
-                    match="job-point-completed", fault="journal-io", attempts=(0,)
+                    match="job-started", fault="journal-io", attempts=(0,)
                 ),
             ]
         )
@@ -740,7 +740,9 @@ class TestTransportAndJournalChaos:
         compactions, job_states = asyncio.run(scenario())
         assert compactions >= 1
         events = _events(journal)
-        assert any(e["event"] == "job-snapshot" for e in events)
+        # compaction writes each held job's own job-submitted record
+        submitted = [e["id"] for e in events if e["event"] == "job-submitted"]
+        assert sorted(submitted) == sorted(job_states)
         # simulate a crash mid-append: a torn half-record at the tail
         with open(journal, "a", encoding="utf-8") as handle:
             handle.write('{"event": "job-subm')

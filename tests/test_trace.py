@@ -1,5 +1,9 @@
 """Unit tests for the trace format and builder."""
 
+import gc
+import warnings
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -113,6 +117,32 @@ class TestTraceIO:
                 name="io", kinds=base.kinds, gaps=base.gaps, addrs=base.addrs,
                 deps=base.deps, pcs=base.pcs, shared_prefix=4,
             )
+
+    def test_corrupt_archive_raises_and_closes_its_file(self, tmp_path):
+        """A file with a zip header and garbage after it raises, and the
+        file ``load`` opened is closed, not left to the collector."""
+        bad = tmp_path / "bad.npz"
+        bad.write_bytes(b"PK\x03\x04" + b"garbage" * 8)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(zipfile.BadZipFile):
+                Trace.load(bad)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_save_and_load_through_open_files(self, tmp_path):
+        builder = TraceBuilder("io")
+        builder.load(0, 0x40)
+        trace = builder.build()
+        path = tmp_path / "trace.bin"  # no .npz suffix added to a handle
+        with open(path, "wb") as handle:
+            trace.save(handle)
+        with open(path, "rb") as handle:
+            assert list(Trace.load(handle).records()) == list(trace.records())
+        with open(path, "wb") as handle:
+            np.save(handle, np.arange(4))
+        with pytest.raises(ValueError, match="not a trace archive"):
+            Trace.load(path)
 
     def test_loaded_trace_simulates_identically(self, tmp_path):
         from repro import SystemConfig, simulate
