@@ -43,6 +43,7 @@ from repro import __version__
 from repro.core.config import ConfigError, default_backend_name
 from repro.experiments.common import PROFILES
 from repro.runner import PointFailureError, Runner, set_runner
+from repro.runner.cache import default_cache_dir
 
 __all__ = ["EXPERIMENTS", "main"]
 
@@ -62,13 +63,6 @@ EXPERIMENTS = {
     "software-prefetch": "repro.experiments.software_prefetch",
     "backend-compare": "repro.experiments.backends",
 }
-
-
-def default_cache_dir() -> str:
-    """``REPRO_CACHE_DIR`` when set, else ``~/.cache/repro``."""
-    return os.environ.get("REPRO_CACHE_DIR") or os.path.join(
-        os.path.expanduser("~"), ".cache", "repro"
-    )
 
 
 def _profile_sim(benchmark: str, profile, top: int = 25) -> int:

@@ -36,13 +36,21 @@ from repro.runner import faults
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runner.runner import SimPoint
 
-__all__ = ["RESULT_VERSION", "ResultCache", "ResultStore"]
+__all__ = ["RESULT_VERSION", "ResultCache", "ResultStore", "default_cache_dir"]
 
 #: bump to invalidate every previously cached result (e.g. after a
 #: change to the simulator's timing behaviour).
 RESULT_VERSION = 1
 
 _log = get_logger("repro.runner")
+
+
+def default_cache_dir() -> str:
+    """``REPRO_CACHE_DIR`` when set, else ``~/.cache/repro``: where both
+    CLIs keep the result cache, and the service its journal."""
+    return os.environ.get("REPRO_CACHE_DIR") or os.path.join(
+        os.path.expanduser("~"), ".cache", "repro"
+    )
 
 
 class ResultCache:

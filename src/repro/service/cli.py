@@ -4,7 +4,8 @@ Subcommands:
 
 * ``serve``  — run the HTTP service (journal + shared cache + workers);
 * ``submit`` — POST a sweep to a running service, print the job id;
-* ``status`` — one job's status (or every job when no id is given);
+* ``status`` — one job's status (with no id, every live job, then the
+  newest finished ones, up to 1,000 jobs);
 * ``wait``   — block until a job is terminal, print its final status;
 * ``smoke``  — self-contained end-to-end check: boot an ephemeral
   in-process service, submit a tiny sweep over real HTTP, wait for it,
@@ -38,7 +39,7 @@ import threading
 from typing import Callable, Dict, List, Optional, TypeVar
 
 from repro import __version__
-from repro.experiments.cli import default_cache_dir
+from repro.runner.cache import default_cache_dir
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.engine import ServiceConfig, SimulationService
 from repro.service.server import ServiceServer
@@ -200,7 +201,15 @@ def _cmd_status(args: argparse.Namespace) -> int:
                     f"(started {stats.get('started_at', 'unknown')})",
                     file=sys.stderr,
                 )
-            print(json.dumps({"jobs": client.jobs()}, indent=2))
+            jobs = client.jobs()
+            held = sum(stats.get("jobs", {}).values())
+            if held > len(jobs):
+                print(
+                    f"repro-serve: listing {len(jobs)} of {held} held jobs "
+                    f"(every live job, then the newest finished)",
+                    file=sys.stderr,
+                )
+            print(json.dumps({"jobs": jobs}, indent=2))
     except ServiceError as exc:
         print(f"repro-serve: {exc}", file=sys.stderr)
         return 1
@@ -529,7 +538,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     submit.add_argument("--timeout", type=float, default=600.0)
     submit.set_defaults(func=_cmd_submit)
 
-    status = sub.add_parser("status", help="job status (all jobs when no id)")
+    status = sub.add_parser(
+        "status",
+        help="job status; with no id, every live job, then the newest "
+        "finished ones, up to 1,000 jobs",
+    )
     _add_url(status)
     status.add_argument("job_id", nargs="?", default=None)
     status.set_defaults(func=_cmd_status)

@@ -182,6 +182,10 @@ class ServiceClient:
                 time.sleep(max(hint, backoff_delay(key, attempt, base=0.1)))
 
     def jobs(self) -> List[Dict[str, object]]:
+        """Job summaries: every live job, then the newest finished ones,
+        up to 1,000 in all.  ``/v1/jobs`` also answers ``held``, the
+        count of jobs the service holds, so a client can tell what was
+        left out; ``/v1/stats`` counts them by state."""
         return list(self._request("GET", "/v1/jobs")["jobs"])
 
     def job(self, job_id: str) -> Dict[str, object]:

@@ -10,10 +10,12 @@ execution core together:
   :class:`AdmissionError`, which the HTTP layer turns into ``429`` plus
   a ``Retry-After`` hint derived from the live backlog;
 * ``job_concurrency`` dispatcher tasks drain it in priority order;
-* each job's points resolve concurrently through one
+* each job's points resolve through one
   :class:`~repro.runner.Runner` built from the :class:`ServiceConfig`:
-  its store serves what is already known, and on a true miss
-  :class:`~repro.service.dedup.SingleFlight` elects one leader per
+  what its store's memo holds is served inline, in the dispatcher;
+  each other point resolves concurrently as a task of its own, which
+  reads the disk layer and, on a true miss, has
+  :class:`~repro.service.dedup.SingleFlight` elect one leader per
   key.  The leader resolves the point with the attempt loop a pooled
   ``Runner.run_points`` batch uses (:func:`repro.runner.pool.resolve`),
   running :func:`repro.runner.worker.execute_point` as this module
@@ -53,10 +55,11 @@ from __future__ import annotations
 
 import asyncio
 import datetime
+import json
 import multiprocessing
 import time
 from dataclasses import dataclass
-from typing import AsyncIterator, Dict, List, Optional
+from typing import AsyncIterator, Dict, List, Optional, Tuple
 
 from repro import __version__
 from repro.obs.log import JsonlSink, get_logger
@@ -190,13 +193,17 @@ class SimulationService:
         self.run_log = config.run_log
         self.rejected: Dict[str, int] = {}
         self._job_tasks: Dict[str, List["asyncio.Task"]] = {}
+        #: each served result's JSON, by key, with the stats it encodes.
+        self._result_json: Dict[str, Tuple[Dict[str, object], str]] = {}
         #: where every attempt runs, built by ``start()``: its workers
         #: start with the first attempt, so none starts before the
         #: service answers, and are replaced after every kill or death.
         self._pool: Optional[WorkerPool] = None
         self._dispatchers: List["asyncio.Task"] = []
         self._wake: Optional[asyncio.Event] = None
-        self._progress: Optional[asyncio.Condition] = None
+        #: set and cleared at once by :meth:`_notify`: wakes every parked
+        #: watcher, and needs no lock on the one event loop.
+        self._progress: Optional[asyncio.Event] = None
         self._stopping = False
         self._draining = False
         self.started_at = time.time()
@@ -273,6 +280,8 @@ class SimulationService:
         self._m_uptime = m.gauge(
             "repro_uptime_seconds", "Seconds since the service started"
         )
+        #: the two HTTP series' children by (method, route, status).
+        self._http_series: Dict[Tuple[str, str, int], Tuple[object, object]] = {}
         m.register_callback(self._mirror_metrics)
 
     def _mirror_metrics(self, _registry: Optional[MetricsRegistry] = None) -> None:
@@ -297,10 +306,16 @@ class SimulationService:
         self, method: str, route: str, status: int, seconds: float
     ) -> None:
         """Record one served HTTP request (called by the server layer)."""
-        self._m_http_seconds.labels(method=method, route=route).observe(seconds)
-        self._m_http_requests.labels(
-            method=method, route=route, status=str(status)
-        ).inc()
+        series = self._http_series.get((method, route, status))
+        if series is None:
+            series = self._http_series[(method, route, status)] = (
+                self._m_http_seconds.labels(method=method, route=route),
+                self._m_http_requests.labels(
+                    method=method, route=route, status=str(status)
+                ),
+            )
+        series[0].observe(seconds)
+        series[1].inc()
 
     def render_metrics(self) -> str:
         """Prometheus text exposition for ``GET /metrics``."""
@@ -315,7 +330,7 @@ class SimulationService:
         """Spawn the dispatchers; resumes any journal-recovered jobs."""
         self._pool = WorkerPool(self.config.workers, _SPAWN, self.runner.timeout)
         self._wake = asyncio.Event()
-        self._progress = asyncio.Condition()
+        self._progress = asyncio.Event()
         self._stopping = False
         self._draining = False
         self.started_at = time.time()
@@ -489,30 +504,44 @@ class SimulationService:
             await self._run_job(job)
 
     async def _run_job(self, job: Job) -> None:
-        tasks = [
-            asyncio.create_task(self._resolve_point(job, point, key))
-            for point, key in zip(job.points, job.keys)
-        ]
-        self._job_tasks[job.id] = tasks
-        try:
-            results = await asyncio.gather(*tasks, return_exceptions=True)
-        except asyncio.CancelledError:
-            # the dispatcher itself was cancelled (hard stop or drain
-            # deadline): leave the job non-terminal so replay or the
-            # drain path re-queues it.
-            for task in tasks:
-                task.cancel()
-            raise
-        finally:
-            self._job_tasks.pop(job.id, None)
+        """Resolve ``job``'s points: those in the store's memo inline,
+        under one notification, and each other one as a task of its own."""
+        tasks = []
+        hits = 0
+        for point, key in zip(job.points, job.keys):
+            if key not in self.store:
+                # the task looks the key up (on disk) and, on a miss,
+                # joins or leads its flight in the same step, so a
+                # flight that lands meanwhile is never run twice
+                tasks.append(
+                    asyncio.create_task(self._resolve_point(job, point, key))
+                )
+                continue
+            self.store.get(key)  # counts the memo hit
+            self._store_hit(job, point, key)
+            hits += 1
+        if hits and tasks:
+            self._notify()  # the misses take a while: show the hits now
+        results: List[object] = []
+        if tasks:
+            self._job_tasks[job.id] = tasks
+            try:
+                results = await asyncio.gather(*tasks, return_exceptions=True)
+            except asyncio.CancelledError:
+                # the dispatcher itself was cancelled (hard stop or drain
+                # deadline): leave the job non-terminal so replay or the
+                # drain path re-queues it.
+                for task in tasks:
+                    task.cancel()
+                raise
+            finally:
+                self._job_tasks.pop(job.id, None)
         if job.state == JobState.CANCELLED:
-            # cooperative DELETE mid-run: the queue already journaled
-            # the terminal transition; just wake the watchers.
+            # cooperative DELETE mid-run: cancel_job already journaled
+            # the terminal transition and woke the watchers.
             self._log(
                 "job-cancelled", id=job.id, was_running=True, trace_id=job.trace_id
             )
-            async with self._progress:
-                self._progress.notify_all()
             self.queue.maybe_compact(self.config.journal_max_bytes)
             return
         errors = [
@@ -520,24 +549,28 @@ class SimulationService:
             if isinstance(r, BaseException)
             and not isinstance(r, asyncio.CancelledError)
         ]
-        async with self._progress:
-            if errors:
-                first = errors[0]
-                if isinstance(first, PointFailureError):
-                    message = str(first)
-                else:
-                    message = f"{type(first).__name__}: {first}"
-                self.queue.fail(job, message, job.failures)
-                self._log(
-                    "job-failed", id=job.id, message=message, trace_id=job.trace_id
-                )
+        if errors:
+            first = errors[0]
+            if isinstance(first, PointFailureError):
+                message = str(first)
             else:
-                self.queue.complete(job)
-                self._log("job-completed", id=job.id, trace_id=job.trace_id)
-            self._progress.notify_all()
+                message = f"{type(first).__name__}: {first}"
+            self.queue.fail(job, message, job.failures)
+            self._log(
+                "job-failed", id=job.id, message=message, trace_id=job.trace_id
+            )
+        else:
+            self.queue.complete(job)
+            self._log("job-completed", id=job.id, trace_id=job.trace_id)
+        self._notify()
         self.queue.maybe_compact(self.config.journal_max_bytes)
 
-    async def cancel_job(self, job_id: str) -> Optional[bool]:
+    def _notify(self) -> None:
+        """Wake every watcher parked on a job's progress."""
+        self._progress.set()
+        self._progress.clear()
+
+    def cancel_job(self, job_id: str) -> Optional[bool]:
         """Cancel a queued *or running* job.
 
         Returns True when the job was cancelled, False when it is
@@ -562,18 +595,21 @@ class SimulationService:
             for task in self._job_tasks.get(job_id, []):
                 task.cancel()
         if self._progress is not None:
-            async with self._progress:
-                self._progress.notify_all()
+            self._notify()
         return True
 
-    async def _resolve_point(self, job: Job, point: SimPoint, key: str) -> None:
-        payload = self.store.get(key)
-        if payload is not None:
+    def _store_hit(self, job: Job, point: SimPoint, key: str) -> None:
+        if self.run_log is not None:
             self._log(
                 "point-cache-hit", label=point.label(), key=key, id=job.id,
                 trace_id=job.trace_id,
             )
-            await self._mark_done(job, key)
+        self.queue.point_completed(job, key)
+
+    async def _resolve_point(self, job: Job, point: SimPoint, key: str) -> None:
+        if self.store.get(key) is not None:
+            self._store_hit(job, point, key)
+            self._notify()
             return
         while True:
             if self.flight.is_inflight(key):
@@ -596,12 +632,8 @@ class SimulationService:
                     job.failures.extend(r.to_dict() for r in exc.records)
                 raise
             break
-        await self._mark_done(job, key)
-
-    async def _mark_done(self, job: Job, key: str) -> None:
-        async with self._progress:
-            self.queue.point_completed(job, key)
-            self._progress.notify_all()
+        self.queue.point_completed(job, key)
+        self._notify()
 
     # -- the leader path ---------------------------------------------------
 
@@ -628,41 +660,60 @@ class SimulationService:
     def job(self, job_id: str) -> Optional[Job]:
         return self.queue.jobs.get(job_id)
 
-    def job_status(self, job_id: str) -> Optional[Dict[str, object]]:
-        """Poll response: summary plus per-point results when available."""
-        job = self.queue.jobs.get(job_id)
-        if job is None:
-            return None
-        status = job.summary()
-        if job.state == JobState.COMPLETED:
-            status["results"] = self.results(job)
-        return status
+    def status_json(self, job: Job) -> str:
+        """Poll response as JSON: the summary, plus the per-point results
+        once completed.  Each result is encoded once per store entry."""
+        summary = json.dumps(job.summary())
+        if job.state != JobState.COMPLETED:
+            return summary
+        results = ", ".join(
+            self._encoded_result(point, key)
+            for point, key in zip(job.points, job.keys)
+        )
+        return f'{summary[:-1]}, "results": [{results}]}}'
+
+    def _encoded_result(self, point: SimPoint, key: str) -> str:
+        stats = self.store.get(key)
+        cached = self._result_json.get(key)
+        if cached is None or cached[0] is not stats:
+            cached = (stats, json.dumps(_result(point, key, stats)))
+            self._result_json[key] = cached
+        return cached[1]
 
     def results(self, job: Job) -> List[Dict[str, object]]:
         """Per-point results in the sweep's stable point order."""
-        out = []
-        for point, key in zip(job.points, job.keys):
-            stats = self.store.get(key)
-            out.append(
-                {
-                    "benchmark": point.benchmark,
-                    "config_digest": point.config.digest(),
-                    "memory_refs": point.memory_refs,
-                    "seed": point.seed,
-                    "key": key,
-                    "stats": stats,
-                }
-            )
-        return out
+        return [
+            _result(point, key, self.store.get(key))
+            for point, key in zip(job.points, job.keys)
+        ]
+
+    @staticmethod
+    def events_since(job: Job, seen: int = -1) -> List[Dict[str, object]]:
+        """The progress events ``job`` has now for a watcher that saw
+        ``seen`` points done: a progress event when the count moved, then
+        the terminal event once the job is terminal."""
+        events: List[Dict[str, object]] = []
+        done = job.completed_points
+        if done != seen:
+            events.append({
+                "type": "progress",
+                "id": job.id,
+                "completed": done,
+                "total": job.total_points,
+            })
+        if job.state in JobState.TERMINAL:
+            events.append({"type": "job", "id": job.id, "state": job.state})
+        return events
 
     async def watch(self, job_id: str) -> AsyncIterator[Dict[str, object]]:
         """Progress events for one job until it reaches a terminal state.
 
         Yields ``{"type": "progress", ...}`` after every newly completed
         point and a final ``{"type": "job", "state": ...}``; starts with
-        a snapshot so late subscribers still see current progress.
+        a snapshot so late subscribers still see current progress, and a
+        finished job's snapshot and terminal event come without waiting.
         Cancellation (queued or running) is a terminal transition like
-        any other: every transition notifies the shared condition, so a
+        any other: every transition notifies the progress event, so a
         watcher of a cancelled job terminates with a ``cancelled`` event
         instead of wedging.
 
@@ -674,23 +725,16 @@ class SimulationService:
             raise ValueError(f"no such job: {job_id!r}")
         seen = -1
         while True:
-            done = job.completed_points
-            if done != seen:
-                seen = done
-                yield {
-                    "type": "progress",
-                    "id": job.id,
-                    "completed": done,
-                    "total": job.total_points,
-                }
-            if job.state in JobState.TERMINAL:
-                yield {"type": "job", "id": job.id, "state": job.state}
+            done, terminal = job.completed_points, job.state in JobState.TERMINAL
+            for event in self.events_since(job, seen):
+                yield event
+            if terminal:
                 return
-            async with self._progress:
-                # re-check under the lock: every transition notifies
-                # while holding it, so this cannot miss a wakeup.
-                if job.completed_points == seen and job.state not in JobState.TERMINAL:
-                    await self._progress.wait()
+            seen = done
+            # nothing awaits between this check and the wait, and every
+            # transition notifies, so no wakeup is missed.
+            if job.completed_points == seen and job.state not in JobState.TERMINAL:
+                await self._progress.wait()
 
     async def wait_for(self, job_id: str, timeout: Optional[float] = None) -> Job:
         """Block until ``job_id`` is terminal; returns the job.
@@ -755,3 +799,15 @@ class SimulationService:
     def _log(self, event: str, **fields: object) -> None:
         if self.run_log is not None:
             self.run_log.event(event, **fields)
+
+
+def _result(point: SimPoint, key: str, stats: Optional[Dict[str, object]]) -> Dict[str, object]:
+    """One point's entry in a completed job's results."""
+    return {
+        "benchmark": point.benchmark,
+        "config_digest": point.config.digest(),
+        "memory_refs": point.memory_refs,
+        "seed": point.seed,
+        "key": key,
+        "stats": stats,
+    }

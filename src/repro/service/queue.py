@@ -224,7 +224,7 @@ class JobQueue:
             except ValueError:
                 continue
             event = record.get("event")
-            if event == "job-submitted":
+            if event in ("job-submitted", "job-snapshot"):
                 try:
                     request = parse_sweep_request(record["request"])
                 except (SchemaError, KeyError):
@@ -235,6 +235,13 @@ class JobQueue:
                     request, dict(record["request"]), seq, record.get("id")
                 )
                 self.jobs[job.id] = job
+                if event == "job-snapshot" and record.get("state") in JobState.TERMINAL:
+                    # one record per job, written by compactions before
+                    # the journal held transitions only; its done_keys
+                    # are ignored, the store serves finished points.
+                    job.state = record["state"]
+                    job.error = record.get("error")
+                    job.failures = list(record.get("failures", []))
                 continue
             job = self.jobs.get(record.get("id", ""))
             state = _TRANSITIONS.get(event)
@@ -314,6 +321,17 @@ class JobQueue:
     def state_counts(self) -> Dict[str, int]:
         """Jobs held in each lifecycle state, every state listed."""
         return dict(self._counts)
+
+    def listed(self, limit: int) -> List[Job]:
+        """Every live job in submission order, then the newest finished
+        ones while fewer than ``limit`` jobs are listed."""
+        listed = list(self._live.values())
+        for job in reversed(self.jobs.values()):
+            if len(listed) >= limit:
+                break
+            if job.state in JobState.TERMINAL:
+                listed.append(job)
+        return listed
 
     def backlog_points(self) -> int:
         """Unresolved points across every non-terminal job."""

@@ -35,6 +35,7 @@ from repro.service import (
     SingleFlight,
     parse_sweep_request,
 )
+from repro.service import server as server_module
 from repro.service.cli import EphemeralServer
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.schema import (
@@ -572,6 +573,42 @@ class TestJobQueue:
         assert recovered.pop().id == torn.id
         recovered.close()
 
+    def test_replay_reads_snapshot_records_of_older_compactions(self, tmp_path):
+        """Compactions before the journal held transitions only wrote one
+        ``job-snapshot`` record per job; replay recovers those jobs."""
+        request = _sweep(configs=[{}], seed=1, priority=5)
+        lines = [
+            {"event": "job-snapshot", "id": "job-000000-0000aaaa", "seq": 0,
+             "priority": 5, "state": "completed", "request": request,
+             "done_keys": ["k0"]},
+            {"event": "job-snapshot", "id": "job-000001-0000bbbb", "seq": 1,
+             "priority": 5, "state": "failed", "request": dict(request, seed=2),
+             "done_keys": [], "error": "boom",
+             "failures": [{"kind": "crash", "key": "k1", "attempt": 0}]},
+            {"event": "job-snapshot", "id": "job-000002-0000cccc", "seq": 2,
+             "priority": 3, "state": "running",
+             "request": dict(request, seed=3, priority=3),
+             "done_keys": ["k2"]},
+        ]
+        journal = tmp_path / "journal.jsonl"
+        journal.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        queue = JobQueue(journal)
+        completed, failed, running = (queue.jobs[line["id"]] for line in lines)
+        assert completed.state == JobState.COMPLETED
+        assert (completed.error, completed.failures) == (None, [])
+        assert failed.state == JobState.FAILED
+        assert failed.error == "boom"
+        assert failed.failures == lines[1]["failures"]
+        # an unfinished job is re-queued at its priority; its done_keys
+        # are ignored, since the store serves finished points
+        assert queue.recovered_job_ids == [running.id]
+        assert running.done_keys == set()
+        assert (running.priority, running.seq) == (3, 2)
+        assert queue.state_counts()["queued"] == 1
+        assert queue.pop() is running
+        assert queue.submit(parse_sweep_request(_sweep(seed=4))).seq == 3
+        queue.close()
+
     def test_replay_tolerates_torn_tail(self, tmp_path):
         journal = tmp_path / "journal.jsonl"
         queue = JobQueue(journal)
@@ -981,6 +1018,37 @@ class TestHttpApi:
             http_service._request("GET", "/v2/nope")
         assert excinfo.value.status == 404
 
+    def test_job_list_is_every_live_job_then_the_newest_finished(self, tmp_path):
+        service = SimulationService(
+            ServiceConfig(journal_path=str(tmp_path / "journal.jsonl"))
+        )
+        queue = service.queue
+        jobs = [queue.submit(parse_sweep_request(_sweep(seed=seed)))
+                for seed in range(1200)]
+        for job in jobs:
+            assert queue.pop() is job  # one priority: submission order
+        live = [job.id for job in jobs[7::100]]  # left running ...
+        for job in jobs:
+            if job.id not in live:
+                queue.complete(job)
+        for job in jobs[7::200]:
+            queue.requeue(job)  # ... or queued again
+        try:
+            reply = server_module.ServiceServer(service)._dispatch(
+                "GET", "/v1/jobs", None
+            )
+        finally:
+            queue.close()
+        head, body = reply.split(b"\r\n\r\n", 1)
+        assert head.startswith(b"HTTP/1.1 200 ")
+        document = json.loads(body)
+        assert document["held"] == 1200
+        listed = [summary["id"] for summary in document["jobs"]]
+        assert len(listed) == server_module.MAX_LISTED_JOBS == 1000
+        assert listed[:len(live)] == live
+        finished = [job.id for job in reversed(jobs) if job.id not in live]
+        assert listed[len(live):] == finished[:1000 - len(live)]
+
 
 # ---------------------------------------------------------------------------
 # robustness satellites: malformed input, unknown ids, transport errors,
@@ -988,8 +1056,11 @@ class TestHttpApi:
 # ---------------------------------------------------------------------------
 
 
-def _raw_http(client, request_bytes, timeout=10.0):
-    """Send raw bytes to the service the client points at; return the reply."""
+def _raw_http(client, request_bytes, timeout=10.0, segment=None):
+    """Send raw bytes to the service the client points at; return the reply.
+
+    With ``segment``, the bytes go out ``segment`` at a time, each sent
+    on its own after a short pause."""
     import socket
     from urllib.parse import urlsplit
 
@@ -997,7 +1068,13 @@ def _raw_http(client, request_bytes, timeout=10.0):
     with socket.create_connection(
         (parts.hostname, parts.port), timeout=timeout
     ) as sock:
-        sock.sendall(request_bytes)
+        if segment is None:
+            sock.sendall(request_bytes)
+        else:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for start in range(0, len(request_bytes), segment):
+                sock.sendall(request_bytes[start:start + segment])
+                time.sleep(0.001)
         chunks = []
         while True:
             chunk = sock.recv(65536)
@@ -1025,6 +1102,45 @@ class TestRobustnessSatellites:
             b"POST /v1/sweeps HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
         )
         assert reply.startswith(b"HTTP/1.1 400 ")
+
+    def test_stalled_body_gets_400_and_a_closed_connection(
+        self, http_service, monkeypatch
+    ):
+        # the head promises 100 body bytes and one arrives: the request
+        # deadline, which covers head and body, answers it
+        monkeypatch.setattr(server_module, "REQUEST_TIMEOUT", 0.5)
+        started = time.monotonic()
+        reply = _raw_http(
+            http_service,
+            b"POST /v1/sweeps HTTP/1.1\r\nContent-Length: 100\r\n\r\n{",
+        )
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"malformed-request" in reply
+        assert time.monotonic() - started < 5.0  # not the client's timeout
+
+    def test_request_sent_one_byte_per_segment_gets_its_answer(self, http_service):
+        body = json.dumps(_sweep(seed=31)).encode()
+        reply = _raw_http(
+            http_service,
+            b"POST /v1/sweeps HTTP/1.1\r\nContent-Type: application/json\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(body), body),
+            segment=1,
+        )
+        head, _, document = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 202 ")
+        job = json.loads(document)
+        assert job["points"] == 1
+        assert http_service.wait(job["id"], timeout=30)["state"] == "completed"
+
+    def test_bytes_past_the_first_request_get_no_second_answer(self, http_service):
+        # one request per connection: the second is never answered
+        reply = _raw_http(
+            http_service,
+            b"GET /healthz HTTP/1.1\r\n\r\nGET /v1/stats HTTP/1.1\r\n\r\n",
+        )
+        assert reply.startswith(b"HTTP/1.1 200 ")
+        assert reply.count(b"HTTP/1.1") == 1
+        assert reply.endswith(b'{"ok": true}')
 
     def test_wait_for_and_watch_unknown_job_raise_value_error(self, tmp_path):
         config = ServiceConfig(journal_path=str(tmp_path / "journal.jsonl"))
@@ -1123,7 +1239,7 @@ class TestRobustnessSatellites:
 
             watcher = asyncio.create_task(watch_all())
             await asyncio.sleep(0.02)  # watcher is parked on the condition
-            assert await service.cancel_job(queued.id) is True
+            assert service.cancel_job(queued.id) is True
             events = await asyncio.wait_for(watcher, timeout=5)
             assert events[-1] == {
                 "type": "job",
