@@ -109,14 +109,19 @@ class JsonlSink:
             self._stream = open(self.path, mode, encoding="utf-8")
             self._owns_stream = True
 
-    def event(self, event: str, **fields: object) -> None:
-        """Write one record: ``{"event": ..., "ts": <unix time>, ...}``."""
+    def event(self, event: str, **fields: object) -> int:
+        """Write one record: ``{"event": ..., "ts": <unix time>, ...}``.
+
+        Returns the line's length, which is its size in bytes: the JSON
+        is ASCII (0 once the sink is closed)."""
         if self._stream is None:
-            return
+            return 0
         record: Dict[str, object] = {"event": event, "ts": round(time.time(), 6)}
         record.update(fields)
-        self._stream.write(json.dumps(record, sort_keys=True) + "\n")
+        line = json.dumps(record, sort_keys=True) + "\n"
+        self._stream.write(line)
         self._stream.flush()
+        return len(line)
 
     def close(self) -> None:
         if self._stream is not None and self._owns_stream:

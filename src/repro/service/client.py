@@ -38,8 +38,9 @@ class ServiceError(RuntimeError):
     """A non-2xx response — or no response at all — from the service.
 
     ``status`` is the HTTP status, or 0 for transport-level failures;
-    ``retry_after`` carries the server's ``Retry-After`` hint (seconds)
-    when one was sent.
+    ``retry_after`` carries the server's retry hint (seconds) when one
+    was sent: the body's precise ``retry_after``, else the whole-second
+    ``Retry-After`` header.
     """
 
     def __init__(
@@ -65,11 +66,16 @@ class ServiceError(RuntimeError):
         super().__init__(f"{prefix}: {detail}")
 
 
-def _retry_after_seconds(exc: urllib.error.HTTPError) -> Optional[float]:
-    value = exc.headers.get("Retry-After") if exc.headers else None
+def _retry_after_seconds(
+    exc: urllib.error.HTTPError, payload: Dict[str, object]
+) -> Optional[float]:
+    """The body's precise ``retry_after``, else the whole-second header."""
+    value = payload.get("retry_after") if isinstance(payload, dict) else None
+    if value is None and exc.headers:
+        value = exc.headers.get("Retry-After")
     try:
         return float(value) if value is not None else None
-    except ValueError:
+    except (TypeError, ValueError):
         return None
 
 
@@ -109,7 +115,7 @@ class ServiceClient:
             except ValueError:
                 payload = {"error": exc.reason}
             raise ServiceError(
-                exc.code, payload, retry_after=_retry_after_seconds(exc)
+                exc.code, payload, retry_after=_retry_after_seconds(exc, payload)
             ) from exc
         except urllib.error.URLError as exc:
             # connection refused/reset, DNS failure, dropped mid-request:

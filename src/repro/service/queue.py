@@ -181,6 +181,9 @@ class JobQueue:
         if self.journal_path.exists():
             self._replay()
         self._journal = JsonlSink(self.journal_path, mode="a")
+        #: the journal's size: read from disk when it opens, after each
+        #: compaction and after a failed write, else counted as appended.
+        self._bytes = self._disk_bytes()
 
     def _event(self, event: str, **fields: object) -> None:
         """Write one journal record, surviving a failing write.
@@ -194,8 +197,9 @@ class JobQueue:
         try:
             if faults.service_fault("journal-io", event, occurrence) is not None:
                 raise OSError(f"injected journal-io fault on {event!r}")
-            self._journal.event(event, **fields)
+            self._bytes += self._journal.event(event, **fields)
         except OSError as exc:
+            self._bytes = self._disk_bytes()  # how much a failed write wrote is unknown
             self.journal_write_errors += 1
             _log.warning(
                 f"[service] journal write failed ({event}): {exc} — "
@@ -203,7 +207,11 @@ class JobQueue:
             )
 
     def journal_bytes(self) -> int:
-        """Current on-disk journal size (0 when unreadable/absent)."""
+        """Current journal size, as counted (no ``stat``)."""
+        return self._bytes
+
+    def _disk_bytes(self) -> int:
+        """The journal file's size on disk (0 when unreadable/absent)."""
         try:
             return self.journal_path.stat().st_size
         except OSError:
@@ -468,19 +476,19 @@ class JobQueue:
             # is intact; a failed attempt, too, waits a whole interval
             self._journal.close()
             self._journal = JsonlSink(self.journal_path, mode="a")
-            self._compacted_bytes = self.journal_bytes()
+            self._bytes = self._compacted_bytes = self._disk_bytes()
 
     def maybe_compact(self, max_bytes: int) -> bool:
         """Compact once the journal has grown by more than ``max_bytes``
         since the last compaction (0 never compacts)."""
-        before = self.journal_bytes()
+        before = self._bytes
         if not max_bytes or before <= self._compacted_bytes + max_bytes:
             return False
         held = len(self.jobs)
         self.compact()
         _log.info(
             f"[service] journal compacted: {before} -> "
-            f"{self.journal_bytes()} bytes ({held - len(self.jobs)} finished "
+            f"{self._bytes} bytes ({held - len(self.jobs)} finished "
             f"job(s) released, {len(self.jobs)} held)"
         )
         return True

@@ -10,21 +10,26 @@ identical to calling the worker directly.
 
 import asyncio
 import dataclasses
+import errno
 import json
 import os
 import random
+import re
+import selectors
+import socket
 import subprocess
 import sys
 import threading
 import time
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 
 import repro.core.config as config_module
 from repro.core.config import DRAM_PARTS, SystemConfig
 from repro.service import schema
-from repro.runner import ResultStore, SimPoint
+from repro.runner import ResultStore, SimPoint, faults
 from repro.runner.worker import execute_point
 from repro.service import (
     JobQueue,
@@ -520,6 +525,55 @@ class TestJobQueue:
         reopened = JobQueue(journal)
         assert list(reopened.jobs) == [live.id]
         reopened.close()
+
+    def test_journal_size_is_counted_not_statted(self, tmp_path, monkeypatch):
+        """Finished jobs cost no ``stat`` of the journal: the queue counts
+        the bytes it appends, reads the size from disk only after a
+        compaction or a failed write, and its count equals the file's
+        size after every step (compactions, an injected ``journal-io``
+        fault and a torn write among them)."""
+        journal = tmp_path / "journal.jsonl"
+        monkeypatch.setenv(faults.ENV_FAULT_PLAN, faults.FaultPlan([
+            faults.FaultSpec(match="job-completed", fault="journal-io", attempts=(30,))
+        ]).to_json())
+        queue = JobQueue(journal)
+        real_stat = os.stat
+        statted = []
+
+        def stat(path, *args, **kwargs):
+            if os.fspath(path) == str(journal):
+                statted.append(path)
+            return real_stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", stat)
+        monkeypatch.setattr(Path, "stat", stat)
+
+        class Torn:
+            """Writes half a record, then fails like a full disk (once)."""
+
+            def __init__(self, stream):
+                self.stream = stream
+
+            def write(self, line):
+                sink._stream = self.stream
+                self.stream.write(line[:len(line) // 2])
+                self.stream.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        for step in range(120):
+            if step == 70:
+                sink = queue._journal
+                sink._stream = Torn(sink._stream)
+            job = queue.submit(parse_sweep_request(_sweep(seed=step)))
+            assert queue.pop() is job
+            for key in job.keys:
+                queue.point_completed(job, key)
+            queue.complete(job)
+            queue.maybe_compact(16 << 10)
+            assert len(statted) == queue.compactions + queue.journal_write_errors, step
+            assert queue.journal_bytes() == real_stat(journal).st_size, step
+        assert queue.compactions >= 2 and queue.journal_write_errors == 2
+        queue.close()
 
     def test_priority_then_fifo_order(self, tmp_path):
         queue = JobQueue(tmp_path / "journal.jsonl")
@@ -1018,6 +1072,69 @@ class TestHttpApi:
             http_service._request("GET", "/v2/nope")
         assert excinfo.value.status == 404
 
+    def test_known_route_with_another_method_is_405_with_allow(self, http_service):
+        # (method, path, the methods its route serves)
+        pairs = [
+            ("POST", "/healthz", {"GET"}),
+            ("POST", "/v1/contract", {"GET"}),
+            ("DELETE", "/v1/stats", {"GET"}),
+            ("PUT", "/metrics", {"GET"}),
+            ("GET", "/v1/sweeps", {"POST"}),
+            ("POST", "/v1/jobs", {"GET"}),
+            ("PUT", "/v1/jobs/job-000000-00000000", {"GET", "DELETE"}),
+            ("POST", "/v1/jobs/job-000000-00000000/stream", {"GET"}),
+        ]
+        for method, path, allowed in pairs:
+            reply = _raw_http(
+                http_service,
+                f"{method} {path} HTTP/1.1\r\nContent-Length: 0\r\n\r\n".encode(),
+            )
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 405 "), (method, path, head)
+            allow = re.search(rb"\r\nAllow: ([^\r]*)", head)
+            assert allow is not None, (method, path, head)
+            assert {m.strip() for m in allow.group(1).decode().split(",")} == allowed
+            assert json.loads(body) == {"error": "method-not-allowed"}
+        # an unknown path stays 404 whatever the method
+        reply = _raw_http(http_service, b"POST /v2/nope HTTP/1.1\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 404 ")
+
+    def test_retry_after_is_whole_seconds_at_least_the_body_hint(
+        self, tmp_path, monkeypatch
+    ):
+        """A 429's and a 503's ``Retry-After`` is delay-seconds (RFC 9110
+        §10.2.3), rounded up from the hint the body keeps precisely, and
+        the client retries on the body's hint."""
+        service = SimulationService(
+            ServiceConfig(journal_path=str(tmp_path / "journal.jsonl"),
+                          max_queued_jobs=1)
+        )
+        server = server_module.ServiceServer(service)
+        service.queue.submit(parse_sweep_request(_sweep(seed=1)))  # fills it
+        replies = {}
+        try:
+            replies[429] = server._dispatch("POST", "/v1/sweeps", _sweep(seed=2))
+            service._draining = True
+            replies[503] = server._dispatch("POST", "/v1/sweeps", _sweep(seed=3))
+        finally:
+            service.queue.close()
+        for status, reply in replies.items():
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 %d " % status)
+            header = re.search(rb"\r\nRetry-After: ([^\r]*)", head).group(1).decode()
+            assert re.fullmatch(r"[0-9]+", header), header
+            hint = json.loads(body)["retry_after"]
+            assert int(header) >= max(1, hint)
+        monkeypatch.setattr("repro.service.engine.execute_point", fake_execute)
+        with EphemeralServer(
+            ServiceConfig(journal_path=str(tmp_path / "served.jsonl"))
+        ) as ephemeral:
+            ephemeral.server.service._draining = True
+            with pytest.raises(ServiceError) as excinfo:
+                ServiceClient(ephemeral.url)._request("POST", "/v1/sweeps", _sweep())
+        assert excinfo.value.status == 503
+        assert excinfo.value.retry_after == excinfo.value.payload["retry_after"]
+
     def test_job_list_is_every_live_job_then_the_newest_finished(self, tmp_path):
         service = SimulationService(
             ServiceConfig(journal_path=str(tmp_path / "journal.jsonl"))
@@ -1277,6 +1394,162 @@ class TestRobustnessSatellites:
             with pytest.raises(ServiceError) as excinfo:
                 client.cancel(job["id"])
             assert excinfo.value.status == 409
+
+
+# ---------------------------------------------------------------------------
+# the connection layer: partial sends, stream hang-ups, abandoned
+# requests, stop()
+# ---------------------------------------------------------------------------
+
+
+def _on_loop(ephemeral, function):
+    """Call ``function`` on the server's event loop; return its result."""
+
+    async def call():
+        return function()
+
+    return asyncio.run_coroutine_threadsafe(call(), ephemeral._loop).result(10)
+
+
+def _until(ephemeral, function, expected, timeout=5.0):
+    """Poll ``function`` on the server's loop until it returns ``expected``."""
+    deadline = time.monotonic() + timeout
+    while (value := _on_loop(ephemeral, function)) != expected:
+        assert time.monotonic() < deadline, value
+        time.sleep(0.005)
+
+
+def _readers(ephemeral):
+    """File descriptors the server's event loop watches for reading."""
+    return {
+        key.fd for key in ephemeral._loop._selector.get_map().values()
+        if key.events & selectors.EVENT_READ
+    }
+
+
+def _connect(ephemeral):
+    parts = urlsplit(ephemeral.url)
+    return socket.create_connection((parts.hostname, parts.port), timeout=10)
+
+
+def _read_stream_head(sock):
+    """Read a stream's response head and its first (snapshot) event."""
+    received = b""
+    while b"\n\n" not in received.partition(b"\r\n\r\n")[2]:
+        chunk = sock.recv(4096)
+        assert chunk, received
+        received += chunk
+    assert received.startswith(b"HTTP/1.1 200 ")
+    return received
+
+
+@pytest.fixture()
+def ephemeral(tmp_path, monkeypatch):
+    monkeypatch.setattr("repro.service.engine.execute_point", fake_execute)
+    config = ServiceConfig(journal_path=str(tmp_path / "journal.jsonl"))
+    with EphemeralServer(config) as server:
+        yield server
+
+
+class TestConnections:
+    def test_response_larger_than_one_send_arrives_whole_when_read_slowly(
+        self, tmp_path, monkeypatch
+    ):
+        # no socket buffer takes 8 MB at once: the rest goes out as the
+        # client reads, and the server answers others meanwhile
+        document = {"blob": "x" * (8 << 20)}
+        monkeypatch.setattr(SimulationService, "stats", lambda self: document)
+        monkeypatch.setattr("repro.service.engine.execute_point", fake_execute)
+        config = ServiceConfig(journal_path=str(tmp_path / "journal.jsonl"))
+        with EphemeralServer(config) as ephemeral:
+            server = ephemeral.server
+            parts = urlsplit(ephemeral.url)
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(10)
+            with sock:
+                sock.connect((parts.hostname, parts.port))
+                sock.sendall(b"GET /v1/stats HTTP/1.1\r\n\r\n")
+                received = bytearray(sock.recv(4096))
+                assert received.startswith(b"HTTP/1.1 200 ")
+                # the unsent rest is a task's, and it blocks no one
+                assert _on_loop(ephemeral, lambda: len(server._open)) == 1
+                assert ServiceClient(ephemeral.url).healthy()
+                while True:
+                    chunk = sock.recv(16384)
+                    if not chunk:
+                        break
+                    received += chunk
+                    time.sleep(0.0002)
+            head, _, body = bytes(received).partition(b"\r\n\r\n")
+            length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+            assert len(body) == length
+            assert json.loads(body) == document
+            _until(ephemeral, lambda: len(server._open), 0)
+
+    def test_client_closing_a_live_stream_frees_its_watcher_and_socket(
+        self, tmp_path, monkeypatch
+    ):
+        doubles.install(monkeypatch, doubles.gated_execute, tmp_path)
+        config = ServiceConfig(journal_path=str(tmp_path / "journal.jsonl"))
+        with EphemeralServer(config) as ephemeral:
+            server = ephemeral.server
+            client = ServiceClient(ephemeral.url, timeout=30.0)
+            job = client.submit(_sweep(seed=77))
+            before = _on_loop(ephemeral, lambda: _readers(ephemeral))
+            sock = _connect(ephemeral)
+            sock.sendall(f"GET /v1/jobs/{job['id']}/stream HTTP/1.1\r\n\r\n".encode())
+            _read_stream_head(sock)
+
+            def held():
+                return (len(server.service._progress._waiters),
+                        len(server._open), _readers(ephemeral) - before)
+
+            watching = _on_loop(ephemeral, held)
+            assert watching[:2] == (1, 1) and len(watching[2]) == 1
+            sock.close()
+            # no event is due (the job waits at the gate), yet the
+            # watcher and the socket go now
+            _until(ephemeral, held, (0, 0, set()), timeout=2.0)
+            doubles.open_gate(tmp_path)
+            assert client.wait(job["id"], timeout=30)["state"] == "completed"
+
+    def test_client_closing_mid_request_leaves_no_reader_or_timer(self, ephemeral):
+        server = ephemeral.server
+        before = _on_loop(ephemeral, lambda: _readers(ephemeral))
+        sock = _connect(ephemeral)
+        sock.sendall(b"POST /v1/sweeps HTTP/1.1\r\nContent-Len")
+        _until(ephemeral, lambda: len(server._open), 1)
+        (request,) = _on_loop(ephemeral, lambda: list(server._open.values()))
+        deadline = request.deadline
+        assert _on_loop(ephemeral, lambda: _readers(ephemeral) - before) == {
+            request.sock.fileno()
+        }
+        sock.close()
+        _until(ephemeral, lambda: (len(server._open), _readers(ephemeral)), (0, before))
+        assert deadline.cancelled()
+        assert request.sock.fileno() == -1  # closed
+
+    def test_stop_closes_every_open_connection(self, tmp_path, monkeypatch):
+        doubles.install(monkeypatch, doubles.gated_execute, tmp_path)
+        config = ServiceConfig(journal_path=str(tmp_path / "journal.jsonl"))
+        with EphemeralServer(config) as ephemeral:
+            server = ephemeral.server
+            client = ServiceClient(ephemeral.url, timeout=30.0)
+            job = client.submit(_sweep(seed=5))
+            stream = _connect(ephemeral)
+            stream.sendall(f"GET /v1/jobs/{job['id']}/stream HTTP/1.1\r\n\r\n".encode())
+            _read_stream_head(stream)
+            partial = _connect(ephemeral)
+            partial.sendall(b"GET /healthz HTTP/1.1\r\n")
+            _until(ephemeral, lambda: len(server._open), 2)
+        # the job is still at the gate: stop() closed both connections
+        with stream, partial:
+            for sock in (stream, partial):
+                sock.settimeout(5)
+                while sock.recv(4096):
+                    pass
+        assert server._open == {} and server._listeners == []
 
 
 class TestSmokeCommand:

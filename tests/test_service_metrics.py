@@ -9,7 +9,10 @@ simulator.
 
 import asyncio
 import json
+import re
+import socket
 import time
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -269,6 +272,31 @@ class TestMetricsEndpoint:
         time.sleep(0.05)
         second = http_service.stats()["uptime_seconds"]
         assert second > first
+
+
+    def test_junk_methods_share_one_label(self, http_service):
+        """A method the router does not serve is labeled ``other``: 50
+        junk methods mint at most one new ``method`` label."""
+
+        def methods():
+            return {
+                label
+                for line in http_service.metrics().splitlines()
+                if line.startswith(("repro_http_requests_total{",
+                                    "repro_http_request_seconds_count{"))
+                for label in re.findall(r'method="([^"]*)"', line)
+            }
+
+        assert http_service.healthy()  # a GET is labeled before the junk
+        before = methods()
+        parts = urlsplit(http_service.base_url)
+        for index in range(50):
+            with socket.create_connection(
+                (parts.hostname, parts.port), timeout=10
+            ) as sock:
+                sock.sendall(f"M{index} /healthz HTTP/1.1\r\n\r\n".encode())
+                assert sock.recv(64).startswith(b"HTTP/1.1 405 ")
+        assert len(methods() - before) <= 1
 
 
 class TestRouteNormalization:
