@@ -5,11 +5,10 @@ the paper-reported reference values for comparison.
 
 Simulation points are executed through the :mod:`repro.runner`
 subsystem: ``--jobs N`` fans points across a process pool (default:
-``REPRO_JOBS``, else serial), and results persist in an on-disk cache
-(``--cache-dir``, default ``REPRO_CACHE_DIR``, else
-``~/.cache/repro``) so re-running an experiment — or another
-experiment sharing points with it — only simulates what it has never
-seen.  ``--no-cache`` disables persistence; any change to the
+serial), and results persist in an on-disk cache (``--cache-dir``,
+default ``REPRO_CACHE_DIR``, else ``~/.cache/repro``) so re-running an
+experiment — or another experiment sharing points with it — only
+simulates what it has never seen.  ``--no-cache`` disables persistence; any change to the
 simulator source, a ``RESULT_VERSION`` bump, or a package version bump
 invalidates every cached entry.
 
@@ -130,9 +129,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=None,
+        default=1,
         metavar="N",
-        help="simulate up to N points in parallel (default: REPRO_JOBS, else 1)",
+        help="simulate up to N points in parallel (default 1)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -156,15 +155,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         metavar="SECONDS",
         help="watchdog: kill and retry any pooled simulation running longer "
-        "than this (default: REPRO_JOB_TIMEOUT, else no watchdog)",
+        "than this (default: no watchdog)",
     )
     parser.add_argument(
         "--max-retries",
         type=int,
-        default=None,
+        default=2,
         metavar="N",
-        help="retry a failed simulation point up to N times "
-        "(default: REPRO_MAX_RETRIES, else 2)",
+        help="retry a failed simulation point up to N times (default 2)",
     )
     parser.add_argument(
         "--keep-going",
@@ -226,7 +224,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="ID",
         help="correlation id stamped on every run-log event and obs "
         "artifact, so one logical run is greppable across files "
-        "(default: REPRO_TRACE_ID, else unset)",
+        "(default: unset)",
     )
     parser.add_argument(
         "--profile-sim",
@@ -261,11 +259,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         # every SystemConfig constructed anywhere in the experiment
         # picks it up as the default.
         os.environ["REPRO_BACKEND"] = args.backend
-    if args.jobs is not None and args.jobs < 1:
+    if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
     if args.job_timeout is not None and args.job_timeout <= 0:
         parser.error(f"--job-timeout must be positive, got {args.job_timeout}")
-    if args.max_retries is not None and args.max_retries < 0:
+    if args.max_retries < 0:
         parser.error(f"--max-retries must be >= 0, got {args.max_retries}")
 
     if args.profile_sim is not None:
@@ -280,12 +278,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
 
     cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
-    runner_kwargs = {}
-    if args.job_timeout is not None:
-        runner_kwargs["timeout"] = args.job_timeout
-    if args.max_retries is not None:
-        runner_kwargs["max_retries"] = args.max_retries
-    trace_id = args.trace_id or os.environ.get("REPRO_TRACE_ID") or None
+    trace_id = args.trace_id or None
     session = None
     if args.trace or args.metrics:
         from repro.obs import ObsSession
@@ -306,12 +299,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             jobs=args.jobs,
             cache_dir=cache_dir,
             progress=args.progress,
+            timeout=args.job_timeout,
+            max_retries=args.max_retries,
             keep_going=args.keep_going,
             run_log=run_log,
             observe=session,
             sanitize=args.sanitize,
             trace_id=trace_id,
-            **runner_kwargs,
         )
     except OSError as error:
         parser.error(f"cannot use cache dir {cache_dir!r}: {error}")

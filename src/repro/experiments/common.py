@@ -17,12 +17,12 @@ Every experiment module exposes ``run(profile) -> *Result`` and
   :func:`run_points` all route through the process-wide
   :class:`repro.runner.Runner`, which deduplicates identical
   (benchmark, config, profile) points, serves them from its result
-  cache, fans fresh work across a process pool when ``--jobs`` /
-  ``REPRO_JOBS`` asks for one, and absorbs worker failures (watchdog
-  timeouts, retries, pool rebuild — see the ``repro.runner`` module
-  docs); in ``--keep-going`` mode a permanently failed point comes
-  back as NaN-valued placeholder statistics, which the table renderer
-  prints as ``-``,
+  cache, fans fresh work across a process pool when ``--jobs`` asks
+  for one, and absorbs worker failures (watchdog timeouts, retries,
+  pool rebuild — see the ``repro.runner`` module docs); in
+  ``--keep-going`` mode a permanently failed point comes back as
+  NaN-valued placeholder statistics, which the table renderer prints
+  as ``-``,
 * speedup/aggregation helpers and an ASCII table renderer.
 """
 

@@ -22,14 +22,14 @@ remainder either inline or fanned across a process pool:
 
 Long sweeps additionally survive misbehaving points and environments:
 
-* **watchdog timeouts** — with ``timeout`` (``REPRO_JOB_TIMEOUT``) set,
-  a pooled simulation still running that long after its worker started
-  it has its worker killed and is retried; other in-flight points are
-  resubmitted unharmed;
+* **watchdog timeouts** — with ``timeout`` set, a pooled simulation
+  still running that long after its worker started it has its worker
+  killed and is retried; other in-flight points are resubmitted
+  unharmed;
 * **bounded retries** — a failed attempt is retried up to
-  ``max_retries`` (``REPRO_MAX_RETRIES``) times with exponential
-  backoff whose jitter derives deterministically from the point's
-  cache key, never from global RNG state;
+  ``max_retries`` times with exponential backoff whose jitter derives
+  deterministically from the point's cache key, never from global RNG
+  state;
 * **pool recovery** — a broken process pool (worker died mid-call) is
   rebuilt once; if it breaks again, the remaining points finish inline
   in the parent process;
@@ -60,8 +60,8 @@ fault-injection harness in :mod:`repro.runner.faults`.
 
 The module-level default runner (:func:`get_runner` / :func:`set_runner`)
 is what :func:`repro.experiments.common.run_benchmark` submits through;
-it honours the ``REPRO_JOBS`` and ``REPRO_CACHE_DIR`` environment
-variables, and ``repro-experiment`` overrides it from ``--jobs`` /
+it runs serially and takes its result cache from ``REPRO_CACHE_DIR``,
+and ``repro-experiment`` replaces it with one built from ``--jobs`` /
 ``--cache-dir`` / ``--no-cache`` / ``--job-timeout`` / ``--max-retries``
 / ``--keep-going``.
 """
@@ -261,15 +261,10 @@ class PointRun:
 _ENV = object()  # sentinel: resolve from the environment
 
 
-def _env_float(name: str) -> Optional[float]:
-    raw = os.environ.get(name, "").strip()
-    return float(raw) if raw else None
-
-
 class Runner:
     """Executes simulation points with dedup, caching, and a process pool.
 
-    ``jobs=None`` reads ``REPRO_JOBS`` (default 1 — inline, serial).
+    ``jobs`` is the number of worker processes (1 — inline, serial).
     ``cache_dir`` defaults to ``REPRO_CACHE_DIR`` when that is set and
     to no on-disk cache otherwise; pass a path to force a location or
     ``None`` to disable persistence explicitly.  The in-memory memo is
@@ -279,16 +274,13 @@ class Runner:
 
     ``timeout``
         per-job watchdog in seconds for pooled execution, timed from
-        when the worker starts the attempt (default:
-        ``REPRO_JOB_TIMEOUT``, else no watchdog; inline execution
-        cannot be preempted and is never timed out);
+        when the worker starts the attempt (None or 0: no watchdog;
+        inline execution cannot be preempted and is never timed out);
     ``max_retries``
-        failed attempts retried per point (default:
-        ``REPRO_MAX_RETRIES``, else 2);
+        failed attempts retried per point;
     ``retry_backoff``
         base delay in seconds for the exponential backoff schedule
-        (default: ``REPRO_RETRY_BACKOFF``, else 0.25; 0 disables
-        waiting);
+        (0 disables waiting);
     ``keep_going``
         on permanent point failure, return :func:`placeholder_stats`
         instead of raising :class:`PointFailureError`.
@@ -302,8 +294,8 @@ class Runner:
         / ``point-failed`` — each carrying the point's label, cache
         key, and zero-based attempt;
     ``trace_id``
-        correlation id stamped on every run-log event (default:
-        ``REPRO_TRACE_ID``; ``None`` stamps nothing);
+        correlation id stamped on every run-log event (``None``
+        stamps nothing);
     ``observe``
         an :class:`~repro.obs.observer.ObsSession` collecting a trace
         and/or metrics per point.  Observed execution is forced inline
@@ -331,20 +323,18 @@ class Runner:
 
     def __init__(
         self,
-        jobs: Optional[int] = None,
+        jobs: int = 1,
         cache_dir=_ENV,
         progress: bool = False,
-        timeout=_ENV,
-        max_retries: Optional[int] = None,
-        retry_backoff: Optional[float] = None,
+        timeout: Optional[float] = None,
+        max_retries: int = 2,
+        retry_backoff: float = 0.25,
         keep_going: bool = False,
         run_log: Optional[JsonlSink] = None,
         observe: "Optional[ObsSession]" = None,
         sanitize: bool = False,
-        trace_id=_ENV,
+        trace_id: Optional[str] = None,
     ) -> None:
-        if jobs is None:
-            jobs = int(os.environ.get("REPRO_JOBS", "1") or "1")
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
@@ -353,27 +343,17 @@ class Runner:
         #: every resolved point: memo plus optional on-disk cache.
         self.store = ResultStore(cache_dir)
         self.progress = progress
-        if timeout is _ENV:
-            timeout = _env_float("REPRO_JOB_TIMEOUT")
         if timeout is not None and timeout <= 0:
             timeout = None
         self.timeout: Optional[float] = timeout
-        if max_retries is None:
-            max_retries = int(os.environ.get("REPRO_MAX_RETRIES", "2") or "2")
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         self.max_retries = max_retries
-        if retry_backoff is None:
-            retry_backoff = _env_float("REPRO_RETRY_BACKOFF")
-            if retry_backoff is None:
-                retry_backoff = 0.25
         self.retry_backoff = max(0.0, retry_backoff)
         self.keep_going = keep_going
         self.run_log = run_log
         self.observe = observe
         self.sanitize = sanitize
-        if trace_id is _ENV:
-            trace_id = os.environ.get("REPRO_TRACE_ID") or None
         self.trace_id: Optional[str] = trace_id
         #: every failure event, transient and fatal, in observation order.
         self.failures: List[FailureRecord] = []
@@ -662,7 +642,8 @@ _default_runner: Optional[Runner] = None
 
 
 def get_runner() -> Runner:
-    """The process-wide default runner, created lazily from the env."""
+    """The process-wide default runner, created lazily: serial, with
+    its result cache at ``REPRO_CACHE_DIR`` when that is set."""
     global _default_runner
     if _default_runner is None:
         _default_runner = Runner()

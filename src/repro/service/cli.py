@@ -19,8 +19,8 @@ Subcommands:
 drain* (stop admitting, finish in-flight jobs up to
 ``--drain-deadline`` seconds, re-queue the rest, journal a clean
 shutdown marker), and every robustness knob — admission caps, per-point
-watchdog, journal compaction — is settable by flag or by a
-``REPRO_SERVE_*`` environment variable (the flag wins).  See the
+watchdog, journal compaction — is a flag whose default is the
+:class:`~repro.service.engine.ServiceConfig` field it sets.  See the
 "Operating the service" section of the README for the full table of
 knobs, the drain semantics, and the chaos-harness workflow that
 exercises them.
@@ -36,7 +36,7 @@ import signal
 import sys
 import tempfile
 import threading
-from typing import Callable, Dict, List, Optional, TypeVar
+from typing import Dict, List, Optional
 
 from repro import __version__
 from repro.runner.cache import default_cache_dir
@@ -45,22 +45,6 @@ from repro.service.engine import ServiceConfig, SimulationService
 from repro.service.server import ServiceServer
 
 __all__ = ["main"]
-
-_T = TypeVar("_T")
-
-
-def _env_default(name: str, cast: Callable[[str], _T], fallback: _T) -> _T:
-    """``REPRO_SERVE_<name>`` parsed with ``cast``, else ``fallback``."""
-    raw = os.environ.get(f"REPRO_SERVE_{name}")
-    if raw is None or raw == "":
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise SystemExit(
-            f"repro-serve: invalid REPRO_SERVE_{name}={raw!r} "
-            f"(expected {cast.__name__})"
-        )
 
 
 def _add_url(parser: argparse.ArgumentParser) -> None:
@@ -72,27 +56,29 @@ def _add_url(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_service(args: argparse.Namespace) -> ServiceServer:
+def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs.log import JsonlSink
 
-    run_log = JsonlSink(args.run_log, mode="a") if args.run_log else None
-    config = ServiceConfig(
-        journal_path=args.journal,
-        cache_dir=None if args.no_cache else (args.cache_dir or default_cache_dir()),
-        workers=args.workers,
-        max_retries=args.max_retries,
-        run_log=run_log,
-        max_queued_jobs=args.max_queued_jobs,
-        max_queued_points=args.max_queued_points,
-        max_inflight_bytes=args.max_inflight_bytes,
-        point_timeout=args.point_timeout or None,
-        journal_max_bytes=args.journal_max_bytes,
-    )
-    return ServiceServer(SimulationService(config), host=args.host, port=args.port)
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    server = _build_service(args)
+    # ServiceConfig validates every setting, before anything is opened
+    # or bound.
+    try:
+        config = ServiceConfig(
+            journal_path=args.journal,
+            cache_dir=None if args.no_cache else (args.cache_dir or default_cache_dir()),
+            workers=args.workers,
+            max_retries=args.max_retries,
+            max_queued_jobs=args.max_queued_jobs,
+            max_queued_points=args.max_queued_points,
+            max_inflight_bytes=args.max_inflight_bytes,
+            point_timeout=args.point_timeout or None,
+            journal_max_bytes=args.journal_max_bytes,
+        )
+    except ValueError as error:
+        print(f"repro-serve: {error}", file=sys.stderr)
+        return 2
+    if args.run_log:
+        config.run_log = JsonlSink(args.run_log, mode="a")
+    server = ServiceServer(SimulationService(config), host=args.host, port=args.port)
 
     async def run() -> None:
         await server.start()
@@ -466,53 +452,46 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--no-cache", action="store_true", help="memo-only, no on-disk store"
     )
     serve.add_argument(
-        "--workers", type=int, default=2,
-        help="simulation worker processes, one point each at a time (default 2)",
+        "--workers", type=int, default=ServiceConfig.workers,
+        help="simulation worker processes, one point each at a time "
+        "(default %(default)s)",
     )
     serve.add_argument(
-        "--max-retries", type=int, default=2,
-        help="retries per failed point (default 2)",
+        "--max-retries", type=int, default=ServiceConfig.max_retries,
+        help="retries per failed point (default %(default)s)",
     )
     serve.add_argument(
         "--run-log", default=None, metavar="PATH",
         help="append JSONL telemetry (runner-compatible event names)",
     )
     serve.add_argument(
-        "--max-queued-jobs", type=int,
-        default=_env_default("MAX_QUEUED_JOBS", int, 64),
-        help="admission cap on queued jobs, 0 = unlimited "
-        "(default 64; env REPRO_SERVE_MAX_QUEUED_JOBS)",
+        "--max-queued-jobs", type=int, default=ServiceConfig.max_queued_jobs,
+        help="admission cap on queued jobs, 0 = unlimited (default %(default)s)",
     )
     serve.add_argument(
-        "--max-queued-points", type=int,
-        default=_env_default("MAX_QUEUED_POINTS", int, 4096),
+        "--max-queued-points", type=int, default=ServiceConfig.max_queued_points,
         help="admission cap on unresolved points, 0 = unlimited "
-        "(default 4096; env REPRO_SERVE_MAX_QUEUED_POINTS)",
+        "(default %(default)s)",
     )
     serve.add_argument(
-        "--max-inflight-bytes", type=int,
-        default=_env_default("MAX_INFLIGHT_BYTES", int, 8 << 20),
+        "--max-inflight-bytes", type=int, default=ServiceConfig.max_inflight_bytes,
         help="admission cap on serialized request bytes, 0 = unlimited "
-        "(default 8 MiB; env REPRO_SERVE_MAX_INFLIGHT_BYTES)",
+        "(default %(default)s)",
     )
     serve.add_argument(
-        "--point-timeout", type=float,
-        default=_env_default("POINT_TIMEOUT", float, 0.0),
-        help="per-point watchdog seconds, 0 disables "
-        "(default 0; env REPRO_SERVE_POINT_TIMEOUT)",
+        "--point-timeout", type=float, default=ServiceConfig.point_timeout,
+        help="per-point watchdog seconds, 0 disables (default: off)",
     )
     serve.add_argument(
-        "--journal-max-bytes", type=int,
-        default=_env_default("JOURNAL_MAX_BYTES", int, 4 << 20),
-        help="journal growth that triggers compaction; a finished job is "
-        "held for at least one such interval, and 0 never compacts and "
-        "holds every job (default 4 MiB; env REPRO_SERVE_JOURNAL_MAX_BYTES)",
+        "--journal-max-bytes", type=int, default=ServiceConfig.journal_max_bytes,
+        help="journal growth in bytes that triggers compaction; a finished "
+        "job is held for at least one such interval, and 0 never compacts "
+        "and holds every job (default %(default)s)",
     )
     serve.add_argument(
-        "--drain-deadline", type=float,
-        default=_env_default("DRAIN_DEADLINE", float, 30.0),
+        "--drain-deadline", type=float, default=30.0,
         help="seconds SIGTERM/SIGINT waits for in-flight jobs before "
-        "re-queueing them (default 30; env REPRO_SERVE_DRAIN_DEADLINE)",
+        "re-queueing them (default %(default)s)",
     )
     serve.set_defaults(func=_cmd_serve)
 

@@ -21,6 +21,7 @@ out instead of thundering back in lockstep.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import http.client
 import json
@@ -93,12 +94,17 @@ class ServiceClient:
         #: bounded retries for over-capacity (429/503) submissions.
         self.max_submit_retries = max_submit_retries
 
-    def _request(
+    @contextlib.contextmanager
+    def _open(
         self,
         method: str,
         path: str,
         body: Optional[Dict[str, object]] = None,
-    ) -> Dict[str, object]:
+    ) -> Iterator[http.client.HTTPResponse]:
+        """The response to one request, open while the block reads it.
+
+        Every failure, in making the request or in reading its response,
+        raises :class:`ServiceError`."""
         data = json.dumps(body).encode("utf-8") if body is not None else None
         request = urllib.request.Request(
             f"{self.base_url}{path}",
@@ -108,7 +114,7 @@ class ServiceClient:
         )
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                return json.loads(resp.read())
+                yield resp
         except urllib.error.HTTPError as exc:
             try:
                 payload = json.loads(exc.read())
@@ -131,6 +137,15 @@ class ServiceClient:
                 0, {"error": "unreachable", "message": str(exc)}
             ) from exc
 
+    def _request(
+        self,
+        method: str,
+        path: str,
+        body: Optional[Dict[str, object]] = None,
+    ) -> Dict[str, object]:
+        with self._open(method, path, body) as resp:
+            return json.loads(resp.read())
+
     # -- routes ------------------------------------------------------------
 
     def healthy(self) -> bool:
@@ -147,20 +162,8 @@ class ServiceClient:
 
     def metrics(self) -> str:
         """Raw Prometheus text exposition from ``GET /metrics``."""
-        request = urllib.request.Request(f"{self.base_url}/metrics")
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                return resp.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            raise ServiceError(exc.code, {"error": exc.reason}) from exc
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                0, {"error": "unreachable", "message": str(exc.reason)}
-            ) from exc
-        except (http.client.HTTPException, OSError) as exc:
-            raise ServiceError(
-                0, {"error": "unreachable", "message": str(exc)}
-            ) from exc
+        with self._open("GET", "/metrics") as resp:
+            return resp.read().decode("utf-8")
 
     def submit(self, payload: Dict[str, object]) -> Dict[str, object]:
         """POST a sweep; returns the job summary.
@@ -219,22 +222,8 @@ class ServiceClient:
 
     def stream(self, job_id: str) -> Iterator[Dict[str, object]]:
         """Yield Server-Sent progress events until the job is terminal."""
-        request = urllib.request.Request(
-            f"{self.base_url}/v1/jobs/{job_id}/stream"
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                for raw in resp:
-                    line = raw.decode("utf-8").strip()
-                    if line.startswith("data: "):
-                        yield json.loads(line[len("data: "):])
-        except urllib.error.HTTPError as exc:
-            try:
-                payload = json.loads(exc.read())
-            except ValueError:
-                payload = {"error": exc.reason}
-            raise ServiceError(exc.code, payload) from exc
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                0, {"error": "unreachable", "message": str(exc.reason)}
-            ) from exc
+        with self._open("GET", f"/v1/jobs/{job_id}/stream") as resp:
+            for raw in resp:
+                line = raw.decode("utf-8").strip()
+                if line.startswith("data: "):
+                    yield json.loads(line[len("data: "):])

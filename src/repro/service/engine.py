@@ -9,7 +9,7 @@ execution core together:
   serialized request bytes) rejects over-limit submissions with
   :class:`AdmissionError`, which the HTTP layer turns into ``429`` plus
   a ``Retry-After`` hint derived from the live backlog;
-* ``job_concurrency`` dispatcher tasks drain it in priority order;
+* one dispatcher task per worker drains it in priority order;
 * each job's points resolve through one
   :class:`~repro.runner.Runner` built from the :class:`ServiceConfig`:
   what its store's memo holds is served inline, in the dispatcher;
@@ -115,10 +115,8 @@ class ServiceConfig:
     #: shared on-disk result store; None = memo-only (no persistence).
     cache_dir: Optional[str] = None
     #: simulation worker processes (one point simulates per process at
-    #: a time).
+    #: a time), and as many jobs dispatched at once.
     workers: int = 2
-    #: jobs dispatched concurrently; defaults to ``workers``.
-    job_concurrency: Optional[int] = None
     #: failed attempts retried per point (the runner's default).
     max_retries: int = 2
     #: base seconds for the deterministic keyed backoff schedule.
@@ -142,12 +140,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.job_concurrency is None:
-            self.job_concurrency = self.workers
-        if self.job_concurrency < 1:
-            raise ValueError(
-                f"job_concurrency must be >= 1, got {self.job_concurrency}"
-            )
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         for name in ("max_queued_jobs", "max_queued_points",
@@ -176,17 +168,15 @@ class SimulationService:
     def __init__(self, config: ServiceConfig) -> None:
         self.config = config
         self.queue = JobQueue(config.journal_path)
-        #: the execution core, configured from ``config`` alone (no
-        #: ``REPRO_*`` runner variable applies): its store, failure
-        #: step, success step and run log serve every point.
+        #: the execution core, configured from ``config`` alone: its
+        #: store, failure step, success step and run log serve every
+        #: point.
         self.runner = Runner(
-            jobs=1,
             cache_dir=config.cache_dir,
             timeout=config.point_timeout,
             max_retries=config.max_retries,
             retry_backoff=config.retry_backoff,
             run_log=config.run_log,
-            trace_id=None,
         )
         self.store = self.runner.store
         self.flight = SingleFlight()
@@ -337,7 +327,7 @@ class SimulationService:
         self._started_monotonic = time.monotonic()
         self._dispatchers = [
             asyncio.create_task(self._dispatch_loop(), name=f"dispatcher-{i}")
-            for i in range(self.config.job_concurrency)
+            for i in range(self.config.workers)
         ]
         recovered = self.queue.recovered_job_ids
         if recovered:
@@ -771,7 +761,7 @@ class SimulationService:
             "store": self.store.summary(),
             "single_flight": self.flight.summary(),
             "workers": self.config.workers,
-            "job_concurrency": self.config.job_concurrency,
+            "job_concurrency": self.config.workers,
             "draining": self._draining,
             "admission": {
                 "max_queued_jobs": self.config.max_queued_jobs,

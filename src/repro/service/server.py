@@ -553,7 +553,12 @@ class ServiceServer:
     # -- request handling --------------------------------------------------
 
     def _drop_planned(self, path: str) -> bool:
-        """True when the fault plan drops this occurrence of ``path``."""
+        """True when the fault plan drops this occurrence of ``path``.
+
+        Occurrences are counted only while a plan is installed, so a
+        server without one keeps no counter per path it was sent."""
+        if faults.get_fault_plan() is None:
+            return False
         path = path.rstrip("/") or "/"
         occurrence = self._path_counts.get(path, 0)
         self._path_counts[path] = occurrence + 1

@@ -1,5 +1,6 @@
-"""Shared test configuration: deterministic hypothesis profiles and a
-private trace store.
+"""Shared test configuration: deterministic hypothesis profiles, an
+environment free of the developer's ``REPRO_*`` variables, and a private
+trace store.
 
 Two registered profiles:
 
@@ -22,6 +23,19 @@ settings.register_profile("ci", derandomize=True, deadline=None)
 settings.register_profile("dev", deadline=None)
 
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
+
+#: the ``REPRO_*`` variables CI sets for the suite on purpose.
+_KEPT_VARIABLES = ("REPRO_PROFILE", "REPRO_GOLDEN_FULL")
+
+
+def pytest_configure(config):
+    """Drop every other inherited ``REPRO_*`` variable before any test
+    module is imported (some build configs at import): a backend, result
+    cache or fault plan left in the developer's shell would change what
+    the suite checks or where it writes."""
+    for name in [name for name in os.environ if name.startswith("REPRO_")]:
+        if name not in _KEPT_VARIABLES:
+            del os.environ[name]
 
 
 @pytest.fixture(autouse=True, scope="session")

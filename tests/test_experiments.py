@@ -194,6 +194,54 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "mapping" in out or "XOR" in out or "xor" in out
 
+    def test_help_names_no_environment_twin_of_a_flag(self, capsys):
+        # each knob below is set by its flag (or constructor argument) alone
+        from repro.service import cli as serve_cli
+
+        removed = (
+            "REPRO_JOBS", "REPRO_JOB_TIMEOUT", "REPRO_MAX_RETRIES",
+            "REPRO_RETRY_BACKOFF", "REPRO_TRACE_ID",
+            "REPRO_SERVE_MAX_QUEUED_JOBS", "REPRO_SERVE_MAX_QUEUED_POINTS",
+            "REPRO_SERVE_MAX_INFLIGHT_BYTES", "REPRO_SERVE_POINT_TIMEOUT",
+            "REPRO_SERVE_JOURNAL_MAX_BYTES", "REPRO_SERVE_DRAIN_DEADLINE",
+        )
+        commands = [(cli.main, [])] + [
+            (serve_cli.main, argv)
+            for argv in ([], ["serve"], ["submit"], ["status"], ["wait"], ["smoke"])
+        ]
+        for main, argv in commands:
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv + ["--help"])
+            assert excinfo.value.code == 0
+            text = capsys.readouterr().out
+            assert "usage:" in text
+            assert [name for name in removed if name in text] == [], argv
+
+
+class TestServeCommand:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--workers", "0"], "workers must be >= 1, got 0"),
+            (["--max-queued-jobs", "-1"], "max_queued_jobs must be >= 0"),
+            (["--point-timeout", "-1"], "point_timeout must be positive"),
+        ],
+    )
+    def test_invalid_setting_exits_2_with_its_message(
+        self, flags, message, capsys, tmp_path
+    ):
+        from repro.service import cli as serve_cli
+
+        journal, run_log = tmp_path / "journal.jsonl", tmp_path / "run.jsonl"
+        argv = ["serve", "--journal", str(journal), "--run-log", str(run_log)]
+        assert serve_cli.main(argv + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro-serve: ")
+        assert message in captured.err
+        assert captured.out == ""
+        # nothing was opened: no journal, no run log
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCLIFaultTolerance:
     """The fault-tolerance knobs and exit codes of repro-experiment."""

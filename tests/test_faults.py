@@ -571,18 +571,8 @@ class TestInterrupt:
 
 
 class TestEnvironmentKnobs:
-    def test_runner_reads_fault_tolerance_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOB_TIMEOUT", "7.5")
-        monkeypatch.setenv("REPRO_MAX_RETRIES", "5")
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.125")
-        runner = Runner(jobs=1, cache_dir=None)
-        assert runner.timeout == 7.5
-        assert runner.max_retries == 5
-        assert runner.retry_backoff == 0.125
-
-    def test_zero_timeout_means_no_watchdog(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOB_TIMEOUT", "0")
-        assert Runner(jobs=1, cache_dir=None).timeout is None
+    def test_zero_timeout_means_no_watchdog(self):
+        assert Runner(jobs=1, cache_dir=None, timeout=0).timeout is None
 
     def test_plan_env_round_trip_matches_api(self, monkeypatch):
         plan = FaultPlan([FaultSpec(match="mcf", fault="hang", hang_seconds=3.0)])

@@ -847,9 +847,7 @@ class TestEngineLoad:
         # the blocker holds the only worker until the gate opens
         doubles.install(monkeypatch, doubles.gated_execute, tmp_path)
         journal = tmp_path / "journal.jsonl"
-        config = ServiceConfig(
-            journal_path=str(journal), workers=1, job_concurrency=1
-        )
+        config = ServiceConfig(journal_path=str(journal), workers=1)
 
         async def scenario():
             service = SimulationService(config)
@@ -1259,6 +1257,15 @@ class TestRobustnessSatellites:
         assert reply.count(b"HTTP/1.1") == 1
         assert reply.endswith(b'{"ok": true}')
 
+    def test_paths_are_not_counted_without_a_fault_plan(self, ephemeral):
+        # drop occurrences are counted per path only while a plan is
+        # installed: without one, junk paths leave nothing behind
+        client = ServiceClient(ephemeral.url)
+        for i in range(1000):
+            reply = _raw_http(client, f"GET /junk/{i} HTTP/1.1\r\n\r\n".encode())
+            assert reply.startswith(b"HTTP/1.1 404 ")
+        assert _on_loop(ephemeral, lambda: len(ephemeral.server._path_counts)) == 0
+
     def test_wait_for_and_watch_unknown_job_raise_value_error(self, tmp_path):
         config = ServiceConfig(journal_path=str(tmp_path / "journal.jsonl"))
 
@@ -1340,7 +1347,6 @@ class TestRobustnessSatellites:
         config = ServiceConfig(
             journal_path=str(tmp_path / "journal.jsonl"),
             workers=1,
-            job_concurrency=1,
         )
 
         async def scenario():

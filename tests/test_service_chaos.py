@@ -522,7 +522,6 @@ class TestBackpressure:
         config = ServiceConfig(
             journal_path=str(tmp_path / "journal.jsonl"),
             workers=1,
-            job_concurrency=1,
             max_queued_jobs=1,
         )
         with EphemeralServer(config) as server:
@@ -593,7 +592,6 @@ class TestDrainAndRestart:
                 journal_path=str(journal),
                 cache_dir=str(cache_dir),
                 workers=1,
-                job_concurrency=1,
                 run_log=JsonlSink(run_log, mode="a"),
             )
 
@@ -712,6 +710,26 @@ class TestTransportAndJournalChaos:
             assert client.stats()["points_simulated"] == 0
             job = client.submit(_sweep(seed=4))
             assert client.wait(job["id"], timeout=30)["state"] == "completed"
+
+    def test_connection_drop_on_a_stream_surfaces_as_service_error(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr("repro.service.engine.execute_point", fake_execute)
+        plan = faults.FaultPlan(
+            [faults.FaultSpec(match="/stream", fault="drop", attempts=(0,))]
+        )
+        _install(plan, monkeypatch)
+        config = ServiceConfig(journal_path=str(tmp_path / "journal.jsonl"))
+        with EphemeralServer(config) as server:
+            client = ServiceClient(server.url, timeout=10.0)
+            job = client.submit(_sweep(seed=5))
+            # the stream's connection closes before any response
+            with pytest.raises(ServiceError) as excinfo:
+                list(client.stream(job["id"]))
+            assert excinfo.value.status == 0
+            # the next stream is answered, up to the job's last event
+            events = list(client.stream(job["id"]))
+            assert events[-1]["state"] == "completed"
 
     def test_compaction_bounds_journal_and_survives_restart_with_torn_tail(
         self, tmp_path, monkeypatch
